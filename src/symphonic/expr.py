@@ -13,6 +13,22 @@ Grammar (EBNF):
 Exponents are real constants.  ``pow(base, e)`` accepts any constant
 subexpression as e (it is folded at parse time), which is how the
 fractional powers such as pow(t, 4/3) are written.
+
+The parser hash-conses: within one parse every node is built once per
+class and fields, with children keyed by identity and floats by
+``repr`` (so 0.0 and -0.0 stay distinct), and a repeated subexpression
+comes back as one shared object.  ``parse`` therefore returns a DAG,
+which matters for machine-generated input: a sympy-derived field of
+131k tree nodes has under 7k distinct ones.
+
+Evaluation runs on a tape.  The first evaluation of a root compiles it
+by an iterative post-order walk that lists each distinct node once,
+children first and left before right, and caches the list on the root.
+Each evaluation is then one loop over the tape that does the same float
+or jet operations, in the same order, as a recursive walk of the tree,
+so results are bit-identical to it.  Printing and free-variable lookup
+walk iteratively too, so a parsed expression of any depth can be
+evaluated and printed.
 """
 
 from __future__ import annotations
@@ -54,7 +70,9 @@ class EvalDomainError(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
-    pass
+    # the compiled tape of this node as a root, set on first evaluation;
+    # not a dataclass field, so equality, hashing and repr ignore it
+    _tape = None
 
 
 @dataclass(frozen=True)
@@ -89,6 +107,35 @@ class PowC(Expr):
 class Call(Expr):
     func: str  # sin cos exp log sqrt
     arg: Expr
+
+
+def _children(node):
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, PowC):
+        return (node.base,)
+    return ()
+
+
+def _post_order(root) -> list:
+    """Every node under root once by identity, children before parents
+    and left before right: a recursive walk with repeats dropped."""
+    seen = set()
+    out = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            out.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_children(node)))
+    return out
 
 
 # tokenizer ---------------------------------------------------------------
@@ -170,6 +217,25 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.coords = set(coords)
+        self.nodes = {}  # intern table: key -> the one node with that key
+
+    def node(self, key, cls, *fields):
+        """The interned node for key, built from fields on first use.
+
+        Keys hold children by id(), which stays valid because the table
+        keeps every node alive, and floats by repr(), because
+        Const(0.0) == Const(-0.0) and the two hash alike.
+        """
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
+
+    def binop(self, op, left, right):
+        return self.node((BinOp, op, id(left), id(right)), BinOp, op, left, right)
+
+    def powc(self, base, exponent):
+        return self.node((PowC, id(base), repr(exponent)), PowC, base, exponent)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -199,26 +265,27 @@ class _Parser:
         left = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            left = BinOp(op, left, self.term())
+            left = self.binop(op, left, self.term())
         return left
 
     def term(self):
         left = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            left = BinOp(op, left, self.factor())
+            left = self.binop(op, left, self.factor())
         return left
 
     def factor(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
+            arg = self.factor()
+            return self.node((Neg, id(arg)), Neg, arg)
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             exponent = self.exponent_number()
-            base = PowC(base, exponent)
+            base = self.powc(base, exponent)
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "^":
                 raise SyntaxErrorAt("chained '^' is not allowed, use pow()",
@@ -253,7 +320,8 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            return self.node((Const, repr(value)), Const, value)
         if tok.kind == "lparen":
             e = self.expr()
             self.expect("rparen")
@@ -263,7 +331,7 @@ class _Parser:
                 return self.call(tok)
             if tok.text not in self.coords:
                 raise UndeclaredVariable(tok.text, tok.line, tok.column)
-            return Var(tok.text)
+            return self.node((Var, tok.text), Var, tok.text)
         raise SyntaxErrorAt(f"unexpected token {tok.text or 'end of input'!r}",
                             tok.line, tok.column)
 
@@ -279,9 +347,9 @@ class _Parser:
             second = self.expr()
             self.expect("rparen")
             exponent = _fold_constant(second, name_tok)
-            return PowC(first, exponent)
+            return self.powc(first, exponent)
         self.expect("rparen")
-        return Call(name, first)
+        return self.node((Call, name, id(first)), Call, name, first)
 
 
 def _fold_constant(node, tok):
@@ -294,116 +362,156 @@ def _fold_constant(node, tok):
 
 
 def parse(source: str, coords) -> Expr:
-    """Parse a DSL string against a list of coordinate names."""
-    return _Parser(_tokenize(source), coords).parse()
+    """Parse a DSL string against a list of coordinate names.
+
+    The result is a DAG: equal subexpressions are one shared node.
+    """
+    parser = _Parser(_tokenize(source), coords)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise SyntaxErrorAt("expression nested too deeply",
+                            tok.line, tok.column) from None
 
 
 # printer -----------------------------------------------------------------
 
 
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEVER = 4  # above every parent precedence: never parenthesized
+
+
 def to_source(node: Expr) -> str:
     """Render a tree back to source text; parse(to_source(e)) == e."""
-    return _print(node, 0)
+    # per node: its text and the least parent precedence that must
+    # parenthesize it
+    done = {}
 
+    def wrap(child, parent_prec):
+        text, wrap_at = done[id(child)]
+        return f"({text})" if parent_prec >= wrap_at else text
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _print(node, parent_prec):
-    if isinstance(node, Const):
-        s = repr(node.value)
-        return f"({s})" if node.value < 0 else s
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print(node.arg, 3)
-        s = f"-{inner}"
-        return f"({s})" if parent_prec >= 3 else s
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = _print(node.left, prec - 1)
-        # left associativity: right subtree needs strictly higher precedence
-        right = _print(node.right, prec)
-        s = f"{left} {node.op} {right}"
-        return f"({s})" if parent_prec >= prec else s
-    if isinstance(node, PowC):
-        return f"pow({_print(node.base, 0)}, {repr(node.exponent)})"
-    if isinstance(node, Call):
-        return f"{node.func}({_print(node.arg, 0)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    for n in _post_order(node):
+        if isinstance(n, Const):
+            done[id(n)] = (repr(n.value), 0 if n.value < 0 else _NEVER)
+        elif isinstance(n, Var):
+            done[id(n)] = (n.name, _NEVER)
+        elif isinstance(n, Neg):
+            done[id(n)] = (f"-{wrap(n.arg, 3)}", 3)
+        elif isinstance(n, BinOp):
+            prec = _PREC[n.op]
+            # left associativity: right subtree needs strictly higher precedence
+            done[id(n)] = (f"{wrap(n.left, prec - 1)} {n.op} {wrap(n.right, prec)}",
+                           prec)
+        elif isinstance(n, PowC):
+            done[id(n)] = (f"pow({wrap(n.base, 0)}, {repr(n.exponent)})", _NEVER)
+        elif isinstance(n, Call):
+            done[id(n)] = (f"{n.func}({wrap(n.arg, 0)})", _NEVER)
+        else:
+            raise TypeError(f"not an expression node: {n!r}")
+    return wrap(node, 0)
 
 
 def free_variables(node: Expr) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_variables(node.arg)
-    if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, PowC):
-        return free_variables(node.base)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    return set()
+    return {name for code, _, name, _ in _tape(node) if code == _VAR}
 
 
 # evaluation ---------------------------------------------------------------
 
+# A tape is a tuple of steps (code, node, i, j), one per distinct node in
+# post-order; step k leaves its value in slot k.  i and j are the slots
+# of the operands, except: _CONST keeps the value in i, _VAR the name in
+# i, _POW the exponent in j, and _CALL the scalar function in j.
+_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
+_BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
+_SCALAR = {"sin": s_sin, "cos": s_cos, "exp": s_exp, "log": s_log,
+           "sqrt": s_sqrt}
+
+
+def _compile(root) -> tuple:
+    slot = {}
+    steps = []
+    for node in _post_order(root):
+        slot[id(node)] = len(steps)
+        if isinstance(node, BinOp):
+            step = (_BINARY[node.op], node,
+                    slot[id(node.left)], slot[id(node.right)])
+        elif isinstance(node, Const):
+            step = (_CONST, node, node.value, None)
+        elif isinstance(node, Var):
+            step = (_VAR, node, node.name, None)
+        elif isinstance(node, Neg):
+            step = (_NEG, node, slot[id(node.arg)], None)
+        elif isinstance(node, PowC):
+            step = (_POW, node, slot[id(node.base)], node.exponent)
+        elif isinstance(node, Call):
+            step = (_CALL, node, slot[id(node.arg)], _SCALAR[node.func])
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        steps.append(step)
+    return tuple(steps)
+
+
+def _tape(root) -> tuple:
+    """The tape of root, compiled on first use and cached on the root."""
+    tape = getattr(root, "_tape", None)
+    if tape is None:
+        tape = _compile(root)
+        object.__setattr__(root, "_tape", tape)
+    return tape
+
+
+def _divide(a, b):
+    if isinstance(b, Jet):
+        return a * (1.0 / b) if not isinstance(a, Jet) else a / b
+    if b == 0.0 or abs(b) < 1e-300:
+        raise JetDomainError("division by zero")
+    return a / b
+
 
 def evaluate(node: Expr, env: dict):
-    """Evaluate a tree in an environment mapping names to floats or Jets."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
+    """Evaluate an expression in an environment mapping names to floats
+    or Jets, by one pass over its tape."""
+    vals = []
+    push = vals.append
+    for code, at, i, j in _tape(node):
+        if code == _VAR:
+            try:
+                push(env[i])
+            except KeyError:
+                raise EvalDomainError(f"unbound variable '{i}'", at) from None
+            continue
         try:
-            return env[node.name]
-        except KeyError:
-            raise EvalDomainError(f"unbound variable '{node.name}'", node) from None
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
-    if isinstance(node, BinOp):
-        a = evaluate(node.left, env)
-        b = evaluate(node.right, env)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if isinstance(b, Jet):
-                return a * (1.0 / b) if not isinstance(a, Jet) else a / b
-            if b == 0.0 or abs(b) < 1e-300:
-                raise JetDomainError("division by zero")
-            return a / b
+            if code == _MUL:
+                push(vals[i] * vals[j])
+            elif code == _ADD:
+                push(vals[i] + vals[j])
+            elif code == _SUB:
+                push(vals[i] - vals[j])
+            elif code == _CONST:
+                push(i)
+            elif code == _NEG:
+                push(-vals[i])
+            elif code == _POW:
+                push(s_pow(vals[i], j))
+            elif code == _CALL:
+                push(j(vals[i]))
+            else:
+                push(_divide(vals[i], vals[j]))
         except JetDomainError as err:
-            raise EvalDomainError(str(err), node) from None
-    if isinstance(node, PowC):
-        base = evaluate(node.base, env)
-        try:
-            return s_pow(base, node.exponent)
-        except JetDomainError as err:
-            raise EvalDomainError(str(err), node) from None
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, env)
-        fn = {"sin": s_sin, "cos": s_cos, "exp": s_exp,
-              "log": s_log, "sqrt": s_sqrt}[node.func]
-        try:
-            return fn(arg)
-        except JetDomainError as err:
-            raise EvalDomainError(str(err), node) from None
-    raise TypeError(f"not an expression node: {node!r}")
+            raise EvalDomainError(str(err), at) from None
+    return vals[-1]
 
 
 def eval_jet(node: Expr, coords, base, order: int) -> Jet:
     """Jet of the expression at a base point, truncated at order."""
     nvars = len(coords)
-    point = tuple(float(b) for b in base)
-    env = {name: Jet.variable(k, point[k], nvars, order, point)
+    env = {name: Jet.variable(k, float(base[k]), nvars, order)
            for k, name in enumerate(coords)}
     result = evaluate(node, env)
     if not isinstance(result, Jet):
-        return Jet.constant(float(result), nvars, order, point)
+        return Jet.constant(float(result), nvars, order)
     return result
 
 

@@ -215,24 +215,6 @@ def mat_inv(rows):
     return inv
 
 
-def mat_det(rows):
-    m = len(rows)
-    a = [list(r) for r in rows]
-    det = 1.0
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(s_value(a[r][col])))
-        if abs(s_value(a[pivot][col])) < 1e-300:
-            return 0.0 * a[0][0]
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = det * -1.0
-        det = det * a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] / a[col][col]
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
 # metric evaluation --------------------------------------------------------
 
 

@@ -109,24 +109,23 @@ class JetSpace:
 class Jet:
     """Truncated Taylor expansion of a scalar at a base point."""
 
-    __slots__ = ("space", "coeffs", "point")
+    __slots__ = ("space", "coeffs")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, point=None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.coeffs = coeffs
-        self.point = point
 
     # constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(value: float, nvars: int, order: int, point=None) -> "Jet":
+    def constant(value: float, nvars: int, order: int) -> "Jet":
         sp = _space(nvars, order)
         c = np.zeros(sp.size)
         c[0] = value
-        return Jet(sp, c, point)
+        return Jet(sp, c)
 
     @staticmethod
-    def variable(var: int, base: float, nvars: int, order: int, point=None) -> "Jet":
+    def variable(var: int, base: float, nvars: int, order: int) -> "Jet":
         if order < 1:
             raise ValueError("a variable jet needs order >= 1")
         sp = _space(nvars, order)
@@ -134,7 +133,7 @@ class Jet:
         c[0] = base
         unit = tuple(1 if k == var else 0 for k in range(nvars))
         c[sp.index[unit]] = 1.0
-        return Jet(sp, c, point)
+        return Jet(sp, c)
 
     # accessors --------------------------------------------------------
 
@@ -165,7 +164,7 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot extend a jet to a higher order")
         sp = _space(self.nvars, order)
-        return Jet(sp, self.coeffs[: sp.size].copy(), self.point)
+        return Jet(sp, self.coeffs[: sp.size].copy())
 
     def partial(self, var: int) -> "Jet":
         """Jet of the partial derivative with respect to variable var.
@@ -178,7 +177,7 @@ class Jet:
         sp = _space(self.nvars, self.order - 1)
         c = np.zeros(sp.size)
         c[dst] = self.coeffs[src] * fac
-        return Jet(sp, c, self.point)
+        return Jet(sp, c)
 
     def gradient(self) -> list[float]:
         sp = self.space
@@ -200,42 +199,42 @@ class Jet:
             order = min(self.order, other.order)
             return self.truncate(order), other.truncate(order)
         if isinstance(other, (int, float, np.floating)):
-            return self, Jet.constant(float(other), self.nvars, self.order, self.point)
+            return self, Jet.constant(float(other), self.nvars, self.order)
         return self, NotImplemented
 
     def __add__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return Jet(a.space, a.coeffs + b.coeffs, a.point or b.point)
+        return Jet(a.space, a.coeffs + b.coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.point)
+        return Jet(self.space, -self.coeffs)
 
     def __sub__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return Jet(a.space, a.coeffs - b.coeffs, a.point or b.point)
+        return Jet(a.space, a.coeffs - b.coeffs)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating)):
-            return Jet(self.space, self.coeffs * float(other), self.point)
+            return Jet(self.space, self.coeffs * float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return Jet(a.space, a.space.mul(a.coeffs, b.coeffs), a.point or b.point)
+        return Jet(a.space, a.space.mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating)):
-            return Jet(self.space, self.coeffs / float(other), self.point)
+            return Jet(self.space, self.coeffs / float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -267,15 +266,26 @@ def _series(jet: Jet, derivs: list[float]) -> Jet:
         fact *= k
         power = nil if power is None else sp.mul(power, nil)
         out += (derivs[k] / fact) * power
-    return Jet(sp, out, jet.point)
+    return Jet(sp, out)
+
+
+def _finite(derivs: list[float], message: str) -> list[float]:
+    if not all(map(math.isfinite, derivs)):
+        raise JetDomainError(message)
+    return derivs
 
 
 def _reciprocal(jet: Jet) -> Jet:
     c = jet.value
+    message = "division by a quantity vanishing at the base point"
     if abs(c) < 1e-300:
-        raise JetDomainError("division by a quantity vanishing at the base point")
-    derivs = [(-1.0) ** k * math.factorial(k) / c ** (k + 1) for k in range(jet.order + 1)]
-    return _series(jet, derivs)
+        raise JetDomainError(message)
+    try:
+        derivs = [(-1.0) ** k * math.factorial(k) / c ** (k + 1)
+                  for k in range(jet.order + 1)]
+    except ZeroDivisionError:  # c ** (k + 1) underflowed to zero
+        raise JetDomainError(message) from None
+    return _series(jet, _finite(derivs, message))
 
 
 def jet_sin(jet: Jet) -> Jet:
@@ -299,10 +309,14 @@ def jet_log(jet: Jet) -> Jet:
     c = jet.value
     if c <= 0.0:
         raise JetDomainError(f"log of non-positive value {c!r}")
+    message = f"log derivatives overflow at tiny value {c!r}"
     derivs = [math.log(c)]
-    for k in range(1, jet.order + 1):
-        derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k)
-    return _series(jet, derivs)
+    try:
+        for k in range(1, jet.order + 1):
+            derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k)
+    except ZeroDivisionError:  # c ** k underflowed to zero
+        raise JetDomainError(message) from None
+    return _series(jet, _finite(derivs, message))
 
 
 def jet_sqrt(jet: Jet) -> Jet:
@@ -324,7 +338,7 @@ def jet_pow(jet: Jet, exponent: float) -> Jet:
     if float(e).is_integer() and abs(e) <= 64:
         n = int(e)
         if n == 0:
-            return Jet.constant(1.0, jet.nvars, jet.order, jet.point)
+            return Jet.constant(1.0, jet.nvars, jet.order)
         base = jet if n > 0 else _reciprocal(jet)
         n = abs(n)
         out = None
@@ -381,7 +395,7 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
             out[0] += c
         else:
             out += c * term
-    return Jet(sp_out, out, inner[0].point)
+    return Jet(sp_out, out)
 
 
 # scalar dispatch helpers (accept floats or jets) ------------------------

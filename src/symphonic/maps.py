@@ -94,12 +94,11 @@ class TangentField:
         out = [ex.eval_jet(c, coords, x, order) for c in self.components]
         if self.bump_center is not None:
             nvars = len(coords)
-            point = tuple(float(v) for v in x)
-            var_jets = [Jet.variable(k, point[k], nvars, order, point)
+            var_jets = [Jet.variable(k, float(x[k]), nvars, order)
                         for k in range(nvars)]
             w = self._bump(var_jets, x)
             if isinstance(w, float):
-                return [Jet.constant(0.0, nvars, order, point) for _ in out]
+                return [Jet.constant(0.0, nvars, order) for _ in out]
             out = [j * w for j in out]
         return out
 

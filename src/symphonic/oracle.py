@@ -134,12 +134,3 @@ def richardson_order(value_h, value_h2, value_h4):
     if ratio <= 0:
         return None
     return math.log2(ratio)
-
-
-def observed_first_variation_order(spec, v, mesh, step,
-                                   energy: str = ENERGY_SYM):
-    """Richardson order of the first-variation stencil at steps
-    step, step/2, step/4."""
-    vals = [fd_first_variation(spec, v, mesh, step / 2 ** k, energy)
-            for k in range(3)]
-    return richardson_order(*vals)

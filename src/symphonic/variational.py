@@ -72,16 +72,16 @@ def _composed_target_jets(target, comp_jets, gamma_order):
     gam_yjets = geo.christoffel_jets(g_yjets)
     h_phi = [[compose(g_yjets[a][b], comp_jets) for b in range(n)]
              for a in range(n)]
-    gam_phi = [[[compose(_as_jet(gam_yjets[a][b][c], n, gamma_order, y0),
+    gam_phi = [[[compose(_as_jet(gam_yjets[a][b][c], n, gamma_order),
                          comp_jets)
                  for c in range(n)] for b in range(n)] for a in range(n)]
     return h_phi, gam_phi
 
 
-def _as_jet(v, nvars, order, point):
+def _as_jet(v, nvars, order):
     if isinstance(v, Jet):
         return v
-    return Jet.constant(float(v), nvars, order, tuple(point))
+    return Jet.constant(float(v), nvars, order)
 
 
 def _hdot(h, u, w):
@@ -179,8 +179,7 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
             for s in range(m):
                 acc = acc + _hdot(h_phi, draise[q], draise[s]) * sff[q][s][a]
         out.append(acc if isinstance(acc, Jet)
-                   else Jet.constant(float(acc), comp_jets[0].nvars, p - 2,
-                                     comp_jets[0].point))
+                   else Jet.constant(float(acc), comp_jets[0].nvars, p - 2))
     return out
 
 

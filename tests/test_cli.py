@@ -260,3 +260,33 @@ def test_docs_schemas_match_shipped_schemas():
         shipped = load_schema(name)
         published = json.loads((docs / name).read_text())
         assert shipped == published
+
+
+def _one_dim_spec(component):
+    return {
+        "source": {"dim": 1, "coords": ["t"], "metric": [["1"]],
+                   "domain": {"intervals": [[0.5, 4.0]]}},
+        "target": {"dim": 1, "coords": ["y"], "metric": [["1"]],
+                   "domain": {"intervals": [[None, None]]}},
+        "map": {"components": [component]},
+    }
+
+
+@pytest.mark.parametrize("component,expected", [
+    # a 3000-term sum evaluates; over-nesting is a syntax error
+    pytest.param(" + ".join(["t^2"] * 3000), 0, id="sum-3000"),
+    pytest.param("(" * 5000 + "t" + ")" * 5000, 2, id="parens-5000"),
+])
+def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
+                                            expected):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_one_dim_spec(component)))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code in range(5)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 0:
+        # tension of t -> 3000 t^2 with flat metrics is 6000
+        for line in out.strip().splitlines()[1:]:
+            assert float(line.split(",")[1]) == pytest.approx(6000.0)

@@ -1,8 +1,14 @@
+import math
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symphonic import expr as ex
+from symphonic.jet import (Jet, JetDomainError, s_cos, s_exp, s_log, s_pow,
+                           s_sin, s_sqrt)
 
 
 def test_basic_tree():
@@ -141,3 +147,163 @@ def _expr_trees(depth):
 def test_print_parse_round_trip(tree):
     text = ex.to_source(tree)
     assert ex.parse(text, _COORDS) == tree
+
+
+# interning and the tape ---------------------------------------------------
+
+
+def test_parse_shares_equal_subexpressions():
+    tree = ex.parse("sin(x)*sin(x)", ["x"])
+    assert tree.left is tree.right
+    # floats are interned by repr, so 0.0 and -0.0 exponents stay apart
+    tree = ex.parse("x^0 + x^-0", ["x"])
+    assert tree.left is not tree.right
+    assert repr(tree.right.exponent) == "-0.0"
+
+
+def _reference(node, env):
+    """Recursive evaluator, one call per tree node: the semantics the
+    tape must reproduce bit for bit."""
+    if isinstance(node, ex.Const):
+        return node.value
+    if isinstance(node, ex.Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise ex.EvalDomainError(f"unbound variable '{node.name}'",
+                                     node) from None
+    if isinstance(node, ex.Neg):
+        return -_reference(node.arg, env)
+    if isinstance(node, ex.BinOp):
+        a = _reference(node.left, env)
+        b = _reference(node.right, env)
+        try:
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if isinstance(b, Jet):
+                return a * (1.0 / b) if not isinstance(a, Jet) else a / b
+            if b == 0.0 or abs(b) < 1e-300:
+                raise JetDomainError("division by zero")
+            return a / b
+        except JetDomainError as err:
+            raise ex.EvalDomainError(str(err), node) from None
+    if isinstance(node, ex.PowC):
+        base = _reference(node.base, env)
+        try:
+            return s_pow(base, node.exponent)
+        except JetDomainError as err:
+            raise ex.EvalDomainError(str(err), node) from None
+    arg = _reference(node.arg, env)
+    fn = {"sin": s_sin, "cos": s_cos, "exp": s_exp, "log": s_log,
+          "sqrt": s_sqrt}[node.func]
+    try:
+        return fn(arg)
+    except JetDomainError as err:
+        raise ex.EvalDomainError(str(err), node) from None
+
+
+def _outcome(evaluator, tree, env):
+    """A comparable record of a result or of the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluator(tree, env)
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(value, Jet):
+        return "jet", value.order, value.coeffs.tobytes()
+    return "float", struct.pack("<d", value)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.5, 3.25]).map(ex.Const),
+    # z is left out of every environment: an unbound variable
+    st.sampled_from(["x", "y", "x", "y", "z"]).map(ex.Var),
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    """Trees built bottom-up from a pool, each node picking its children
+    from the pool, so one subtree object often sits under many parents."""
+    pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 14))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from(["neg", "bin", "bin", "pow", "call"]))
+        if kind == "neg":
+            node = ex.Neg(draw(pick))
+        elif kind == "bin":
+            node = ex.BinOp(draw(st.sampled_from("+-*/")), draw(pick),
+                            draw(pick))
+        elif kind == "pow":
+            node = ex.PowC(draw(pick),
+                           draw(st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5,
+                                                 1 / 3, 0.0, -0.0])))
+        else:
+            node = ex.Call(draw(st.sampled_from(["sin", "cos", "exp", "log",
+                                                 "sqrt"])), draw(pick))
+        pool.append(node)
+    return pool[-1]
+
+
+def _distinct_nodes(tree):
+    """Every node object under tree, once by identity."""
+    seen, out, stack = set(), [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(getattr(node, f) for f in ("arg", "left", "right",
+                                                    "base")
+                         if hasattr(node, f))
+    return out
+
+
+@given(_shared_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_tape_matches_recursive_reference(tree, x, y):
+    # one tape step per distinct node: shared subtrees run once
+    assert len(ex._tape(tree)) == len(_distinct_nodes(tree))
+    envs = [{"x": x, "y": y}]
+    for order in (2, 4):
+        envs.append({"x": Jet.variable(0, x, 2, order),
+                     "y": Jet.variable(1, y, 2, order)})
+    for env in envs:
+        assert (_outcome(ex.evaluate, tree, env)
+                == _outcome(_reference, tree, env))
+    # a printed tree parses back to an equal tree, interned no wider
+    if all(math.copysign(1.0, n.value) > 0 for n in _distinct_nodes(tree)
+           if isinstance(n, ex.Const)):
+        parsed = ex.parse(ex.to_source(tree), ["x", "y", "z"])
+        assert parsed == tree
+        assert len(_distinct_nodes(parsed)) <= len(_distinct_nodes(tree))
+
+
+def test_deep_expressions_need_no_recursion():
+    terms = 3000
+    tree = ex.parse(" + ".join(["x"] * terms), ["x"])
+    assert ex.free_variables(tree) == {"x"}
+    assert ex.eval_value(tree, ["x"], [0.5]) == terms * 0.5
+    assert ex.eval_jet(tree, ["x"], [0.5], 2).coefficient((1,)) == terms
+    text = ex.to_source(tree)
+    assert ex.to_source(ex.parse(text, ["x"])) == text
+    with pytest.raises(ex.EvalDomainError):
+        ex.eval_value(ex.parse(text + " + log(x - 1)", ["x"]), ["x"], [0.5])
+
+
+def test_over_nested_parentheses_is_a_syntax_error():
+    depth = 5000
+    with pytest.raises(ex.SyntaxErrorAt):
+        ex.parse("(" * depth + "x" + ")" * depth, ["x"])
+    with pytest.raises(ex.SyntaxErrorAt):
+        ex.parse("sin(" * depth + "x" + ")" * depth, ["x"])
+
+
+def test_tiny_base_surfaces_as_eval_domain_error():
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.eval_jet(ex.parse("log(x)", ["x"]), ["x"], [1e-320], 4)
+    assert "log(x)" in str(err.value)

@@ -120,6 +120,21 @@ def test_domain_errors():
         jet_sqrt(Jet.constant(-1.0, 1, 2))
 
 
+@pytest.mark.parametrize("fn,base", [
+    pytest.param(jet_log, 1e-320, id="log"),
+    pytest.param(lambda u: jet_pow(u, 0.5), 1e-320, id="pow-1/2"),
+    pytest.param(lambda u: jet_pow(u, 4.0 / 3.0), 1e-320, id="pow-4/3"),
+    pytest.param(lambda u: 1.0 / u, 1e-299, id="reciprocal"),
+    pytest.param(lambda u: jet_pow(u, -2), 1e-299, id="pow-neg2"),
+])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_tiny_base_is_a_domain_error(fn, base, order):
+    # a derivative that underflows a division or overflows is a domain
+    # error, not a ZeroDivisionError or an infinite coefficient
+    with pytest.raises(JetDomainError):
+        fn(Jet.variable(0, base, 1, order))
+
+
 def test_integer_power_of_negative_base():
     u = Jet.variable(0, -2.0, 1, 2)
     p = jet_pow(u, 3)
