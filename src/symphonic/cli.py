@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -41,6 +42,9 @@ EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+# options that only make sense as positive finite numbers
+POSITIVE_OPTIONS = ("grid", "fd_step", "dt")
 
 OPS = ("pullback", "energy-density", "tension", "symphonic-tension",
        "bi-tension", "jacobi")
@@ -115,8 +119,13 @@ def _eval_points(args, spec):
         except OSError as err:
             print(f"error: cannot read points file: {err}", file=sys.stderr)
             return None, EXIT_IO
-        pts = [[float(v) for v in line.replace(",", " ").split()]
-               for line in text.splitlines() if line.strip()]
+        try:
+            pts = [[float(v) for v in line.replace(",", " ").split()]
+                   for line in text.splitlines() if line.strip()]
+        except ValueError as err:
+            print(f"error: points file {args.points!r}: {err}",
+                  file=sys.stderr)
+            return None, EXIT_USAGE
         return pts, EXIT_OK
     res = args.grid
     m = spec.source.dim
@@ -429,6 +438,12 @@ def main(argv=None) -> int:
     if getattr(args, "fd_step", None) is None and args.command == "variation":
         args.fd_step = (orc.DEFAULT_SECOND_STEP if args.second
                         else orc.DEFAULT_FIRST_STEP)
+    for name in POSITIVE_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            print(f"error: --{name.replace('_', '-')} must be positive, "
+                  f"got {value!r}", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

@@ -70,40 +70,58 @@ class EvalDomainError(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
+    """Base of the expression nodes.  Equality is structural, hashing
+    agrees with it, and both run over the tape, so at any depth."""
+
     # the compiled tape of this node as a root, set on first evaluation;
     # not a dataclass field, so equality, hashing and repr ignore it
     _tape = None
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        if self is other:
+            return True
+        ids = {}
 
-@dataclass(frozen=True)
+        def number(key):
+            return ids.setdefault(key, len(ids))
+
+        return _fold(self, number) == _fold(other, number)
+
+    def __hash__(self):
+        return _fold(self, hash)
+
+
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowC(Expr):
     base: Expr
     exponent: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Expr):
     func: str  # sin cos exp log sqrt
     arg: Expr
@@ -460,6 +478,23 @@ def _tape(root) -> tuple:
         tape = _compile(root)
         object.__setattr__(root, "_tape", tape)
     return tape
+
+
+def _fold(root, combine):
+    """combine(key) of root, a node's key being its tape code and fields
+    with each child replaced by combine(child's key): with hash, a
+    structural hash; with a numbering of keys, ids that are equal
+    exactly when the subtrees are (floats by value: 0.0 == -0.0)."""
+    out = []
+    for code, _, i, j in _tape(root):
+        if code in (_CONST, _VAR):
+            key = (code, i)
+        elif code in (_NEG, _POW, _CALL):
+            key = (code, out[i], j)
+        else:
+            key = (code, out[i], out[j])
+        out.append(combine(key))
+    return out[-1]
 
 
 def _divide(a, b):

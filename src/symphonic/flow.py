@@ -11,6 +11,14 @@ The bi-energy descent (d phi/dt = -tau^s_2, full variant) is wired
 behind the same interface but is experimental; its operator is degree
 seven in derivative data and needs looser tolerances.
 
+The operators are not written here.  The grid feeds the one float
+kernel of each operator (maps.tau_s, maps.energy_density and
+variational.jacobi_groups), which work in coordinate form over trailing
+batch axes: the grid axes are the batch, gi is the constant inverse
+source metric, which equals sum_i e_i e_i^T for any orthonormal frame,
+and the partials come from one stencil routine that serves both the map
+and its tension field.
+
 Restrictions in this version: the source chart must be fully periodic
 with a constant metric, and the target metric must be constant.
 """
@@ -24,6 +32,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import maps as mp
+from . import variational as va
 from .mesh import pairwise_sum
 
 MIN_RESOLUTION = 8
@@ -42,17 +51,6 @@ STATUS_ABORTED = "aborted-domain"
 
 class FlowSetupError(ValueError):
     pass
-
-
-def _constant_metric_values(model):
-    n = model.dim
-    for a in range(n):
-        for b in range(n):
-            if not ex.is_constant(model.metric[a][b]):
-                return None
-    return np.array([[ex.eval_value(model.metric[a][b], model.coords,
-                                    [0.0] * n) for b in range(n)]
-                     for a in range(n)])
 
 
 @dataclass
@@ -126,10 +124,10 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
     if any(r < MIN_RESOLUTION for r in resolution):
         raise FlowSetupError(
             f"grid resolution below {MIN_RESOLUTION} per axis is too coarse")
-    g = _constant_metric_values(source)
+    g = geo.constant_metric(source)
     if g is None:
         raise FlowSetupError("flow requires a constant source metric")
-    h = _constant_metric_values(target)
+    h = geo.constant_metric(target)
     if h is None:
         raise FlowSetupError("flow requires a constant target metric")
     if energy not in (ENERGY_SYM, ENERGY_BISYM):
@@ -152,24 +150,12 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
     rem = phi - np.einsum("ak,k...->a...", linear, coord_grids)
     ginv = np.linalg.inv(g)
     sqrtg = float(np.sqrt(np.linalg.det(g)))
-    frame = _constant_frame(g)
+    frame = geo.gram_schmidt(g)
     state = FlowState(source, target, linear, rem, coord_grids, spacings,
                       g, ginv, sqrtg, frame, h, float(epsilon),
                       float(epsilon), energy)
     state.energy_history.append(flow_energy(state))
     return state
-
-
-def _constant_frame(g):
-    m = g.shape[0]
-    vectors = np.zeros((m, m))
-    for i in range(m):
-        v = np.zeros(m)
-        v[i] = 1.0
-        for p in range(i):
-            v = v - (vectors[p] @ g @ v) * vectors[p]
-        vectors[i] = v / np.sqrt(v @ g @ v)
-    return vectors
 
 
 # order-4 periodic stencils --------------------------------------------------
@@ -185,22 +171,25 @@ def _d2(f, axis, h):
             + 16 * np.roll(f, 1, axis) - np.roll(f, 2, axis)) / (12 * h * h)
 
 
-def _grid_derivatives(state: FlowState, rem):
-    """First and second partials of the sampled map, order 4.
-
-    Stencils act on the periodic remainder; the winding part enters the
-    first derivatives as a constant."""
-    m = len(state.spacings)
-    d1 = np.stack([_d1(rem, 1 + k, state.spacings[k]) for k in range(m)])
-    d1 += state.linear.T[(...,) + (np.newaxis,) * (rem.ndim - 1)]
-    d2 = np.empty((m, m) + rem.shape)
+def _stencil_derivatives(f, spacings):
+    """First and second partials, order 4, of a periodic grid field f
+    whose leading axis holds components: d1 (m, ...), d2 (m, m, ...)."""
+    m = len(spacings)
+    d1 = np.stack([_d1(f, 1 + k, spacings[k]) for k in range(m)])
+    d2 = np.empty((m, m) + f.shape)
     for i in range(m):
-        d2[i, i] = _d2(rem, 1 + i, state.spacings[i])
+        d2[i, i] = _d2(f, 1 + i, spacings[i])
         for j in range(i + 1, m):
-            mixed = _d1(_d1(rem, 1 + i, state.spacings[i]), 1 + j,
-                        state.spacings[j])
-            d2[i, j] = mixed
-            d2[j, i] = mixed
+            d2[i, j] = d2[j, i] = _d1(d1[i], 1 + j, spacings[j])
+    return d1, d2
+
+
+def _grid_derivatives(state: FlowState, rem):
+    """Partials of the sampled map.  Stencils act on the periodic
+    remainder; the winding part enters the first derivatives as a
+    constant."""
+    d1, d2 = _stencil_derivatives(rem, state.spacings)
+    d1 += state.linear.T[(...,) + (np.newaxis,) * (rem.ndim - 1)]
     return d1, d2
 
 
@@ -213,9 +202,7 @@ def flow_energy(state: FlowState, rem=None) -> float:
         dens = np.einsum("a...,ab,b...->...", tau, state.h, tau)
     else:
         d1, _ = _grid_derivatives(state, rem)
-        df = np.einsum("ip,pa...->ia...", state.frame, d1)
-        gram = np.einsum("ia...,ab,jb...->ij...", df, state.h, df)
-        dens = np.einsum("ij...,ij...->...", gram, gram)
+        dens = mp.energy_density(state.frame, state.h, d1)
     cell = np.prod(state.spacings) * state.sqrtg
     return pairwise_sum(dens.ravel()) * cell
 
@@ -227,13 +214,7 @@ def grid_tau_s(state: FlowState, rem=None) -> np.ndarray:
     if rem is None:
         rem = state.rem
     d1, d2 = _grid_derivatives(state, rem)
-    gi, h = state.ginv, state.h
-    hs_d = np.einsum("pqa...,ab,rb...->pqr...", d2, h, d1)
-    hd_d = np.einsum("pa...,ab,rb...->pr...", d1, h, d1)
-    term1 = np.einsum("pq,rs,pqr...,sa...->a...", gi, gi, hs_d, d1)
-    term2 = np.einsum("pq,rs,qrp...,sa...->a...", gi, gi, hs_d, d1)
-    term3 = np.einsum("pq,rs,pr...,qsa...->a...", gi, gi, hd_d, d2)
-    return term1 + term2 + term3
+    return mp.tau_s(state.ginv, state.h, d1, d2)
 
 
 def grid_bi_tension(state: FlowState, rem=None) -> np.ndarray:
@@ -242,36 +223,10 @@ def grid_bi_tension(state: FlowState, rem=None) -> np.ndarray:
     if rem is None:
         rem = state.rem
     d1, d2 = _grid_derivatives(state, rem)
-    v = grid_tau_s(state, rem)
-    m = len(state.spacings)
-    dv = np.stack([_d1(v, 1 + k, state.spacings[k]) for k in range(m)])
-    ddv = np.empty((m, m) + v.shape)
-    for i in range(m):
-        ddv[i, i] = _d2(v, 1 + i, state.spacings[i])
-        for j in range(i + 1, m):
-            mixed = _d1(_d1(v, 1 + i, state.spacings[i]), 1 + j,
-                        state.spacings[j])
-            ddv[i, j] = mixed
-            ddv[j, i] = mixed
-    gi, h = state.ginv, state.h
-    tr_ddv = np.einsum("pq,pqa...->a...", gi, ddv)
-    tr_s = np.einsum("pq,pqa...->a...", gi, d2)
-    dv_d = np.einsum("pa...,ab,rb...->pr...", dv, h, d1)       # h(Dv_p, D_r)
-    d_d = np.einsum("pa...,ab,rb...->pr...", d1, h, d1)
-    dv_s = np.einsum("pa...,ab,qrb...->pqr...", dv, h, d2)     # h(Dv_p, S_qr)
-    s_d = np.einsum("pqa...,ab,rb...->pqr...", d2, h, d1)      # h(S_pq, D_r)
-    ddv_d = np.einsum("pqa...,ab,rb...->pqr...", ddv, h, d1)   # h(DDv_pq, D_r)
-    gA = 2.0 * np.einsum("pq,rs,pr...,qsa...->a...", gi, gi, dv_d, d2)
-    hb1 = np.einsum("ra...,ab,b...->r...", d1, h, tr_ddv)       # h(trDDv, D_r)
-    hb2 = np.einsum("ra...,ab,b...->r...", dv, h, tr_s)         # h(Dv_r, trS)
-    gB = np.einsum("rs,r...,sa...->a...", gi, hb1 + hb2, d1)
-    hc1 = np.einsum("rs,prs...->p...", gi, s_d)                 # sum_j h(S_pj, D_j)
-    hc2 = np.einsum("pa...,ab,b...->p...", d1, h, tr_s)         # h(D_p, trS)
-    gC = np.einsum("pq,p...,qa...->a...", gi, hc1 + hc2, dv)
-    gD = np.einsum("pq,rs,pr...,sqa...->a...", gi, gi, d_d, ddv)
-    gE = np.einsum("pq,rs,pqr...,sa...->a...", gi, gi, dv_s, d1)
-    gF = np.einsum("pq,rs,rps...,qa...->a...", gi, gi, ddv_d, d1)
-    return gA + gB + gC + gD + gE + gF
+    v = mp.tau_s(state.ginv, state.h, d1, d2)
+    dv, ddv = _stencil_derivatives(v, state.spacings)
+    groups = va.jacobi_groups(state.ginv, state.h, d1, d2, v, dv, ddv)
+    return va.assemble(groups, va.FULL)
 
 
 def gradient_field(state: FlowState, rem=None) -> np.ndarray:

@@ -13,6 +13,7 @@ R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,25 +231,42 @@ def metric_jets(model: ManifoldModel, x, order: int):
     return out
 
 
+def metric_values(model: ManifoldModel, x) -> np.ndarray:
+    """Metric coefficient values at x, with no domain or SPD check."""
+    m = model.dim
+    values = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            v = ex.eval_value(model.metric[i][j], model.coords, x)
+            values[i, j] = values[j, i] = v
+    return values
+
+
+def constant_metric(model: ManifoldModel):
+    """The metric matrix of a chart whose coefficients are all
+    constant, else None.  Memoized on the model, and read-only because
+    it is shared."""
+    if "_constant_metric" not in vars(model):
+        values = None
+        if all(ex.is_constant(e) for row in model.metric for e in row):
+            values = metric_values(model, [0.0] * model.dim)
+            values.flags.writeable = False
+        model._constant_metric = values
+    return model._constant_metric
+
+
 def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
     """Metric matrix, inverse, and volume density at a point.
 
     order >= 1 additionally attaches coefficient jets of that order.
     """
     model.require_inside(x)
-    m = model.dim
-    values = np.empty((m, m))
     jets = None
     if order >= 1:
         jets = metric_jets(model, x, order)
-        for i in range(m):
-            for j in range(m):
-                values[i, j] = jets[i][j].value
+        values = np.array([[jet.value for jet in row] for row in jets])
     else:
-        for i in range(m):
-            for j in range(i, m):
-                v = ex.eval_value(model.metric[i][j], model.coords, x)
-                values[i, j] = values[j, i] = v
+        values = metric_values(model, x)
     eigs = np.linalg.eigvalsh(values)
     if eigs.min() <= SPD_EIGENVALUE_FLOOR:
         raise NonSPDError(
@@ -287,46 +305,41 @@ def christoffel_jets(g_jets):
     return gamma
 
 
+def christoffel_arrays(gam_jets, derivs: bool = False):
+    """(gamma[k, i, j], dgamma[l, k, i, j]) from Christoffel jets.
+
+    Entries of gam_jets are jets or, where they vanish identically,
+    floats.  dgamma holds the first partials d_l Gamma^k_{ij} and needs
+    jets of order >= 1; it is None unless derivs."""
+    m = len(gam_jets)
+    gamma = np.empty((m, m, m))
+    dgamma = np.zeros((m, m, m, m)) if derivs else None
+    for k, i, j in itertools.product(range(m), repeat=3):
+        c = gam_jets[k][i][j]
+        gamma[k, i, j] = s_value(c)
+        if derivs and isinstance(c, Jet):
+            dgamma[:, k, i, j] = c.gradient()
+    return gamma, dgamma
+
+
 def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
     """Levi-Civita coefficients at a point; derivs adds d_l Gamma."""
-    order = 2 if derivs else 1
-    g_jets = metric_at(model, x, order=order).jets
-    gam_jets = christoffel_jets(g_jets)
-    m = model.dim
-    gamma = np.empty((m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                gamma[k, i, j] = s_value(gam_jets[k][i][j])
-    dgamma = None
-    if derivs:
-        dgamma = np.empty((m, m, m, m))
-        for l in range(m):
-            for k in range(m):
-                for i in range(m):
-                    for j in range(m):
-                        jet = gam_jets[k][i][j]
-                        dgamma[l, k, i, j] = (
-                            jet.gradient()[l] if isinstance(jet, Jet) else 0.0)
-    return Christoffel(gamma, dgamma)
+    g_jets = metric_at(model, x, order=2 if derivs else 1).jets
+    return Christoffel(*christoffel_arrays(christoffel_jets(g_jets), derivs))
+
+
+def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
+    """R^l_{kij} from gamma[k, i, j] and dgamma[l, k, i, j] (see the
+    module docstring for the convention)."""
+    d = np.einsum("iljk->lkij", dgamma)              # d_i Gamma^l_{jk}
+    q = np.einsum("lip,pjk->lkij", gamma, gamma)     # Gamma^l_{ip} Gamma^p_{jk}
+    return d - d.transpose(0, 1, 3, 2) + q - q.transpose(0, 1, 3, 2)
 
 
 def riemann_tensor(model: ManifoldModel, x) -> np.ndarray:
     """Coordinate components R^l_{kij} at a point."""
     ch = christoffel(model, x, derivs=True)
-    gamma, dgamma = ch.gamma, ch.dgamma
-    m = model.dim
-    riem = np.empty((m, m, m, m))
-    for l in range(m):
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    val = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-                    for p in range(m):
-                        val += gamma[l, i, p] * gamma[p, j, k]
-                        val -= gamma[l, j, p] * gamma[p, i, k]
-                    riem[l, k, i, j] = val
-    return riem
+    return riemann_from_christoffel(ch.gamma, ch.dgamma)
 
 
 def riemann(model: ManifoldModel, x, X, Y, Z) -> np.ndarray:
@@ -338,11 +351,10 @@ def riemann(model: ManifoldModel, x, X, Y, Z) -> np.ndarray:
     return np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
 
 
-def frame_at(model: ManifoldModel, x) -> Frame:
-    """Orthonormal frame by Gram-Schmidt on the coordinate basis,
-    taken in ascending coordinate order (deterministic)."""
-    g = metric_at(model, x).values
-    m = model.dim
+def gram_schmidt(g) -> np.ndarray:
+    """Rows orthonormal in the metric g, by Gram-Schmidt on the
+    coordinate basis taken in ascending order (deterministic)."""
+    m = g.shape[0]
     vectors = np.zeros((m, m))
     for i in range(m):
         v = np.zeros(m)
@@ -353,7 +365,12 @@ def frame_at(model: ManifoldModel, x) -> Frame:
         if norm <= 0.0 or not np.isfinite(norm):
             raise NonSPDError("Gram-Schmidt failed, metric not SPD")
         vectors[i] = v / norm
-    return Frame(vectors)
+    return vectors
+
+
+def frame_at(model: ManifoldModel, x) -> Frame:
+    """Orthonormal frame at a point, by Gram-Schmidt."""
+    return Frame(gram_schmidt(metric_at(model, x).values))
 
 
 # scalar fields -------------------------------------------------------------

@@ -285,6 +285,9 @@ def _reciprocal(jet: Jet) -> Jet:
                   for k in range(jet.order + 1)]
     except ZeroDivisionError:  # c ** (k + 1) underflowed to zero
         raise JetDomainError(message) from None
+    except OverflowError:
+        raise JetDomainError(
+            f"reciprocal derivatives out of float range at {c!r}") from None
     return _series(jet, _finite(derivs, message))
 
 
@@ -300,8 +303,15 @@ def jet_cos(jet: Jet) -> Jet:
     return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
 
 
+def _exp(c: float) -> float:
+    try:
+        return math.exp(c)
+    except OverflowError:
+        raise JetDomainError(f"exp overflows at {c!r}") from None
+
+
 def jet_exp(jet: Jet) -> Jet:
-    e = math.exp(jet.value)
+    e = _exp(jet.value)
     return _series(jet, [e] * (jet.order + 1))
 
 
@@ -316,6 +326,9 @@ def jet_log(jet: Jet) -> Jet:
             derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k)
     except ZeroDivisionError:  # c ** k underflowed to zero
         raise JetDomainError(message) from None
+    except OverflowError:
+        raise JetDomainError(
+            f"log derivatives out of float range at {c!r}") from None
     return _series(jet, _finite(derivs, message))
 
 
@@ -410,7 +423,7 @@ def s_cos(x):
 
 
 def s_exp(x):
-    return jet_exp(x) if isinstance(x, Jet) else math.exp(x)
+    return jet_exp(x) if isinstance(x, Jet) else _exp(x)
 
 
 def s_log(x):
@@ -436,10 +449,12 @@ def s_pow(x, e):
     if float(e).is_integer():
         if x == 0.0 and e < 0:
             raise JetDomainError("zero raised to a negative power")
-        return x ** e
-    if x <= 0.0:
+    elif x <= 0.0:
         raise JetDomainError(f"fractional power of non-positive base {x!r}")
-    return x ** e
+    try:
+        return x ** e
+    except OverflowError:
+        raise JetDomainError(f"{x!r} to the power {e!r} overflows") from None
 
 
 def s_value(x) -> float:

@@ -3,7 +3,10 @@
 The central objects are pointwise coefficient tables (values of the map
 partials, both metrics, both Christoffel families) from which the
 differential, pullback metric, second fundamental form, tension field,
-symphonic stress and symphonic tension are assembled.
+symphonic stress and symphonic tension are assembled.  The symphonic
+tension and the energy density are written once, as the kernels tau_s
+and energy_density over trailing batch axes; the pointwise functions
+and the grid flow both call them.
 
 Index conventions for tables at a point x:
 
@@ -16,6 +19,7 @@ Index conventions for tables at a point x:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,7 @@ __all__ = [
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
     "map_tables", "tables_from_jets", "tau_s_from_tables",
+    "tau_s", "energy_density",
 ]
 
 
@@ -132,27 +137,6 @@ class MapTables:
     dgammaN: np.ndarray = None  # (n, n, n, n) [d, a, b, c]
 
 
-def _constant_target(target):
-    """h values for a constant-coefficient target metric, else None.
-
-    Memoized on the model instance (metric expressions are immutable
-    after construction)."""
-    try:
-        return target._constant_metric_memo
-    except AttributeError:
-        pass
-    n = target.dim
-    if all(ex.is_constant(target.metric[a][b])
-           for a in range(n) for b in range(n)):
-        h = np.array([[ex.eval_value(target.metric[a][b], target.coords,
-                                     [0.0] * n)
-                       for b in range(n)] for a in range(n)])
-    else:
-        h = None
-    target._constant_metric_memo = h
-    return h
-
-
 def _target_data(target, y, order):
     """Target metric values, Christoffels and optionally curvature at y.
 
@@ -161,49 +145,17 @@ def _target_data(target, y, order):
     """
     target.require_inside(y)
     n = target.dim
-    h_const = _constant_target(target)
+    h_const = geo.constant_metric(target)
     if h_const is not None:
         zeros3 = np.zeros((n, n, n))
         zeros4 = np.zeros((n, n, n, n)) if order >= 2 else None
         return h_const, zeros3, zeros4, zeros4
-    g_jets = geo.metric_jets(target, y, order)
-    h = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            h[a, b] = g_jets[a][b].value
-    eigs = np.linalg.eigvalsh(h)
-    if eigs.min() <= geo.SPD_EIGENVALUE_FLOOR:
-        raise geo.NonSPDError(
-            f"target metric not positive definite at {list(map(float, y))}")
-    gam_jets = geo.christoffel_jets(g_jets)
-    gammaN = np.empty((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                gammaN[a, b, c] = (gam_jets[a][b][c].value
-                                   if isinstance(gam_jets[a][b][c], Jet)
-                                   else float(gam_jets[a][b][c]))
-    dgammaN = None
-    riemN = None
-    if order >= 2:
-        dgammaN = np.zeros((n, n, n, n))
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    jet = gam_jets[a][b][c]
-                    if isinstance(jet, Jet):
-                        dgammaN[:, a, b, c] = jet.gradient()
-        riemN = np.empty((n, n, n, n))
-        for l in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        val = dgammaN[i, l, j, k] - dgammaN[j, l, i, k]
-                        for p in range(n):
-                            val += gammaN[l, i, p] * gammaN[p, j, k]
-                            val -= gammaN[l, j, p] * gammaN[p, i, k]
-                        riemN[l, k, i, j] = val
-    return h, gammaN, dgammaN, riemN
+    met = geo.metric_at(target, y, order)
+    gammaN, dgammaN = geo.christoffel_arrays(geo.christoffel_jets(met.jets),
+                                             derivs=order >= 2)
+    riemN = (geo.riemann_from_christoffel(gammaN, dgammaN)
+             if order >= 2 else None)
+    return met.values, gammaN, dgammaN, riemN
 
 
 def source_point_data(source: geo.ManifoldModel, x):
@@ -212,14 +164,7 @@ def source_point_data(source: geo.ManifoldModel, x):
     Cacheable across repeated evaluations at the same point (the
     finite-difference oracle reuses it for every stencil value)."""
     met = geo.metric_at(source, x, order=1)
-    gam_jets = geo.christoffel_jets(met.jets)
-    m = source.dim
-    gammaM = np.empty((m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                v = gam_jets[k][i][j]
-                gammaM[k, i, j] = v.value if isinstance(v, Jet) else float(v)
+    gammaM, _ = geo.christoffel_arrays(geo.christoffel_jets(met.jets))
     frame = geo.frame_at(source, x).vectors
     return met, gammaM, frame
 
@@ -228,20 +173,13 @@ def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
                      frame: np.ndarray = None, source_data=None) -> MapTables:
     """Assemble pointwise tables from already-evaluated component jets
     of order >= 2 (the oracle feeds deformed jets through here)."""
-    m, n = spec.source.dim, spec.target.dim
-    phi = np.array([j.value for j in comp_jets])
-    d1 = np.empty((m, n))
-    d2 = np.empty((m, m, n))
-    for a, jet in enumerate(comp_jets):
-        for i in range(m):
-            alpha = [0] * m
-            alpha[i] = 1
-            d1[i, a] = jet.derivative(tuple(alpha))
-            for j in range(m):
-                beta = [0] * m
-                beta[i] += 1
-                beta[j] += 1
-                d2[i, j, a] = jet.derivative(tuple(beta))
+    m = spec.source.dim
+    phi = np.array([jet.value for jet in comp_jets])
+    d1 = np.array([jet.gradient() for jet in comp_jets]).T
+    d2 = np.empty((m, m, len(comp_jets)))
+    for i, j in itertools.product(range(m), repeat=2):
+        beta = tuple(int(i == k) + int(j == k) for k in range(m))
+        d2[i, j] = [jet.derivative(beta) for jet in comp_jets]
     if source_data is None:
         source_data = source_point_data(spec.source, x)
     met, gammaM, default_frame = source_data
@@ -264,6 +202,41 @@ def map_tables(spec: MapSpec, x, curvature: bool = False,
                             curvature=curvature, frame=frame)
 
 
+# operator kernels ----------------------------------------------------------
+#
+# Coordinate form over trailing batch axes: every array may carry the
+# same extra axes ... after its index axes (grid nodes, sample points),
+# and arrays without them broadcast.  gi stands for sum_i e_i e_i^T over
+# an orthonormal frame, which is the inverse source metric.
+
+
+def tau_s(gi, h, d1, sff):
+    """Symphonic tension
+
+        tau^s = sum_{ij} h(S(e_i,e_i), dphi e_j) dphi e_j
+              + h(dphi e_i, S(e_i,e_j)) dphi e_j
+              + h(dphi e_i, dphi e_j) S(e_i,e_j)
+
+    with S the second fundamental form; gi (m, m, ...), h (n, n, ...),
+    d1 (m, n, ...), sff (m, m, n, ...).
+    """
+    hs_d = np.einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)  # h(S_pq, d_r)
+    hd_d = np.einsum("pa...,ab...,rb...->pr...", d1, h, d1)     # h(d_p, d_r)
+    term1 = np.einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, hs_d, d1)
+    term2 = np.einsum("pq...,rs...,qrp...,sa...->a...", gi, gi, hs_d, d1)
+    term3 = np.einsum("pq...,rs...,pr...,qsa...->a...", gi, gi, hd_d, sff)
+    return term1 + term2 + term3
+
+
+def energy_density(frame, h, d1):
+    """Symphonic energy density |phi^* h|^2, the squared norm of the
+    pullback metric in the orthonormal frame whose rows are e_i;
+    frame (m, m, ...), h (n, n, ...), d1 (m, n, ...)."""
+    df = np.einsum("ip...,pa...->ia...", frame, d1)          # dphi(e_i)
+    gram = np.einsum("ia...,ab...,jb...->ij...", df, h, df)
+    return np.einsum("ij...,ij...->...", gram, gram)
+
+
 # pointwise operators -------------------------------------------------------
 
 
@@ -283,9 +256,7 @@ def pullback_metric(spec: MapSpec, x) -> np.ndarray:
 def symphonic_energy_density(spec_or_tables, x=None, frame=None) -> float:
     """Squared norm of the pullback metric in an orthonormal frame."""
     t = _as_tables(spec_or_tables, x, frame=frame)
-    df = t.frame @ t.d1                      # (m, n) rows dphi(e_i)
-    gram = df @ t.h @ df.T
-    return float(np.sum(gram * gram))
+    return float(energy_density(t.frame, t.h, t.d1))
 
 
 def second_fundamental_form(spec: MapSpec, x, X, Y) -> np.ndarray:
@@ -311,21 +282,10 @@ def symphonic_stress(spec: MapSpec, x, X, frame=None) -> np.ndarray:
 
 
 def tau_s_from_tables(t: MapTables, frame: np.ndarray = None) -> np.ndarray:
-    """Symphonic tension from pointwise tables.
-
-    tau^s = sum_{ij} h(S(e_i,e_i), dphi e_j) dphi e_j
-          + h(dphi e_i, S(e_i,e_j)) dphi e_j
-          + h(dphi e_i, dphi e_j) S(e_i,e_j)
-    with S the second fundamental form.
-    """
+    """Symphonic tension from pointwise tables, traced over the given
+    orthonormal frame (default: the tables' frame)."""
     E = t.frame if frame is None else frame
-    df = E @ t.d1                                     # (m, n)
-    sf = np.einsum("ip,jq,pqa->ija", E, E, t.sff)     # (m, m, n)
-    trace_s = np.einsum("iia->a", sf)
-    term1 = np.einsum("a,ab,jb,jc->c", trace_s, t.h, df, df)
-    term2 = np.einsum("ia,ab,ijb,jc->c", df, t.h, sf, df)
-    term3 = np.einsum("ia,ab,jb,ijc->c", df, t.h, df, sf)
-    return term1 + term2 + term3
+    return tau_s(E.T @ E, t.h, t.d1, t.sff)
 
 
 def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from . import maps as mp
 from .mesh import Mesh, pairwise_sum
@@ -69,7 +68,11 @@ class Deformation:
                     jets = [c + s * w for c, w in zip(jets, wj)]
                 try:
                     if energy == ENERGY_SYM:
-                        dens[k] = _sym_density(spec, jets, src[2])
+                        y = [j.value for j in jets]
+                        spec.target.require_inside(y)
+                        d1 = np.array([j.gradient() for j in jets]).T
+                        dens[k] = mp.energy_density(
+                            src[2], geo.metric_values(spec.target, y), d1)
                     else:
                         t2 = mp.tables_from_jets(spec, p, jets,
                                                  source_data=src)
@@ -82,21 +85,6 @@ class Deformation:
             return pairwise_sum(mesh.weights * mesh.sqrtg * dens)
 
         return energy_at
-
-
-def _sym_density(spec, jets, frame) -> float:
-    n = spec.target.dim
-    y = [j.value for j in jets]
-    spec.target.require_inside(y)
-    d1 = np.array([j.gradient() for j in jets]).T  # (m, n)
-    h = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            h[a, b] = h[b, a] = ex.eval_value(
-                spec.target.metric[a][b], spec.target.coords, y)
-    df = frame @ d1
-    gram = df @ h @ df.T
-    return float(np.sum(gram * gram))
 
 
 def fd_first_variation(spec: mp.MapSpec, v: mp.TangentField, mesh: Mesh,

@@ -21,6 +21,13 @@ pullback connection).  Two variants are exposed:
 
 The bi-tension is this operator applied to the symphonic tension of
 the map itself, evaluated through jet-valued fields.
+
+jacobi_groups is the one float implementation of the six groups.  It
+works in coordinate form: each frame sum over i becomes a contraction
+with gi = sum_i e_i e_i^T, which equals g^{-1} for an orthonormal
+frame.  Every array may carry trailing batch axes.  The pointwise
+paths pass gi = E^T E for their frame E (rows e_i), so a rotated frame
+is still a real input.  The grid flow passes its whole grid at once.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from . import maps as mp
 from .jet import Jet, compose
@@ -48,11 +54,6 @@ def _check_variant(variant):
 # target data composed along the map ---------------------------------------
 
 
-def _target_constant(target) -> bool:
-    return all(ex.is_constant(target.metric[a][b])
-               for a in range(target.dim) for b in range(target.dim))
-
-
 def _composed_target_jets(target, comp_jets, gamma_order):
     """h  and Gamma^N along the map, as jets in the source variables.
 
@@ -60,12 +61,10 @@ def _composed_target_jets(target, comp_jets, gamma_order):
     jets; the metric jets come out one order higher.
     """
     n = target.dim
-    if _target_constant(target):
-        h_phi = [[float(ex.eval_value(target.metric[a][b], target.coords,
-                                      [0.0] * n))
-                  for b in range(n)] for a in range(n)]
+    h_const = geo.constant_metric(target)
+    if h_const is not None:
         gam_phi = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        return h_phi, gam_phi
+        return h_const.tolist(), gam_phi
     y0 = [j.value for j in comp_jets]
     target.require_inside(y0)
     g_yjets = geo.metric_jets(target, y0, gamma_order + 1)
@@ -215,64 +214,68 @@ def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
                         continue
                     acc = acc + gj * d1_jets[i][b] * v_jets[c]
             dv_jets[i][a] = acc
-    dv = np.array([[dv_jets[i][a].value for a in range(n)] for i in range(m)])
-    ddv = np.empty((m, m, n))
-    gamN = tables.gammaN
-    gammaM = tables.gammaM
-    d1 = tables.d1
-    for i in range(m):
-        for j in range(m):
-            for a in range(n):
-                acc = dv_jets[j][a].gradient()[i]
-                for b in range(n):
-                    for c in range(n):
-                        acc += gamN[a, b, c] * d1[i, b] * dv[j, c]
-                for k in range(m):
-                    acc -= gammaM[k, i, j] * dv[k, a]
-                ddv[i, j, a] = acc
+    dv = np.array([[jet.value for jet in row] for row in dv_jets])
+    d_dv = np.array([[jet.gradient() for jet in row] for row in dv_jets])
+    ddv = (d_dv.transpose(2, 0, 1)                        # d_i (nab_j v)^a
+           + np.einsum("abc,ib,jc->ija", tables.gammaN, tables.d1, dv)
+           - np.einsum("kij,ka->ija", tables.gammaM, dv))
     return v, dv, ddv
 
 
 # the operator assembly ------------------------------------------------------
 
 
-def jacobi_groups(tables: mp.MapTables, v, dv, ddv, frame=None) -> dict:
-    """The six term groups of the Jacobi-type operator, as vectors.
+def jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None) -> dict:
+    """The six term groups A-F of the Jacobi-type operator applied to
+    the field v, as vectors.
 
-    v, dv, ddv are coordinate-index arrays from field_covariant_data;
-    the groups are frame traces over the given orthonormal frame.
+    Coordinate form of the frame sums in the module docstring, over
+    trailing batch axes as in maps.tau_s: gi (m, m, ...) is
+    sum_i e_i e_i^T, h (n, n, ...), d1 (m, n, ...), sff (m, m, n, ...),
+    v (n, ...), dv (m, n, ...) and ddv (m, m, n, ...) the second
+    covariant derivative with its outer direction first.
+    riem (n, n, n, n, ...) is R^a_{bcd} of the target along the map,
+    None for a flat target; it enters group D only.
     """
-    E = tables.frame if frame is None else frame
-    h = tables.h
-    df = E @ tables.d1                                     # (m, n)
-    sf = np.einsum("ip,jq,pqa->ija", E, E, tables.sff)     # (m, m, n)
-    dvF = E @ dv
-    ddvF = np.einsum("jp,iq,pqa->jia", E, E, ddv)          # (j, i) outer j
-    tphi = np.einsum("iia->a", sf)
-    lap = np.einsum("iia->a", ddvF)
-    hd = lambda u, w: float(u @ h @ w)
-    m = df.shape[0]
-    gA = sum(2.0 * hd(dvF[i], df[j]) * sf[i, j]
-             for i in range(m) for j in range(m))
-    gB = sum((hd(lap, df[j]) + hd(dvF[j], tphi)) * df[j] for j in range(m))
-    gC = sum((sum(hd(sf[i, j], df[j]) for j in range(m)) + hd(df[i], tphi))
-             * dvF[i] for i in range(m))
-    if tables.riemN is not None:
-        curv = np.einsum("akcd,c,jd,ib->jia", tables.riemN, v, df, df)
-    else:
-        curv = np.zeros((m, m, len(v)))
-    gD = sum(hd(df[i], df[j]) * (ddvF[j, i] + curv[j, i])
-             for i in range(m) for j in range(m))
-    gE = sum(hd(dvF[i], sf[i, j]) * df[j] for i in range(m) for j in range(m))
-    gF = sum(hd(ddvF[j, i], df[j]) * df[i] for i in range(m) for j in range(m))
-    return {"A": gA, "B": gB, "C": gC, "D": gD, "E": gE, "F": gF}
+    ddv_D = ddv
+    if riem is not None:
+        ddv_D = ddv + np.einsum("akcd...,c...,sd...,qb...->sqa...",
+                                riem, v, d1, d1)
+    tr_ddv = np.einsum("pq...,pqa...->a...", gi, ddv)
+    tr_s = np.einsum("pq...,pqa...->a...", gi, sff)
+    dv_d = np.einsum("pa...,ab...,rb...->pr...", dv, h, d1)      # h(Dv_p, D_r)
+    d_d = np.einsum("pa...,ab...,rb...->pr...", d1, h, d1)
+    dv_s = np.einsum("pa...,ab...,qrb...->pqr...", dv, h, sff)   # h(Dv_p, S_qr)
+    s_d = np.einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)    # h(S_pq, D_r)
+    ddv_d = np.einsum("pqa...,ab...,rb...->pqr...", ddv, h, d1)  # h(DDv_pq, D_r)
+    hb = (np.einsum("ra...,ab...,b...->r...", d1, h, tr_ddv)     # h(trDDv, D_r)
+          + np.einsum("ra...,ab...,b...->r...", dv, h, tr_s))    # h(Dv_r, trS)
+    hc = (np.einsum("rs...,prs...->p...", gi, s_d)               # h(S_pj, D_j)
+          + np.einsum("pa...,ab...,b...->p...", d1, h, tr_s))    # h(D_p, trS)
+    return {
+        "A": 2.0 * np.einsum("pq...,rs...,pr...,qsa...->a...",
+                             gi, gi, dv_d, sff),
+        "B": np.einsum("rs...,r...,sa...->a...", gi, hb, d1),
+        "C": np.einsum("pq...,p...,qa...->a...", gi, hc, dv),
+        "D": np.einsum("pq...,rs...,pr...,sqa...->a...", gi, gi, d_d, ddv_D),
+        "E": np.einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, dv_s, d1),
+        "F": np.einsum("pq...,rs...,rps...,qa...->a...", gi, gi, ddv_d, d1),
+    }
 
 
-def _assemble(groups: dict, variant: str) -> np.ndarray:
+def assemble(groups: dict, variant: str) -> np.ndarray:
+    """The operator of a variant from its term groups."""
     out = groups["A"] + groups["B"] + groups["C"] + groups["D"]
     if variant == FULL:
         out = out + groups["E"] + groups["F"]
     return out
+
+
+def _groups_at(tables: mp.MapTables, v, dv, ddv) -> dict:
+    """jacobi_groups at a point, traced over the tables' frame."""
+    E = tables.frame
+    return jacobi_groups(E.T @ E, tables.h, tables.d1, tables.sff,
+                         v, dv, ddv, tables.riemN)
 
 
 def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
@@ -290,32 +293,25 @@ def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
     v_jets = (field.jets(spec.source.coords, x, 2)
               if isinstance(field, mp.TangentField) else field)
     v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, tables)
-    groups = jacobi_groups(tables, v, dv, ddv, frame=frame)
-    return _assemble(groups, variant)
-
-
-def _bi_tension_groups_with_tables(spec, x, frame=None):
-    spec.source.require_inside(x)
-    comp_jets = spec.component_jets(x, 4)
-    tau_jets = tau_s_jets(spec, x, comp_jets)
-    tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True,
-                                 frame=frame)
-    v, dv, ddv = field_covariant_data(spec, x, tau_jets, comp_jets, tables)
-    return jacobi_groups(tables, v, dv, ddv, frame=frame), tables
+    return assemble(_groups_at(tables, v, dv, ddv), variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
                frame=None) -> np.ndarray:
     """The Jacobi-type operator applied to the symphonic tension."""
     _check_variant(variant)
-    groups, _ = _bi_tension_groups_with_tables(spec, x, frame=frame)
-    return _assemble(groups, variant)
+    return assemble(bi_tension_groups(spec, x, frame=frame), variant)
 
 
 def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
     """Term-by-term breakdown of the bi-tension at a point."""
-    groups, _ = _bi_tension_groups_with_tables(spec, x, frame=frame)
-    return groups
+    spec.source.require_inside(x)
+    comp_jets = spec.component_jets(x, 4)
+    tau_jets = tau_s_jets(spec, x, comp_jets)
+    tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True,
+                                 frame=frame)
+    v, dv, ddv = field_covariant_data(spec, x, tau_jets, comp_jets, tables)
+    return _groups_at(tables, v, dv, ddv)
 
 
 def sphere_term_breakdown(m: int, x=None):

@@ -290,3 +290,55 @@ def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
         # tension of t -> 3000 t^2 with flat metrics is 6000
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[1]) == pytest.approx(6000.0)
+
+
+def test_eval_overflow_is_a_domain_error(tmp_path, capsys):
+    # exp(4^5) overflows at the last grid point: a NaN row and exit 4
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_one_dim_spec("exp(t^5)")))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code == 4
+    assert "Traceback" not in err
+    assert out.strip().splitlines()[-1].endswith("nan")
+
+
+def test_deep_source_metric_passes_the_symmetry_check(tmp_path, capsys):
+    # the off-diagonal entries are compared structurally, at any depth
+    off = " + ".join(["0.0001*x1"] * 3000)
+    spec = {
+        "source": {"dim": 2, "coords": ["x1", "x2"],
+                   "metric": [["1", off], [off, "1"]],
+                   "domain": {"intervals": [[0.0, 1.0], [0.0, 1.0]]}},
+        "target": {"dim": 1, "coords": ["y"], "metric": [["1"]],
+                   "domain": {"intervals": [[None, None]]}},
+        "map": {"components": ["x1 + x2"]},
+    }
+    path = tmp_path / "deep-metric.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["eval", "--spec", str(path),
+                          "--op", "energy-density", "--grid", "2"], capsys)
+    assert code in range(5)
+    assert code == 0
+    assert "Traceback" not in err
+    assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--spec", "builtin:sphere-2", "--op", "tension",
+                  "--points", "{points}"], id="eval-points-not-numeric"),
+    pytest.param(["eval", "--spec", "builtin:sphere-2", "--op", "tension",
+                  "--grid", "0"], id="eval-grid-0"),
+    pytest.param(["variation", "--spec", "builtin:torus-test", "--field", "v",
+                  "--fd-step", "0"], id="variation-fd-step-0"),
+    pytest.param(["flow", "--spec", "builtin:torus-test", "--dt", "-1"],
+                 id="flow-dt-negative"),
+])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
+    points = tmp_path / "points.txt"
+    points.write_text("0.5 1.0\n0.7 abc\n")
+    argv = [a.replace("{points}", str(points)) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

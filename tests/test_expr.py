@@ -295,6 +295,46 @@ def test_deep_expressions_need_no_recursion():
         ex.eval_value(ex.parse(text + " + log(x - 1)", ["x"]), ["x"], [0.5])
 
 
+def test_deep_expressions_compare_without_recursion():
+    text = " + ".join(["x^2"] * 3000)
+    a, b = ex.parse(text, ["x"]), ex.parse(text, ["x"])
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != ex.parse(text + " + 1", ["x"])
+
+
+def _field_values(node):
+    return [getattr(node, f) for f in node.__dataclass_fields__]
+
+
+def _recursive_eq(a, b):
+    """Structural equality by recursion over the dataclass fields."""
+    if type(a) is not type(b):
+        return False
+    for u, w in zip(_field_values(a), _field_values(b)):
+        same = _recursive_eq(u, w) if isinstance(u, ex.Expr) else u == w
+        if not same:
+            return False
+    return True
+
+
+def _unshared_copy(node):
+    """The same tree rebuilt with no node object shared."""
+    return type(node)(*[_unshared_copy(v) if isinstance(v, ex.Expr) else v
+                        for v in _field_values(node)])
+
+
+@given(_shared_trees(), _shared_trees())
+@settings(max_examples=300, deadline=None)
+def test_equality_and_hash_follow_structure(a, b):
+    assert (a == b) == _recursive_eq(a, b)
+    if a == b:
+        assert hash(a) == hash(b)
+    copy = _unshared_copy(a)
+    assert copy == a and hash(copy) == hash(a)
+
+
 def test_over_nested_parentheses_is_a_syntax_error():
     depth = 5000
     with pytest.raises(ex.SyntaxErrorAt):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symphonic.jet import (Jet, JetDomainError, compose, jet_cos, jet_exp,
-                           jet_log, jet_pow, jet_sin, jet_sqrt, monomials)
+                           jet_log, jet_pow, jet_sin, jet_sqrt, monomials,
+                           s_exp, s_pow)
 
 
 def jet_of(fn_sym, var_values, order, syms=None):
@@ -126,11 +127,21 @@ def test_domain_errors():
     pytest.param(lambda u: jet_pow(u, 4.0 / 3.0), 1e-320, id="pow-4/3"),
     pytest.param(lambda u: 1.0 / u, 1e-299, id="reciprocal"),
     pytest.param(lambda u: jet_pow(u, -2), 1e-299, id="pow-neg2"),
+    # derivatives and values beyond the float range
+    pytest.param(lambda u: 1.0 / u, 1e200, id="reciprocal-huge"),
+    pytest.param(jet_exp, 1000.0, id="exp-overflow"),
+    pytest.param(lambda u: jet_pow(u, 1.5), 1e300, id="pow-3/2-overflow"),
+    pytest.param(lambda u: s_exp(u.value), 1000.0, id="s_exp-overflow"),
+    pytest.param(lambda u: s_pow(u.value, 2.0), 1e200,
+                 id="s_pow-int-overflow"),
+    pytest.param(lambda u: s_pow(u.value, 1.5), 1e300,
+                 id="s_pow-frac-overflow"),
 ])
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_tiny_base_is_a_domain_error(fn, base, order):
     # a derivative that underflows a division or overflows is a domain
-    # error, not a ZeroDivisionError or an infinite coefficient
+    # error, not a ZeroDivisionError, an OverflowError or an infinite
+    # coefficient
     with pytest.raises(JetDomainError):
         fn(Jet.variable(0, base, 1, order))
 

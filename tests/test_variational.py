@@ -209,3 +209,40 @@ def test_bad_variant_rejected(torus2):
     lin = charts.linear_torus_map()
     with pytest.raises(ValueError):
         va.bi_tension(lin, [1.0, 1.0], variant="bogus")
+
+
+def test_kernels_accept_trailing_batch_axes(annulus, curved_target, rng):
+    """tau_s, energy_density and jacobi_groups on points stacked along a
+    trailing axis give the per-point results."""
+    spec = mp.MapSpec(annulus, curved_target,
+                      [ex.parse("0.5*r^2 + 0.3*sin(th)", annulus.coords),
+                       ex.parse("r*cos(th)", annulus.coords)])
+    field = mp.TangentField([ex.parse("sin(r)*cos(th)", annulus.coords),
+                             ex.parse("r^2 + sin(th)", annulus.coords)])
+    per_point = []
+    for x in annulus.sample_points(6, rng):
+        t = mp.map_tables(spec, x, curvature=True)
+        v, dv, ddv = va.field_covariant_data(
+            spec, x, field.jets(annulus.coords, x, 2), tables=t)
+        gi = t.frame.T @ t.frame
+        per_point.append(((gi, t.h, t.d1, t.sff, v, dv, ddv, t.riemN),
+                          t.frame))
+    assert np.abs(per_point[0][0][7]).max() > 1e-3  # the target is curved
+    args = [np.stack(arrays, axis=-1) for arrays in zip(*[a for a, _ in per_point])]
+    frames = np.stack([f for _, f in per_point], axis=-1)
+
+    def close(batched, single):
+        scale = max(np.abs(single).max(), 1e-300)
+        assert np.abs(batched - single).max() <= 1e-14 * scale
+
+    tau = mp.tau_s(*args[:4])
+    dens = mp.energy_density(frames, args[1], args[2])
+    groups = va.jacobi_groups(*args)
+    assert tau.shape == (2, 6) and dens.shape == (6,)
+    for k, (a, frame) in enumerate(per_point):
+        close(tau[..., k], mp.tau_s(*a[:4]))
+        close(dens[k], mp.energy_density(frame, a[1], a[2]))
+        single = va.jacobi_groups(*a)
+        largest = max(np.abs(g).max() for g in single.values())
+        for name, g in single.items():
+            assert np.abs(groups[name][..., k] - g).max() <= 1e-14 * largest
