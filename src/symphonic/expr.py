@@ -71,7 +71,8 @@ class EvalDomainError(ExprError):
 @dataclass(frozen=True)
 class Expr:
     """Base of the expression nodes.  Equality is structural, hashing
-    agrees with it, and both run over the tape, so at any depth."""
+    agrees with it, and both run over the tape, so at any depth; repr
+    is iterative too."""
 
     # the compiled tape of this node as a root, set on first evaluation;
     # not a dataclass field, so equality, hashing and repr ignore it
@@ -92,36 +93,57 @@ class Expr:
     def __hash__(self):
         return _fold(self, hash)
 
+    def __repr__(self):
+        """The dataclass repr, written out by an explicit stack of
+        pending text and nodes, so at any depth."""
+        parts = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"{type(item).__qualname__}(")
+            pending = []
+            for k, name in enumerate(item.__dataclass_fields__):
+                value = getattr(item, name)
+                pending.append(f"{', ' if k else ''}{name}=")
+                pending.append(value if isinstance(value, Expr)
+                               else repr(value))
+            pending.append(")")
+            stack.extend(reversed(pending))
+        return "".join(parts)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str  # one of + - * /
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PowC(Expr):
     base: Expr
     exponent: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     func: str  # sin cos exp log sqrt
     arg: Expr

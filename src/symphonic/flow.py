@@ -19,6 +19,18 @@ source metric, which equals sum_i e_i e_i^T for any orthonormal frame,
 and the partials come from one stencil routine that serves both the map
 and its tension field.
 
+Each quantity is computed at most once per grid state.  FlowState
+holds a single-slot memo keyed on the identity of one remainder array
+(and holding a reference to it): its stencil partials, its tension and
+its descent direction.  The energy of a candidate step fills the slot
+for the candidate; flow_step accepts it by rebinding state.rem to that
+same array, so the gradient at the new state, max_gradient_norm and the
+next step's direction all come from the partials the energy evaluation
+computed.  Every remainder the flow creates is read-only, and so is
+every memoized array: an in-place write raises instead of leaving the
+memo stale.  A caller who assigns state.rem itself must not write into
+that array afterwards.
+
 Restrictions in this version: the source chart must be fully periodic
 with a constant metric, and the target metric must be constant.
 """
@@ -80,6 +92,9 @@ class FlowState:
     iteration: int = 0
     status: str = STATUS_RUNNING
     energy_history: list = field(default_factory=list)
+    # the single memo slot, see _at
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def grid_shape(self):
@@ -148,6 +163,7 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
         phi[a] = np.asarray(vals).reshape(grids[0].shape)
     linear = _winding_matrix(spec)
     rem = phi - np.einsum("ak,k...->a...", linear, coord_grids)
+    rem.flags.writeable = False
     ginv = np.linalg.inv(g)
     sqrtg = float(np.sqrt(np.linalg.det(g)))
     frame = geo.gram_schmidt(g)
@@ -193,15 +209,36 @@ def _grid_derivatives(state: FlowState, rem):
     return d1, d2
 
 
-def flow_energy(state: FlowState, rem=None) -> float:
-    """Grid quadrature of the flow's own energy density."""
+def _at(state: FlowState, rem, key: str, compute):
+    """compute(state, rem), memoized under key in state's one slot.
+
+    The slot belongs to one remainder array at a time, compared by
+    identity; it keeps a reference to that array, so the id cannot be
+    reused while the slot lives.  A lookup for another array empties
+    the slot.  Memoized arrays are made read-only, since every caller
+    gets the same object.
+    """
     if rem is None:
         rem = state.rem
+    memo = state._memo
+    if memo.get("rem") is not rem:
+        memo.clear()
+        memo["rem"] = rem
+    if key not in memo:
+        value = compute(state, rem)
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.flags.writeable = False
+        memo[key] = value
+    return memo[key]
+
+
+def flow_energy(state: FlowState, rem=None) -> float:
+    """Grid quadrature of the flow's own energy density."""
     if state.energy == ENERGY_BISYM:
-        tau = grid_tau_s(state, rem)
+        tau = _at(state, rem, "tau", grid_tau_s)
         dens = np.einsum("a...,ab,b...->...", tau, state.h, tau)
     else:
-        d1, _ = _grid_derivatives(state, rem)
+        d1, _ = _at(state, rem, "partials", _grid_derivatives)
         dens = mp.energy_density(state.frame, state.h, d1)
     cell = np.prod(state.spacings) * state.sqrtg
     return pairwise_sum(dens.ravel()) * cell
@@ -211,33 +248,33 @@ def grid_tau_s(state: FlowState, rem=None) -> np.ndarray:
     """Symphonic tension field of the sampled map (flat source and
     constant target metric, so the second fundamental form is the bare
     second derivative)."""
-    if rem is None:
-        rem = state.rem
-    d1, d2 = _grid_derivatives(state, rem)
+    d1, d2 = _at(state, rem, "partials", _grid_derivatives)
     return mp.tau_s(state.ginv, state.h, d1, d2)
 
 
 def grid_bi_tension(state: FlowState, rem=None) -> np.ndarray:
     """Full-variant bi-tension field on the grid (flat source and
     target, curvature term absent)."""
-    if rem is None:
-        rem = state.rem
-    d1, d2 = _grid_derivatives(state, rem)
-    v = mp.tau_s(state.ginv, state.h, d1, d2)
+    d1, d2 = _at(state, rem, "partials", _grid_derivatives)
+    v = _at(state, rem, "tau", grid_tau_s)
     dv, ddv = _stencil_derivatives(v, state.spacings)
     groups = va.jacobi_groups(state.ginv, state.h, d1, d2, v, dv, ddv)
     return va.assemble(groups, va.FULL)
 
 
-def gradient_field(state: FlowState, rem=None) -> np.ndarray:
-    """Steepest-descent direction for the flow's energy."""
+def _descent(state: FlowState, rem) -> np.ndarray:
     if state.energy == ENERGY_BISYM:
         return -grid_bi_tension(state, rem)
-    return grid_tau_s(state, rem)
+    return _at(state, rem, "tau", grid_tau_s)
+
+
+def gradient_field(state: FlowState, rem=None) -> np.ndarray:
+    """Steepest-descent direction for the flow's energy (read-only)."""
+    return _at(state, rem, "grad", _descent)
 
 
 def max_gradient_norm(state: FlowState, rem=None) -> float:
-    grad = gradient_field(state, rem)
+    grad = _at(state, rem, "grad", _descent)
     norms = np.einsum("a...,ab,b...->...", grad, state.h, grad)
     return float(np.sqrt(norms.max()))
 
@@ -264,6 +301,7 @@ def flow_step(state: FlowState) -> FlowState:
     direction = gradient_field(state)
     for _ in range(MAX_HALVINGS + 1):
         candidate = state.rem + state.epsilon * direction
+        candidate.flags.writeable = False
         if not _image_in_domain(state, candidate):
             state.status = STATUS_ABORTED
             return state

@@ -22,6 +22,8 @@ from . import expr as ex
 from .jet import Jet, s_value
 
 SPD_EIGENVALUE_FLOOR = 1e-10
+# uniform draws ManifoldModel.sample_points spends on one point
+SAMPLE_DRAWS_PER_POINT = 1000
 
 
 class GeometryError(ValueError):
@@ -127,7 +129,8 @@ class ManifoldModel:
         """Uniform points in the domain box, rejecting excluded balls.
 
         shrink pulls non-periodic bounds inward by that amount; both
-        bounds must be finite.
+        bounds must be finite.  Each point gets SAMPLE_DRAWS_PER_POINT
+        draws before the sampler gives up with a GeometryError.
         """
         lows, highs = [], []
         for k, (bounds, per) in enumerate(zip(self.intervals, self.periodic)):
@@ -139,10 +142,17 @@ class ManifoldModel:
             lows.append(lo)
             highs.append(hi)
         out = []
-        while len(out) < count:
-            x = rng.uniform(lows, highs)
-            if self.contains(x):
-                out.append([float(v) for v in x])
+        for _ in range(count):
+            for _ in range(SAMPLE_DRAWS_PER_POINT):
+                x = rng.uniform(lows, highs)
+                if self.contains(x):
+                    out.append([float(v) for v in x])
+                    break
+            else:
+                raise GeometryError(
+                    f"no point of chart '{self.name}' found in "
+                    f"{SAMPLE_DRAWS_PER_POINT} uniform draws: its excluded "
+                    f"balls cover (nearly) all of the domain box")
         return out
 
 

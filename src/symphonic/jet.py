@@ -291,15 +291,27 @@ def _reciprocal(jet: Jet) -> Jet:
     return _series(jet, _finite(derivs, message))
 
 
+def _trig_domain_error(name: str, c: float) -> JetDomainError:
+    # math.sin and math.cos raise ValueError only at an infinite argument
+    return JetDomainError(f"{name} of non-finite value {c!r}")
+
+
+def _sin_cos(c: float):
+    try:
+        return math.sin(c), math.cos(c)
+    except ValueError:
+        raise _trig_domain_error("sin and cos", c) from None
+
+
 def jet_sin(jet: Jet) -> Jet:
-    c = jet.value
-    table = [math.sin(c), math.cos(c), -math.sin(c), -math.cos(c)]
+    s, c = _sin_cos(jet.value)
+    table = [s, c, -s, -c]
     return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
 
 
 def jet_cos(jet: Jet) -> Jet:
-    c = jet.value
-    table = [math.cos(c), -math.sin(c), -math.cos(c), math.sin(c)]
+    s, c = _sin_cos(jet.value)
+    table = [c, -s, -c, s]
     return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
 
 
@@ -415,11 +427,21 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
 
 
 def s_sin(x):
-    return jet_sin(x) if isinstance(x, Jet) else math.sin(x)
+    if isinstance(x, Jet):
+        return jet_sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:
+        raise _trig_domain_error("sin", x) from None
 
 
 def s_cos(x):
-    return jet_cos(x) if isinstance(x, Jet) else math.cos(x)
+    if isinstance(x, Jet):
+        return jet_cos(x)
+    try:
+        return math.cos(x)
+    except ValueError:
+        raise _trig_domain_error("cos", x) from None
 
 
 def s_exp(x):

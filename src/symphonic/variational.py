@@ -239,7 +239,7 @@ def jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None) -> dict:
     """
     ddv_D = ddv
     if riem is not None:
-        ddv_D = ddv + np.einsum("akcd...,c...,sd...,qb...->sqa...",
+        ddv_D = ddv + np.einsum("abcd...,c...,sd...,qb...->sqa...",
                                 riem, v, d1, d1)
     tr_ddv = np.einsum("pq...,pqa...->a...", gi, ddv)
     tr_s = np.einsum("pq...,pqa...->a...", gi, sff)

@@ -303,6 +303,17 @@ def test_eval_overflow_is_a_domain_error(tmp_path, capsys):
     assert out.strip().splitlines()[-1].endswith("nan")
 
 
+def test_eval_infinite_trig_argument_is_a_domain_error(tmp_path, capsys):
+    # t*1e300*1e300 is infinite at every grid point, so every point fails
+    path = tmp_path / "infinite-sin.json"
+    path.write_text(json.dumps(_one_dim_spec("sin(t*1e300*1e300)")))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "domain" in err
+
+
 def test_deep_source_metric_passes_the_symmetry_check(tmp_path, capsys):
     # the off-diagonal entries are compared structurally, at any depth
     off = " + ".join(["0.0001*x1"] * 3000)

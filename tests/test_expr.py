@@ -304,6 +304,20 @@ def test_deep_expressions_compare_without_recursion():
     assert a != ex.parse(text + " + 1", ["x"])
 
 
+def test_deep_expressions_print_without_recursion():
+    small = ex.parse("-x + 2*sin(y)^3 - pow(x, 1.5)/y", ["x", "y"])
+    assert repr(small) == (
+        "BinOp(op='-', left=BinOp(op='+', left=Neg(arg=Var(name='x')), "
+        "right=BinOp(op='*', left=Const(value=2.0), right=PowC("
+        "base=Call(func='sin', arg=Var(name='y')), exponent=3.0))), "
+        "right=BinOp(op='/', left=PowC(base=Var(name='x'), exponent=1.5), "
+        "right=Var(name='y')))")
+    deep = repr(ex.parse(" + ".join(["x"] * 3000), ["x"]))
+    assert deep.startswith("BinOp(op='+', left=BinOp(op='+', left=")
+    assert deep.count("Var(name='x')") == 3000
+    assert deep.count("(") == deep.count(")") == 2999 + 3000
+
+
 def _field_values(node):
     return [getattr(node, f) for f in node.__dataclass_fields__]
 

@@ -153,3 +153,62 @@ def test_grid_bi_tension_matches_pointwise():
     ref = va.bi_tension(spec, x, variant=va.FULL)
     got = grid_bt[:, idx[0], idx[1]]
     assert np.max(np.abs(got - ref)) <= 1e-3 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _reference_steps(state, count):
+    """flow_step's loop with every memo lookup missing: each evaluation
+    gets a fresh copy of its array."""
+    for _ in range(count):
+        e_old = state.energy_history[-1]
+        direction = flow.gradient_field(state, state.rem.copy())
+        for _ in range(flow.MAX_HALVINGS + 1):
+            candidate = state.rem + state.epsilon * direction
+            e_new = flow.flow_energy(state, candidate.copy())
+            if e_new <= e_old:
+                state.rem = candidate
+                state.energy_history.append(e_new)
+                state.iteration += 1
+                state.epsilon = min(state.epsilon * 1.2, state.epsilon0)
+                break
+            state.epsilon *= 0.5
+    return state
+
+
+@pytest.mark.parametrize("energy", [flow.ENERGY_SYM, flow.ENERGY_BISYM])
+def test_memoized_steps_match_fresh_evaluation(energy):
+    spec = charts.torus_test_map()
+    state = flow.flow_init(spec, 16, epsilon=2e-3, energy=energy)
+    for _ in range(30):
+        state = flow.flow_step(state)
+    ref = _reference_steps(flow.flow_init(spec, 16, epsilon=2e-3,
+                                          energy=energy), 30)
+    assert state.status == flow.STATUS_RUNNING and state.iteration == 30
+    assert ref.iteration == 30
+    assert state.energy_history == ref.energy_history
+    assert np.array_equal(state.rem, ref.rem)
+
+
+def test_one_tension_per_accepted_step(monkeypatch):
+    calls = []
+    kernel = mp.tau_s
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(mp, "tau_s", counted)
+    state = flow.flow_init(perturbed_map(), 16, epsilon=2e-3)
+    state = flow.flow_run(state, 25, 1e-12)
+    assert state.status == flow.STATUS_BUDGET and state.iteration == 25
+    assert len(calls) == state.iteration + 1
+
+
+def test_remainder_and_gradient_are_read_only():
+    state = flow.flow_init(perturbed_map(), 16, epsilon=2e-3)
+    for _ in range(2):  # at entry, then after an accepted step
+        with pytest.raises(ValueError):
+            state.rem[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            flow.gradient_field(state)[0, 0, 0] = 1.0
+        state = flow.flow_step(state)
+    assert state.iteration == 2

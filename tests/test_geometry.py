@@ -186,3 +186,10 @@ def test_sample_points_deterministic(sphere2):
     assert a == b
     for p in a:
         assert sphere2.contains(p)
+
+
+def test_sample_points_gives_up_when_exclusions_cover_the_box():
+    # the hole's radius exceeds the box's half-diagonal
+    covered = charts.punctured_plane_chart(radius=1.0, hole=1.5)
+    with pytest.raises(geo.GeometryError, match="excluded balls cover"):
+        covered.sample_points(3, np.random.default_rng(0))

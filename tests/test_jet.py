@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symphonic.jet import (Jet, JetDomainError, compose, jet_cos, jet_exp,
                            jet_log, jet_pow, jet_sin, jet_sqrt, monomials,
-                           s_exp, s_pow)
+                           s_cos, s_exp, s_pow, s_sin)
 
 
 def jet_of(fn_sym, var_values, order, syms=None):
@@ -136,6 +136,11 @@ def test_domain_errors():
                  id="s_pow-int-overflow"),
     pytest.param(lambda u: s_pow(u.value, 1.5), 1e300,
                  id="s_pow-frac-overflow"),
+    # sin and cos of an infinite argument
+    pytest.param(jet_sin, math.inf, id="sin-inf"),
+    pytest.param(jet_cos, -math.inf, id="cos-inf"),
+    pytest.param(lambda u: s_sin(u.value), math.inf, id="s_sin-inf"),
+    pytest.param(lambda u: s_cos(u.value), -math.inf, id="s_cos-inf"),
 ])
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_tiny_base_is_a_domain_error(fn, base, order):

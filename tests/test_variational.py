@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from symbolic_oracle import tau_s_dsl_sources
-from symphonic import charts, geometry as geo, maps as mp, variational as va
+from symphonic import charts, geometry as geo, maps as mp, oracle as orc
+from symphonic import variational as va
 from symphonic import expr as ex
 from symphonic.mesh import build_mesh
 
@@ -246,3 +247,69 @@ def test_kernels_accept_trailing_batch_axes(annulus, curved_target, rng):
         largest = max(np.abs(g).max() for g in single.values())
         for name, g in single.items():
             assert np.abs(groups[name][..., k] - g).max() <= 1e-14 * largest
+
+
+def test_group_d_curvature_term_against_loops(rng):
+    """The curvature part of group D is
+    sum_ij h(dphi e_i, dphi e_j) R^N(v, dphi e_j) dphi e_i, with
+    R(X, Y)Z = R^a_{bcd} Z^b X^c Y^d as in geometry.riemann; checked
+    frame sum by frame sum on a random tensor."""
+    m, n = 2, 3
+    a = rng.normal(size=(m, m))
+    E = geo.gram_schmidt(a @ a.T + m * np.eye(m))
+    b = rng.normal(size=(n, n))
+    h = b @ b.T + n * np.eye(n)
+    d1 = rng.normal(size=(m, n))
+    sff = rng.normal(size=(m, m, n))
+    sff = sff + sff.transpose(1, 0, 2)
+    v = rng.normal(size=n)
+    dv = rng.normal(size=(m, n))
+    ddv = rng.normal(size=(m, m, n))
+    riem = rng.normal(size=(n, n, n, n))
+    args = (E.T @ E, h, d1, sff, v, dv, ddv)
+    got = va.jacobi_groups(*args, riem)["D"] - va.jacobi_groups(*args)["D"]
+
+    dphi = E @ d1                                   # rows dphi(e_i)
+    ref = np.zeros(n)
+    for i in range(m):
+        for j in range(m):
+            hij = dphi[i] @ h @ dphi[j]
+            for a_ in range(n):
+                for b_ in range(n):
+                    for c in range(n):
+                        for d in range(n):
+                            ref[a_] += (hij * riem[a_, b_, c, d] * dphi[i, b_]
+                                        * v[c] * dphi[j, d])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_bi_energy_constant_on_curved_target_matches_flat(curved_target, rng):
+    """FD(E2) / int h(v, tau2_full) is one constant for every map: on the
+    curved target it matches the flat-target value to 1e-6 (a
+    mis-contracted curvature term moves it by about 1e-4)."""
+    chart = charts.torus_chart(2)
+    coords = chart.coords
+    mesh = build_mesh(chart, 16)
+    flat = geo.euclidean_space(2, coord_names=["y1", "y2"])
+
+    def constant(target, c):
+        spec = mp.MapSpec(chart, target, [
+            ex.parse(f"{c[0]} + {c[1]}*sin(x1) + {c[2]}*cos(x2)", coords),
+            ex.parse(f"{c[3]}*cos(x1 + x2) + {c[4]}*sin(x2)", coords)])
+        v = mp.TangentField([
+            ex.parse(f"{c[5]}*sin(x1)*cos(x2)", coords),
+            ex.parse(f"{c[6]}*cos(x1 + x2) + {c[7]}*sin(x1)", coords)])
+        fd = orc.fd_first_variation(spec, v, mesh, 1e-3,
+                                    energy=orc.ENERGY_BISYM)
+        pairing = mesh.integrate([
+            float(v.values(coords, p) @ mp.map_tables(spec, p).h
+                  @ va.bi_tension(spec, p, variant=va.FULL))
+            for p in mesh.points])
+        return fd / pairing
+
+    coeffs = [[round(x, 3) for x in rng.uniform(0.15, 0.45, 8)]
+              for _ in range(3)]
+    reference = constant(flat, coeffs[0])
+    for c in coeffs:
+        assert constant(curved_target, c) == pytest.approx(reference,
+                                                           rel=1e-6)
