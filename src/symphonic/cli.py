@@ -224,6 +224,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_variation(args) -> int:
+    t0 = time.perf_counter()
     try:
         spec, fields = load_spec(args.spec)
     except FileNotFoundError as err:
@@ -249,11 +250,17 @@ def cmd_variation(args) -> int:
     except geo.GeometryError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (ExprError, JetDomainError) as err:
+        # the source metric is evaluated at the mesh nodes
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     step = args.fd_step
     try:
+        t1 = time.perf_counter()
         if args.second:
             w = fields[args.field2]
             analytic = va.index_form_pairing(spec, v, w, mesh, variant=va.FULL)
+            t2 = time.perf_counter()
             fd = orc.fd_second_variation(spec, v, w, mesh, step)
             fd_half = orc.fd_second_variation(spec, v, w, mesh, step / 2)
             fd_quarter = orc.fd_second_variation(spec, v, w, mesh, step / 4)
@@ -262,6 +269,7 @@ def cmd_variation(args) -> int:
         elif args.energy == "bisym":
             pairing = va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
             analytic = -2.0 * pairing
+            t2 = time.perf_counter()
             fd = orc.fd_first_variation(spec, v, mesh, step,
                                         energy=orc.ENERGY_BISYM)
             fd_half = orc.fd_first_variation(spec, v, mesh, step / 2,
@@ -272,15 +280,17 @@ def cmd_variation(args) -> int:
             label = "bi-energy first variation"
         else:
             analytic = va.first_variation_pairing(spec, v, mesh)
+            t2 = time.perf_counter()
             fd = orc.fd_first_variation(spec, v, mesh, step)
             fd_half = orc.fd_first_variation(spec, v, mesh, step / 2)
             fd_quarter = orc.fd_first_variation(spec, v, mesh, step / 4)
             tolerance = 1e-4
             label = "first variation"
+        t3 = time.perf_counter()
     except orc.StepTooLargeError as err:
         print(f"error: step too large: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except geo.GeometryError as err:
+    except (geo.GeometryError, ExprError, JetDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     order = orc.richardson_order(fd, fd_half, fd_quarter)
@@ -311,6 +321,9 @@ def cmd_variation(args) -> int:
                 "relative_discrepancy": rel,
                 "observed_order": order,
             }],
+            "timing": {"total_seconds": time.perf_counter() - t0,
+                       "analytic_seconds": t2 - t1,
+                       "fd_seconds": t3 - t2},
         }
         code = _write_json(args.json, payload)
         if code != EXIT_OK:
@@ -336,6 +349,10 @@ def cmd_flow(args) -> int:
     except flow_mod.FlowSetupError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (geo.GeometryError, ExprError, JetDomainError) as err:
+        # the map is sampled on the grid
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     trace_rows = []
 
     def on_step(st, gnorm):
@@ -444,7 +461,10 @@ def main(argv=None) -> int:
             print(f"error: --{name.replace('_', '-')} must be positive, "
                   f"got {value!r}", file=sys.stderr)
             return EXIT_USAGE
-    return args.func(args)
+    # overflow and NaN surface as domain errors (exit 4), so numpy's
+    # floating-point warnings would only repeat them on stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,11 @@ Grammar (EBNF):
 
 Exponents are real constants.  ``pow(base, e)`` accepts any constant
 subexpression as e (it is folded at parse time), which is how the
-fractional powers such as pow(t, 4/3) are written.
+fractional powers such as pow(t, 4/3) are written.  A minus sign
+directly before a number that takes no '^' is part of the number: "-1.5"
+is the constant -1.5, while "-2^2" is -(2^2) = -4.  The printer writes
+a negated constant as "-(c)", so parse(to_source(e)) == e holds for
+negative constants and -0.0 too.
 
 The parser hash-conses: within one parse every node is built once per
 class and fields, with children keyed by identity and floats by
@@ -29,13 +33,26 @@ or jet operations, in the same order, as a recursive walk of the tree,
 so results are bit-identical to it.  Printing and free-variable lookup
 walk iteratively too, so a parsed expression of any depth can be
 evaluated and printed.
+
+Points carry trailing batch axes: ``eval_value`` and ``eval_jet`` take
+points of shape (m, ...) (coordinate first), and one pass over the tape
+gives the values or jets at every point (see ``jet``).  A single point,
+shape (m,), is the batch of one through the same code and gives a float
+or a pointwise jet.  A domain error names the first failing point's
+value with the text a pointwise evaluation at that point raises, and
+the failing subexpression.  A result that is not finite at some point
+(an overflow, or inf - inf) raises EvalDomainError too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .jet import Jet, JetDomainError, s_cos, s_exp, s_log, s_pow, s_sin, s_sqrt
+import numpy as np
+
+from .jet import (Jet, JetDomainError, first_failure, s_cos, s_exp, s_log,
+                  s_pow, s_sin, s_sqrt)
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "pow")
 
@@ -274,6 +291,9 @@ class _Parser:
     def binop(self, op, left, right):
         return self.node((BinOp, op, id(left), id(right)), BinOp, op, left, right)
 
+    def const(self, value):
+        return self.node((Const, repr(value)), Const, value)
+
     def powc(self, base, exponent):
         return self.node((PowC, id(base), repr(exponent)), PowC, base, exponent)
 
@@ -319,6 +339,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
+            num, after = self.peek(), self.tokens[self.pos + 1]
+            if num.kind == "num" and not (after.kind == "op"
+                                          and after.text == "^"):
+                # a negative literal: one constant, not Neg(Const)
+                self.advance()
+                return self.const(-float(num.text))
             arg = self.factor()
             return self.node((Neg, id(arg)), Neg, arg)
         base = self.atom()
@@ -360,8 +386,7 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            value = float(tok.text)
-            return self.node((Const, repr(value)), Const, value)
+            return self.const(float(tok.text))
         if tok.kind == "lparen":
             e = self.expr()
             self.expect("rparen")
@@ -434,9 +459,13 @@ def to_source(node: Expr) -> str:
 
     for n in _post_order(node):
         if isinstance(n, Const):
-            done[id(n)] = (repr(n.value), 0 if n.value < 0 else _NEVER)
+            negative = math.copysign(1.0, n.value) < 0
+            done[id(n)] = (repr(n.value), 0 if negative else _NEVER)
         elif isinstance(n, Var):
             done[id(n)] = (n.name, _NEVER)
+        elif isinstance(n, Neg) and isinstance(n.arg, Const):
+            # "-1.5" would parse back as the constant -1.5
+            done[id(n)] = (f"-({repr(n.arg.value)})", 3)
         elif isinstance(n, Neg):
             done[id(n)] = (f"-{wrap(n.arg, 3)}", 3)
         elif isinstance(n, BinOp):
@@ -522,14 +551,15 @@ def _fold(root, combine):
 def _divide(a, b):
     if isinstance(b, Jet):
         return a * (1.0 / b) if not isinstance(a, Jet) else a / b
-    if b == 0.0 or abs(b) < 1e-300:
+    if np.any(abs(b) < 1e-300):
         raise JetDomainError("division by zero")
     return a / b
 
 
 def evaluate(node: Expr, env: dict):
-    """Evaluate an expression in an environment mapping names to floats
-    or Jets, by one pass over its tape."""
+    """Evaluate an expression in an environment mapping names to floats,
+    arrays of floats over batch axes, or Jets, by one pass over its
+    tape."""
     vals = []
     push = vals.append
     for code, at, i, j in _tape(node):
@@ -561,21 +591,49 @@ def evaluate(node: Expr, env: dict):
     return vals[-1]
 
 
+def _require_finite(values, node):
+    """EvalDomainError at the first point whose entries values[:, point]
+    (values of shape (k, ...)) are not all finite, naming the first
+    non-finite entry there."""
+    if np.isfinite(values).all():
+        return
+    flat = values.reshape(len(values), -1)
+    bad = ~np.isfinite(flat)
+    point = first_failure(bad.any(0))
+    entry = float(flat[first_failure(bad[:, point]), point])
+    raise EvalDomainError(f"non-finite result {entry!r}", node)
+
+
 def eval_jet(node: Expr, coords, base, order: int) -> Jet:
-    """Jet of the expression at a base point, truncated at order."""
+    """Jets of the expression at base points (m, ...), truncated at
+    order; one base point (m,) gives a pointwise jet."""
+    base = np.asarray(base, dtype=float)
     nvars = len(coords)
-    env = {name: Jet.variable(k, float(base[k]), nvars, order)
+    env = {name: Jet.variable(k, base[k], nvars, order)
            for k, name in enumerate(coords)}
     result = evaluate(node, env)
     if not isinstance(result, Jet):
-        return Jet.constant(float(result), nvars, order)
+        result = Jet.constant(result, nvars, order, base.shape[1:])
+    _require_finite(result.coeffs, node)
     return result
 
 
-def eval_value(node: Expr, coords, point) -> float:
-    env = {name: float(point[k]) for k, name in enumerate(coords)}
+def eval_value(node: Expr, coords, point):
+    """Values at points (m, ...): a float for one point (m,), else an
+    array over the trailing axes."""
+    point = np.asarray(point, dtype=float)
+    batch = point.shape[1:]
+    # floats for one point (the fastest scalars), arrays for a batch
+    env = dict(zip(coords, point if batch else point.tolist()))
     result = evaluate(node, env)
-    return float(result)
+    if not batch:
+        result = float(result)
+        if not math.isfinite(result):
+            raise EvalDomainError(f"non-finite result {result!r}", node)
+        return result
+    result = np.broadcast_to(result, batch)  # a constant expression
+    _require_finite(result[None], node)
+    return np.array(result, dtype=float)
 
 
 def is_constant(node: Expr) -> bool:

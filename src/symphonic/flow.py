@@ -155,12 +155,7 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
     grids = np.meshgrid(*axes, indexing="ij")
     coord_grids = np.stack(grids)
     n = target.dim
-    phi = np.empty((n,) + grids[0].shape)
-    flat_pts = np.stack([gr.ravel() for gr in grids], axis=-1)
-    for a in range(n):
-        vals = [ex.eval_value(spec.components[a], source.coords, p)
-                for p in flat_pts]
-        phi[a] = np.asarray(vals).reshape(grids[0].shape)
+    phi = spec.value(coord_grids)
     linear = _winding_matrix(spec)
     rem = phi - np.einsum("ak,k...->a...", linear, coord_grids)
     rem.flags.writeable = False

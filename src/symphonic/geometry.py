@@ -9,6 +9,14 @@ Curvature sign convention: R(X, Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 - nab_[X,Y] Z, with coordinate components
 R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}.
+
+Points x have shape (m, ...): coordinate first, then any batch axes.
+Metric values, inverses, Christoffel arrays and frames carry the same
+trailing batch axes after their index axes, and metric and Christoffel
+jets are batched jets (see ``jet``).  A single point (m,) is the batch
+of one.  Domain and positive-definiteness checks run over the whole
+batch and name the first failing point, with the text the pointwise
+call at that point raises.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .jet import Jet, s_value
+from .jet import Jet, first_failure, s_value
 
 SPD_EIGENVALUE_FLOOR = 1e-10
 # uniform draws ManifoldModel.sample_points spends on one point
@@ -31,7 +39,13 @@ class GeometryError(ValueError):
 
 
 class DomainError(GeometryError):
-    """A point lies outside the chart domain or inside an excluded ball."""
+    """A point lies outside the chart domain or inside an excluded ball.
+
+    index is the flat batch index of that point in a batched check."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonSPDError(GeometryError):
@@ -62,6 +76,23 @@ class ManifoldModel:
             raise GeometryError(f"metric of chart '{self.name}' is not {m}x{m}")
         if len(self.intervals) != m:
             raise GeometryError("one interval per coordinate is required")
+        for k, ((lo, hi), per) in enumerate(zip(self.intervals, self.periodic)):
+            if per and (lo is None or hi is None):
+                raise GeometryError(
+                    f"periodic coordinate '{self.coords[k]}' of chart "
+                    f"'{self.name}' needs a bounded interval")
+            if lo is not None and hi is not None and not lo < hi:
+                raise GeometryError(
+                    f"interval of coordinate '{self.coords[k]}' of chart "
+                    f"'{self.name}' is empty: [{lo}, {hi}]")
+        # the box that contains() tests, with its 1e-12 slack; periodic
+        # and unbounded sides never reject
+        self._lower = np.array([-np.inf if per or lo is None else lo - 1e-12
+                                for (lo, _), per in zip(self.intervals,
+                                                        self.periodic)])
+        self._upper = np.array([np.inf if per or hi is None else hi + 1e-12
+                                for (_, hi), per in zip(self.intervals,
+                                                        self.periodic)])
         self._check_symmetry()
 
     @property
@@ -75,27 +106,35 @@ class ManifoldModel:
         if not pairs:
             return
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            x = [rng.uniform(*self._sample_bounds(k)) for k in range(m)]
-            for i, j in pairs:
-                a = ex.eval_value(self.metric[i][j], self.coords, x)
-                b = ex.eval_value(self.metric[j][i], self.coords, x)
-                if abs(a - b) > 1e-12 * (1.0 + abs(a)):
-                    raise GeometryError(
-                        f"metric of chart '{self.name}' is not symmetric "
-                        f"at entry ({i},{j})")
+        x = np.array([[rng.uniform(*self._sample_bounds(k)) for k in range(m)]
+                      for _ in range(100)]).T
+        bad = []
+        for i, j in pairs:
+            a = ex.eval_value(self.metric[i][j], self.coords, x)
+            b = ex.eval_value(self.metric[j][i], self.coords, x)
+            bad.append(abs(a - b) > 1e-12 * (1.0 + abs(a)))
+        point = first_failure(np.any(bad, axis=0))
+        if point is not None:
+            i, j = pairs[first_failure([mask[point] for mask in bad])]
+            raise GeometryError(
+                f"metric of chart '{self.name}' is not symmetric "
+                f"at entry ({i},{j})")
 
     def _sample_bounds(self, k):
         lo, hi = self.intervals[k]
-        lo = -1.0 if lo is None else lo
-        hi = 1.0 if hi is None else hi
+        # the box [-1, 1] on unbounded sides, moved to stay non-empty
+        if lo is None:
+            lo = -1.0 if hi is None or hi > -1.0 else hi - 2.0
+        if hi is None:
+            hi = 1.0 if lo < 1.0 else lo + 2.0
         return lo, hi
 
     # domain ------------------------------------------------------------
 
-    def wrap(self, x):
-        """Fold periodic coordinates back into their fundamental interval."""
-        out = list(map(float, x))
+    def wrap(self, x) -> np.ndarray:
+        """Fold periodic coordinates of points (m, ...) back into their
+        fundamental interval."""
+        out = np.array(x, dtype=float)
         for k, per in enumerate(self.periodic):
             if per:
                 lo, hi = self.intervals[k]
@@ -104,26 +143,29 @@ class ManifoldModel:
         return out
 
     def contains(self, x):
+        """Whether each point of x (m, ...) lies in the domain: a bool
+        for one point, else a mask over the batch axes."""
+        return ~self._outside(x)
+
+    def _outside(self, x):
         x = self.wrap(x)
-        for k, (bounds, per) in enumerate(zip(self.intervals, self.periodic)):
-            if per:
-                continue
-            lo, hi = bounds
-            if lo is not None and x[k] < lo - 1e-12:
-                return False
-            if hi is not None and x[k] > hi + 1e-12:
-                return False
+        axes = (len(x),) + (1,) * (x.ndim - 1)
+        outside = ((x < self._lower.reshape(axes))
+                   | (x > self._upper.reshape(axes))).any(axis=0)
         for center, radius in self.exclusions:
-            d = np.linalg.norm(np.asarray(x) - np.asarray(center))
-            if d < radius:
-                return False
-        return True
+            d = np.sqrt(sum((x[k] - c) ** 2 for k, c in enumerate(center)))
+            outside |= d < radius
+        return outside
 
     def require_inside(self, x):
-        if not self.contains(x):
+        """DomainError naming the first point of x (m, ...) outside the
+        domain; its index is the point's flat batch index."""
+        x = np.asarray(x, dtype=float)
+        k = first_failure(self._outside(x))
+        if k is not None:
             raise DomainError(
-                f"point {list(map(float, x))} is outside the domain of "
-                f"chart '{self.name}'")
+                f"point {list(map(float, _batch_point(x, k)))} is outside "
+                f"the domain of chart '{self.name}'", index=k)
 
     def sample_points(self, count, rng, shrink=0.0):
         """Uniform points in the domain box, rejecting excluded balls.
@@ -156,9 +198,17 @@ class ManifoldModel:
         return out
 
 
+def _batch_point(x, k) -> np.ndarray:
+    """The point at flat batch index k of points x (m, ...)."""
+    x = np.asarray(x)
+    return x.reshape(len(x), -1)[:, k]
+
+
 @dataclass
 class MetricAtPoint:
-    """Metric data at one point: values, inverse, volume density."""
+    """Metric data at a point or at a batch of points: values and
+    inverse (m, m, ...), volume density (a float or an array over the
+    batch)."""
 
     values: np.ndarray
     inverse: np.ndarray
@@ -193,10 +243,12 @@ def _is_zero_scalar(v):
 
 
 def mat_inv(rows):
-    """Invert a small matrix of scalars (floats or jets) by
-    Gauss-Jordan elimination, pivoting on constant-term magnitude.
+    """Invert a small symmetric positive-definite matrix of scalars
+    (floats or jets, possibly batched) by Gauss-Jordan elimination.
 
-    Diagonal matrices short-circuit to entrywise reciprocals."""
+    Row exchanges are not needed for such matrices (the metrics this
+    is used on), so one elimination order serves every point of a
+    batch.  Diagonal matrices short-circuit to entrywise reciprocals."""
     m = len(rows)
     if all(_is_zero_scalar(rows[i][j])
            for i in range(m) for j in range(m) if i != j):
@@ -207,11 +259,8 @@ def mat_inv(rows):
     a = [list(r) for r in rows]
     inv = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
     for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(s_value(a[r][col])))
-        if abs(s_value(a[pivot][col])) < 1e-300:
+        if np.any(abs(s_value(a[col][col])) < 1e-300):
             raise NonSPDError("metric matrix is numerically singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = a[col][col]
         a[col] = [v / scale for v in a[col]]
         inv[col] = [v / scale for v in inv[col]]
@@ -242,9 +291,11 @@ def metric_jets(model: ManifoldModel, x, order: int):
 
 
 def metric_values(model: ManifoldModel, x) -> np.ndarray:
-    """Metric coefficient values at x, with no domain or SPD check."""
+    """Metric coefficient values (m, m, ...) at points x (m, ...), with
+    no domain or SPD check."""
     m = model.dim
-    values = np.empty((m, m))
+    x = np.asarray(x, dtype=float)
+    values = np.empty((m, m) + x.shape[1:])
     for i in range(m):
         for j in range(i, m):
             v = ex.eval_value(model.metric[i][j], model.coords, x)
@@ -265,11 +316,21 @@ def constant_metric(model: ManifoldModel):
     return model._constant_metric
 
 
+def _matrices(a):
+    """(m, m, ...) -> (..., m, m) for numpy.linalg, and back."""
+    return a.transpose(tuple(range(2, a.ndim)) + (0, 1))
+
+
+def _from_matrices(a):
+    return a.transpose((a.ndim - 2, a.ndim - 1) + tuple(range(a.ndim - 2)))
+
+
 def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
-    """Metric matrix, inverse, and volume density at a point.
+    """Metric matrix, inverse, and volume density at points x (m, ...).
 
     order >= 1 additionally attaches coefficient jets of that order.
     """
+    x = np.asarray(x, dtype=float)
     model.require_inside(x)
     jets = None
     if order >= 1:
@@ -277,13 +338,18 @@ def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
         values = np.array([[jet.value for jet in row] for row in jets])
     else:
         values = metric_values(model, x)
-    eigs = np.linalg.eigvalsh(values)
-    if eigs.min() <= SPD_EIGENVALUE_FLOOR:
+    mats = _matrices(values)
+    lowest = np.linalg.eigvalsh(mats).min(axis=-1)
+    k = first_failure(lowest <= SPD_EIGENVALUE_FLOOR)
+    if k is not None:
         raise NonSPDError(
             f"metric of chart '{model.name}' is not positive definite at "
-            f"{list(map(float, x))} (min eigenvalue {eigs.min():.3e})")
-    inverse = np.linalg.inv(values)
-    sqrt_det = float(np.sqrt(np.linalg.det(values)))
+            f"{list(map(float, _batch_point(x, k)))} "
+            f"(min eigenvalue {np.ravel(lowest)[k]:.3e})")
+    inverse = _from_matrices(np.linalg.inv(mats))
+    sqrt_det = np.sqrt(np.linalg.det(mats))
+    if sqrt_det.ndim == 0:
+        sqrt_det = float(sqrt_det)
     return MetricAtPoint(values, inverse, sqrt_det, jets)
 
 
@@ -316,14 +382,18 @@ def christoffel_jets(g_jets):
 
 
 def christoffel_arrays(gam_jets, derivs: bool = False):
-    """(gamma[k, i, j], dgamma[l, k, i, j]) from Christoffel jets.
+    """(gamma[k, i, j, ...], dgamma[l, k, i, j, ...]) from Christoffel
+    jets.
 
     Entries of gam_jets are jets or, where they vanish identically,
-    floats.  dgamma holds the first partials d_l Gamma^k_{ij} and needs
-    jets of order >= 1; it is None unless derivs."""
+    floats; the arrays take the batch axes of the jets.  dgamma holds
+    the first partials d_l Gamma^k_{ij} and needs jets of order >= 1;
+    it is None unless derivs."""
     m = len(gam_jets)
-    gamma = np.empty((m, m, m))
-    dgamma = np.zeros((m, m, m, m)) if derivs else None
+    batch = next((c.batch for row in gam_jets for col in row for c in col
+                  if isinstance(c, Jet)), ())
+    gamma = np.empty((m, m, m) + batch)
+    dgamma = np.zeros((m, m, m, m) + batch) if derivs else None
     for k, i, j in itertools.product(range(m), repeat=3):
         c = gam_jets[k][i][j]
         gamma[k, i, j] = s_value(c)
@@ -339,11 +409,11 @@ def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
 
 
 def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
-    """R^l_{kij} from gamma[k, i, j] and dgamma[l, k, i, j] (see the
-    module docstring for the convention)."""
-    d = np.einsum("iljk->lkij", dgamma)              # d_i Gamma^l_{jk}
-    q = np.einsum("lip,pjk->lkij", gamma, gamma)     # Gamma^l_{ip} Gamma^p_{jk}
-    return d - d.transpose(0, 1, 3, 2) + q - q.transpose(0, 1, 3, 2)
+    """R^l_{kij} from gamma[k, i, j] and dgamma[l, k, i, j], with any
+    trailing batch axes (see the module docstring for the convention)."""
+    d = np.einsum("iljk...->lkij...", dgamma)           # d_i Gamma^l_{jk}
+    q = np.einsum("lip...,pjk...->lkij...", gamma, gamma)  # Gamma^l_{ip} Gamma^p_{jk}
+    return d - np.swapaxes(d, 2, 3) + q - np.swapaxes(q, 2, 3)
 
 
 def riemann_tensor(model: ManifoldModel, x) -> np.ndarray:
@@ -362,24 +432,30 @@ def riemann(model: ManifoldModel, x, X, Y, Z) -> np.ndarray:
 
 
 def gram_schmidt(g) -> np.ndarray:
-    """Rows orthonormal in the metric g, by Gram-Schmidt on the
-    coordinate basis taken in ascending order (deterministic)."""
+    """Rows orthonormal in the metric g (m, m, ...), by Gram-Schmidt on
+    the coordinate basis taken in ascending order (deterministic); the
+    result (m, m, ...) has the batch axes of g."""
+    g = np.asarray(g, dtype=float)
     m = g.shape[0]
-    vectors = np.zeros((m, m))
+    vectors = np.zeros(g.shape)
+
+    def inner(u, w):
+        return np.einsum("a...,ab...,b...->...", u, g, w)
+
     for i in range(m):
-        v = np.zeros(m)
+        v = np.zeros(g.shape[1:])
         v[i] = 1.0
         for p in range(i):
-            v = v - (vectors[p] @ g @ v) * vectors[p]
-        norm = float(np.sqrt(v @ g @ v))
-        if norm <= 0.0 or not np.isfinite(norm):
+            v = v - inner(vectors[p], v) * vectors[p]
+        norm = np.sqrt(inner(v, v))
+        if not np.all(norm > 0.0) or not np.all(np.isfinite(norm)):
             raise NonSPDError("Gram-Schmidt failed, metric not SPD")
         vectors[i] = v / norm
     return vectors
 
 
 def frame_at(model: ManifoldModel, x) -> Frame:
-    """Orthonormal frame at a point, by Gram-Schmidt."""
+    """Orthonormal frame at points x (m, ...), by Gram-Schmidt."""
     return Frame(gram_schmidt(metric_at(model, x).values))
 
 

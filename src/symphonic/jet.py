@@ -1,10 +1,25 @@
-"""Truncated multivariate Taylor-jet arithmetic.
+"""Truncated multivariate Taylor-jet arithmetic, batched over points.
 
 A jet stores the Taylor coefficients (partial derivative / alpha!) of a
 scalar function at a base point, for every multi-index alpha with
 |alpha| <= order.  Arithmetic on jets propagates these coefficients
 exactly (up to rounding), so evaluating an expression in jet arithmetic
 yields all partial derivatives up to the truncation order in one pass.
+
+The coefficients are an array of shape (size, ...): the leading axis
+runs over the multi-indices and any trailing axes are batch axes, one
+jet per base point (the nodes of a mesh, a set of sample points).  One
+operation then advances the jets at every point at once: the same
+Taylor-mode algebra, batched over points.  A pointwise jet is the batch
+of one with no trailing axes, shape (size,), and runs through the same
+code.  Accessors return floats for a pointwise jet and arrays over the
+batch axes otherwise.
+
+Domain checks (log of a non-positive value, overflow, a NaN or
+infinite argument of an analytic function, ...) look at every point of
+the batch.  The JetDomainError names the first point, in C order of the
+batch axes, at which a check fails, with the text that point's own
+pointwise evaluation raises.
 
 Orders up to 4 are supported, which is what the fourth-order operators
 downstream require.  Jets of different orders combine at the minimum of
@@ -58,6 +73,10 @@ def _space(nvars, order):
     return JetSpace(nvars, order)
 
 
+def _unit(var, nvars):
+    return tuple(1 if k == var else 0 for k in range(nvars))
+
+
 class JetSpace:
     """Shared tables for all jets with a given (nvars, order)."""
 
@@ -71,7 +90,8 @@ class JetSpace:
         self.monomials = monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: k for k, m in enumerate(self.monomials)}
-        # sparse multiplication table: coeffs[k] += a[i] * b[j]
+        # multiplication: gather a[i] * b[j], then scatter the products
+        # onto coefficient k with one 0/1 matrix
         ii, jj, kk = [], [], []
         for i, a in enumerate(self.monomials):
             for j, b in enumerate(self.monomials):
@@ -81,7 +101,8 @@ class JetSpace:
                     kk.append(self.index[tuple(x + y for x, y in zip(a, b))])
         self._mul_i = np.asarray(ii, dtype=np.intp)
         self._mul_j = np.asarray(jj, dtype=np.intp)
-        self._mul_k = np.asarray(kk, dtype=np.intp)
+        self._scatter = np.zeros((self.size, len(kk)))
+        self._scatter[kk, np.arange(len(kk))] = 1.0
         # partial-derivative extraction tables, one per variable
         self._deriv = []
         if order >= 1:
@@ -96,20 +117,82 @@ class JetSpace:
                 self._deriv.append((np.asarray(src, dtype=np.intp),
                                     np.asarray(dst, dtype=np.intp),
                                     np.asarray(fac, dtype=np.float64)))
+            self._grad = np.asarray([self.index[_unit(v, nvars)]
+                                     for v in range(nvars)], dtype=np.intp)
         self._factorials = np.array(
             [math.prod(math.factorial(a) for a in m) for m in self.monomials]
         )
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size)
-        np.add.at(out, self._mul_k, a[self._mul_i] * b[self._mul_j])
-        return out
+        """Truncated product of two coefficient arrays (size, ...) with
+        broadcastable batch axes: one gather and one scatter for the
+        whole batch."""
+        prod = a[self._mul_i] * b[self._mul_j]
+        if prod.ndim <= 2:
+            return self._scatter @ prod
+        flat = self._scatter @ prod.reshape(len(prod), -1)
+        return flat.reshape((self.size,) + prod.shape[1:])
+
+
+def _scalar(v):
+    """A float for a pointwise (0-d) value, else the batch array."""
+    return float(v) if v.ndim == 0 else v
+
+
+def first_failure(bad):
+    """Flat index (C order) of the first True entry of a mask over
+    batch axes, None when every entry is False."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    return int(np.flatnonzero(bad)[0])
+
+
+def _not_finite(values):
+    """Mask of non-finite entries (a bool for one value)."""
+    if isinstance(values, float):  # numpy's float64 scalars included
+        return not math.isfinite(values)
+    return ~np.isfinite(values)
+
+
+def _is_inf(values):
+    if isinstance(values, float):
+        return math.isinf(values)
+    return np.isinf(values)
+
+
+def _reject(values, *checks):
+    """Raise JetDomainError at the first point where one of the checks
+    fails.
+
+    Each check is (bad mask over the batch, message); the message of the
+    first check that fails at that point is raised, formatted with the
+    point's entry of values (a message without '{!r}' ignores it)."""
+    bad = checks[0][0]
+    for mask, _ in checks[1:]:
+        bad = bad | mask
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return
+    k = first_failure(bad)
+    value = float(np.ravel(values)[k])
+    for mask, message in checks:
+        if np.ravel(mask)[k]:
+            raise JetDomainError(message.format(value))
+
+
+def _quiet():
+    """Silence numpy's floating-point warnings: overflow, division by
+    zero and invalid values are detected and raised explicitly."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar at a base point."""
+    """Truncated Taylor expansions of a scalar at one base point, or at
+    every point of a batch (coefficients (size, ...))."""
 
     __slots__ = ("space", "coeffs")
+    # numpy scalars and arrays defer arithmetic with a jet to the jet
+    __array_ufunc__ = None
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
@@ -118,21 +201,24 @@ class Jet:
     # constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(value: float, nvars: int, order: int) -> "Jet":
+    def constant(value, nvars: int, order: int, batch=()) -> "Jet":
+        """The jet of a constant; value may be an array over batch."""
         sp = _space(nvars, order)
-        c = np.zeros(sp.size)
+        c = np.zeros((sp.size,) + tuple(batch))
         c[0] = value
         return Jet(sp, c)
 
     @staticmethod
-    def variable(var: int, base: float, nvars: int, order: int) -> "Jet":
+    def variable(var: int, base, nvars: int, order: int) -> "Jet":
+        """The jet of coordinate var at base, a float or an array of
+        base values over the batch axes."""
         if order < 1:
             raise ValueError("a variable jet needs order >= 1")
         sp = _space(nvars, order)
-        c = np.zeros(sp.size)
+        base = np.asarray(base, dtype=float)
+        c = np.zeros((sp.size,) + base.shape)
         c[0] = base
-        unit = tuple(1 if k == var else 0 for k in range(nvars))
-        c[sp.index[unit]] = 1.0
+        c[sp.index[_unit(var, nvars)]] = 1.0
         return Jet(sp, c)
 
     # accessors --------------------------------------------------------
@@ -146,17 +232,22 @@ class Jet:
         return self.space.order
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def batch(self) -> tuple:
+        """Shape of the batch axes, () for a pointwise jet."""
+        return self.coeffs.shape[1:]
 
-    def coefficient(self, alpha) -> float:
+    @property
+    def value(self):
+        return _scalar(self.coeffs[0])
+
+    def coefficient(self, alpha):
         """Taylor coefficient for the multi-index alpha."""
-        return float(self.coeffs[self.space.index[tuple(alpha)]])
+        return _scalar(self.coeffs[self.space.index[tuple(alpha)]])
 
-    def derivative(self, alpha) -> float:
+    def derivative(self, alpha):
         """Partial derivative value: coefficient times alpha factorial."""
         k = self.space.index[tuple(alpha)]
-        return float(self.coeffs[k] * self.space._factorials[k])
+        return _scalar(self.coeffs[k] * self.space._factorials[k])
 
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
@@ -175,38 +266,45 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         src, dst, fac = self.space._deriv[var]
         sp = _space(self.nvars, self.order - 1)
-        c = np.zeros(sp.size)
-        c[dst] = self.coeffs[src] * fac
+        c = np.zeros((sp.size,) + self.batch)
+        c[dst] = self.coeffs[src] * fac.reshape((-1,) + (1,) * len(self.batch))
         return Jet(sp, c)
 
-    def gradient(self) -> list[float]:
-        sp = self.space
-        out = []
-        for v in range(self.nvars):
-            unit = tuple(1 if k == v else 0 for k in range(self.nvars))
-            out.append(float(self.coeffs[sp.index[unit]]))
-        return out
+    def gradient(self) -> np.ndarray:
+        """First partials, shape (nvars, ...)."""
+        if self.order < 1:
+            raise ValueError("an order-0 jet has no gradient")
+        return self.coeffs[self.space._grad]
 
     def __repr__(self):
-        return f"Jet(order={self.order}, value={self.value!r})"
+        return f"Jet(order={self.order}, batch={self.batch}, value={self.value!r})"
 
     # arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.nvars != self.nvars:
-                raise ValueError("jets over different variable counts")
-            order = min(self.order, other.order)
-            return self.truncate(order), other.truncate(order)
-        if isinstance(other, (int, float, np.floating)):
-            return self, Jet.constant(float(other), self.nvars, self.order)
-        return self, NotImplemented
+        """(space, a, b): the coefficients of self and of the jet other
+        at their common order, batch axes made broadcastable."""
+        if other.space is self.space and other.coeffs.ndim == self.coeffs.ndim:
+            return self.space, self.coeffs, other.coeffs
+        if other.nvars != self.nvars:
+            raise ValueError("jets over different variable counts")
+        order = min(self.order, other.order)
+        a = self.truncate(order).coeffs
+        b = other.truncate(order).coeffs
+        if a.ndim != b.ndim:  # a pointwise jet against a batch
+            a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
+            b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
+        return _space(self.nvars, order), a, b
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, a.coeffs + b.coeffs)
+        if isinstance(other, Jet):
+            sp, a, b = self._coerce(other)
+            return Jet(sp, a + b)
+        if isinstance(other, (int, float, np.floating)):
+            c = self.coeffs.copy()
+            c[0] += other
+            return Jet(self.space, c)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -214,31 +312,34 @@ class Jet:
         return Jet(self.space, -self.coeffs)
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, a.coeffs - b.coeffs)
+        if isinstance(other, Jet):
+            sp, a, b = self._coerce(other)
+            return Jet(sp, a - b)
+        if isinstance(other, (int, float, np.floating)):
+            c = self.coeffs.copy()
+            c[0] -= other
+            return Jet(self.space, c)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            sp, a, b = self._coerce(other)
+            return Jet(sp, sp.mul(a, b))
         if isinstance(other, (int, float, np.floating)):
             return Jet(self.space, self.coeffs * float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, a.space.mul(a.coeffs, b.coeffs))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * _reciprocal(other)
         if isinstance(other, (int, float, np.floating)):
             return Jet(self.space, self.coeffs / float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a * _reciprocal(b)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
@@ -250,15 +351,16 @@ class Jet:
 # analytic functions ----------------------------------------------------
 
 
-def _series(jet: Jet, derivs: list[float]) -> Jet:
-    """Evaluate f(jet) from the derivatives of f at jet.value.
+def _series(jet: Jet, derivs: list) -> Jet:
+    """Evaluate f(jet) from the derivatives of f at jet.value (floats,
+    or arrays over the batch).
 
     Uses f(c + N) = sum_k f^(k)(c)/k! N^k with N the nilpotent part.
     """
     sp = jet.space
     nil = jet.coeffs.copy()
     nil[0] = 0.0
-    out = np.zeros(sp.size)
+    out = np.zeros_like(nil)
     out[0] = derivs[0]
     power = None
     fact = 1.0
@@ -269,84 +371,71 @@ def _series(jet: Jet, derivs: list[float]) -> Jet:
     return Jet(sp, out)
 
 
-def _finite(derivs: list[float], message: str) -> list[float]:
-    if not all(map(math.isfinite, derivs)):
-        raise JetDomainError(message)
-    return derivs
-
-
 def _reciprocal(jet: Jet) -> Jet:
-    c = jet.value
+    c = jet.coeffs[0]
     message = "division by a quantity vanishing at the base point"
-    if abs(c) < 1e-300:
-        raise JetDomainError(message)
-    try:
+    with _quiet():
         derivs = [(-1.0) ** k * math.factorial(k) / c ** (k + 1)
                   for k in range(jet.order + 1)]
-    except ZeroDivisionError:  # c ** (k + 1) underflowed to zero
-        raise JetDomainError(message) from None
-    except OverflowError:
-        raise JetDomainError(
-            f"reciprocal derivatives out of float range at {c!r}") from None
-    return _series(jet, _finite(derivs, message))
+        # the highest power is the first to overflow or underflow
+        top = c ** (jet.order + 1)
+    _reject(c, (_not_finite(c), "reciprocal of non-finite value {!r}"),
+            (abs(c) < 1e-300, message),
+            (_is_inf(top), "reciprocal derivatives out of float range at {!r}"),
+            (_not_finite(derivs[-1]), message))
+    return _series(jet, derivs)
 
 
-def _trig_domain_error(name: str, c: float) -> JetDomainError:
-    # math.sin and math.cos raise ValueError only at an infinite argument
-    return JetDomainError(f"{name} of non-finite value {c!r}")
-
-
-def _sin_cos(c: float):
-    try:
-        return math.sin(c), math.cos(c)
-    except ValueError:
-        raise _trig_domain_error("sin and cos", c) from None
+def _sin_cos(c):
+    _reject(c, (_not_finite(c), "sin and cos of non-finite value {!r}"))
+    return np.sin(c), np.cos(c)
 
 
 def jet_sin(jet: Jet) -> Jet:
-    s, c = _sin_cos(jet.value)
+    s, c = _sin_cos(jet.coeffs[0])
     table = [s, c, -s, -c]
     return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
 
 
 def jet_cos(jet: Jet) -> Jet:
-    s, c = _sin_cos(jet.value)
+    s, c = _sin_cos(jet.coeffs[0])
     table = [c, -s, -c, s]
     return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
 
 
-def _exp(c: float) -> float:
-    try:
-        return math.exp(c)
-    except OverflowError:
-        raise JetDomainError(f"exp overflows at {c!r}") from None
+def _exp(c):
+    with _quiet():
+        e = np.exp(c)
+    _reject(c, (_not_finite(c), "exp of non-finite value {!r}"),
+            (_is_inf(e), "exp overflows at {!r}"))
+    return e
 
 
 def jet_exp(jet: Jet) -> Jet:
-    e = _exp(jet.value)
+    e = _exp(jet.coeffs[0])
     return _series(jet, [e] * (jet.order + 1))
 
 
 def jet_log(jet: Jet) -> Jet:
-    c = jet.value
-    if c <= 0.0:
-        raise JetDomainError(f"log of non-positive value {c!r}")
-    message = f"log derivatives overflow at tiny value {c!r}"
-    derivs = [math.log(c)]
-    try:
-        for k in range(1, jet.order + 1):
-            derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k)
-    except ZeroDivisionError:  # c ** k underflowed to zero
-        raise JetDomainError(message) from None
-    except OverflowError:
-        raise JetDomainError(
-            f"log derivatives out of float range at {c!r}") from None
-    return _series(jet, _finite(derivs, message))
+    c = jet.coeffs[0]
+    with _quiet():
+        derivs = [np.log(c)]
+        derivs += [(-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k
+                   for k in range(1, jet.order + 1)]
+        # the highest power is the first to overflow or underflow
+        top = c ** jet.order
+    _reject(c, (_not_finite(c), "log of non-finite value {!r}"),
+            (c <= 0.0, "log of non-positive value {!r}"),
+            (_is_inf(top), "log derivatives out of float range at {!r}"),
+            (_not_finite(derivs[-1]),
+             "log derivatives overflow at tiny value {!r}"))
+    return _series(jet, derivs)
 
 
 def jet_sqrt(jet: Jet) -> Jet:
-    if jet.value <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {jet.value!r}")
+    c = jet.coeffs[0]
+    _reject(c, (_not_finite(c), "sqrt of non-finite value {!r}"),
+            (c <= 0.0, "sqrt of non-positive value {!r}"))
     return jet_pow(jet, 0.5)
 
 
@@ -363,7 +452,7 @@ def jet_pow(jet: Jet, exponent: float) -> Jet:
     if float(e).is_integer() and abs(e) <= 64:
         n = int(e)
         if n == 0:
-            return Jet.constant(1.0, jet.nvars, jet.order)
+            return Jet.constant(1.0, jet.nvars, jet.order, jet.batch)
         base = jet if n > 0 else _reciprocal(jet)
         n = abs(n)
         out = None
@@ -375,10 +464,9 @@ def jet_pow(jet: Jet, exponent: float) -> Jet:
             if n:
                 acc = acc * acc
         return out
-    if jet.value <= 0.0:
-        raise JetDomainError(
-            f"fractional power of non-positive base {jet.value!r}"
-        )
+    c = jet.coeffs[0]
+    _reject(c, (_not_finite(c), "fractional power of non-finite base {!r}"),
+            (c <= 0.0, "fractional power of non-positive base {!r}"))
     return jet_exp(jet_log(jet) * e)
 
 
@@ -386,8 +474,9 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
     """Substitute inner jets for the variables of an outer jet.
 
     outer is a jet in len(inner) variables; each inner jet shares one
-    common space.  The result is the jet of the composite function in
-    the inner variables, truncated at min(outer.order, inner order).
+    common space and batch, which outer either shares or lacks.  The
+    result is the jet of the composite function in the inner
+    variables, truncated at min(outer.order, inner order).
     """
     if len(inner) != outer.nvars:
         raise ValueError("composition needs one inner jet per outer variable")
@@ -403,12 +492,12 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
         for k in range(2, order + 1):
             cache.append(sp_out.mul(cache[-1], d))
         powers.append(cache)
-    out = np.zeros(sp_out.size)
+    out = np.zeros((sp_out.size,) + inner[0].batch)
     for idx, beta in enumerate(monomials(outer.nvars, outer.order)):
         if sum(beta) > order:
             continue
         c = outer.coeffs[idx]
-        if c == 0.0:
+        if not np.any(c):
             continue
         term = None
         for a, exp_a in enumerate(beta):
@@ -423,25 +512,21 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
     return Jet(sp_out, out)
 
 
-# scalar dispatch helpers (accept floats or jets) ------------------------
+# scalar dispatch helpers (accept jets, floats or arrays of floats) ------
 
 
 def s_sin(x):
     if isinstance(x, Jet):
         return jet_sin(x)
-    try:
-        return math.sin(x)
-    except ValueError:
-        raise _trig_domain_error("sin", x) from None
+    _reject(x, (_not_finite(x), "sin of non-finite value {!r}"))
+    return np.sin(x)
 
 
 def s_cos(x):
     if isinstance(x, Jet):
         return jet_cos(x)
-    try:
-        return math.cos(x)
-    except ValueError:
-        raise _trig_domain_error("cos", x) from None
+    _reject(x, (_not_finite(x), "cos of non-finite value {!r}"))
+    return np.cos(x)
 
 
 def s_exp(x):
@@ -451,33 +536,35 @@ def s_exp(x):
 def s_log(x):
     if isinstance(x, Jet):
         return jet_log(x)
-    if x <= 0.0:
-        raise JetDomainError(f"log of non-positive value {x!r}")
-    return math.log(x)
+    _reject(x, (_not_finite(x), "log of non-finite value {!r}"),
+            (x <= 0.0, "log of non-positive value {!r}"))
+    return np.log(x)
 
 
 def s_sqrt(x):
     if isinstance(x, Jet):
         return jet_sqrt(x)
-    if x <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {x!r}")
-    return math.sqrt(x)
+    _reject(x, (_not_finite(x), "sqrt of non-finite value {!r}"),
+            (x <= 0.0, "sqrt of non-positive value {!r}"))
+    return np.sqrt(x)
 
 
 def s_pow(x, e):
     if isinstance(x, Jet):
         return jet_pow(x, e)
     e = float(e)
-    if float(e).is_integer():
-        if x == 0.0 and e < 0:
-            raise JetDomainError("zero raised to a negative power")
-    elif x <= 0.0:
-        raise JetDomainError(f"fractional power of non-positive base {x!r}")
-    try:
-        return x ** e
-    except OverflowError:
-        raise JetDomainError(f"{x!r} to the power {e!r} overflows") from None
+    if e.is_integer():
+        domain = [((x == 0.0) & (e < 0), "zero raised to a negative power")]
+    else:
+        domain = [(_not_finite(x), "fractional power of non-finite base {!r}"),
+                  (x <= 0.0, "fractional power of non-positive base {!r}")]
+    with _quiet():
+        out = np.power(x, e)
+    _reject(x, *domain, (_is_inf(out) & np.isfinite(x),
+                         "{!r} to the power " + repr(e) + " overflows"))
+    return out
 
 
-def s_value(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
+def s_value(x):
+    """The value of a jet, float or array of floats."""
+    return x.value if isinstance(x, Jet) else x

@@ -1,12 +1,20 @@
 """First- and second-order data of a smooth map between charts.
 
-The central objects are pointwise coefficient tables (values of the map
+The central objects are coefficient tables (values of the map
 partials, both metrics, both Christoffel families) from which the
 differential, pullback metric, second fundamental form, tension field,
 symphonic stress and symphonic tension are assembled.  The symphonic
 tension and the energy density are written once, as the kernels tau_s
-and energy_density over trailing batch axes; the pointwise functions
-and the grid flow both call them.
+and energy_density over trailing batch axes; the pointwise functions,
+the mesh integrals and the grid flow all call them.
+
+Tables are batched: points x have shape (m, ...), coordinate first,
+and every table carries the same trailing batch axes after its index
+axes (a flat target's constant metric and vanishing Christoffels carry
+none and broadcast).  component_jets, TangentField.jets and .values,
+source_point_data and tables_from_jets each take one pass over all
+points, so a whole quadrature mesh is one call; a single point (m,) is
+the batch of one.
 
 Index conventions for tables at a point x:
 
@@ -34,7 +42,7 @@ __all__ = [
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
     "map_tables", "tables_from_jets", "tau_s_from_tables",
-    "tau_s", "energy_density",
+    "tau_s", "energy_density", "frame_metric", "h_inner",
 ]
 
 
@@ -61,10 +69,12 @@ class MapSpec:
                     f"variables {sorted(extra)}")
 
     def value(self, x):
+        """Map values (n, ...) at points x (m, ...)."""
         return np.array([ex.eval_value(c, self.source.coords, x)
                          for c in self.components])
 
     def component_jets(self, x, order):
+        """Jets of the n components at points x (m, ...)."""
         return [ex.eval_jet(c, self.source.coords, x, order)
                 for c in self.components]
 
@@ -82,52 +92,52 @@ class TangentField:
     bump_center: list = None
     bump_radius: float = None
 
-    def _bump(self, scalars, x):
-        if self.bump_center is None:
-            return None
-        u = 1.0
+    def _bump(self, scalars):
+        """The window at points given by their coordinates (jets or
+        arrays over the batch), zero where it has no support."""
         r2 = 0.0
         for xs, c in zip(scalars, self.bump_center):
             r2 = r2 + (xs - c) * (xs - c)
         u = 1.0 - r2 / (self.bump_radius ** 2)
-        uval = u.value if isinstance(u, Jet) else u
-        if uval <= 0.0:
-            return 0.0
-        return u * u * u * u * u
+        w = u * u * u * u * u
+        if isinstance(u, Jet):
+            return Jet(w.space, np.where(u.coeffs[0] > 0.0, w.coeffs, 0.0))
+        return np.where(u > 0.0, w, 0.0)
 
     def jets(self, coords, x, order):
+        """Jets of the n components at points x (m, ...)."""
+        x = np.asarray(x, dtype=float)
         out = [ex.eval_jet(c, coords, x, order) for c in self.components]
         if self.bump_center is not None:
             nvars = len(coords)
-            var_jets = [Jet.variable(k, float(x[k]), nvars, order)
-                        for k in range(nvars)]
-            w = self._bump(var_jets, x)
-            if isinstance(w, float):
-                return [Jet.constant(0.0, nvars, order) for _ in out]
+            w = self._bump([Jet.variable(k, x[k], nvars, order)
+                            for k in range(nvars)])
             out = [j * w for j in out]
         return out
 
     def values(self, coords, x):
+        """Component values (n, ...) at points x (m, ...)."""
+        x = np.asarray(x, dtype=float)
         vals = np.array([ex.eval_value(c, coords, x) for c in self.components])
         if self.bump_center is not None:
-            w = self._bump([float(v) for v in x], x)
-            vals = vals * (w if isinstance(w, float) else float(w))
+            vals = vals * self._bump(list(x))
         return vals
 
 
 @dataclass
 class MapTables:
-    """Pointwise float data of a map, enough for all first-order
+    """Float data of a map at a point or at a batch of points (shapes
+    below, plus the trailing batch axes), enough for all first-order
     operators and, with curvature=True, for the Jacobi-type ones."""
 
     spec: MapSpec
-    x: list
+    x: np.ndarray              # (m,)
     phi: np.ndarray            # (n,)
     d1: np.ndarray             # (m, n)
     d2: np.ndarray             # (m, m, n)
     g: np.ndarray              # (m, m)
     ginv: np.ndarray
-    sqrtg: float
+    sqrtg: float               # or an array over the batch
     gammaM: np.ndarray         # (m, m, m) [k, i, j]
     h: np.ndarray              # (n, n)
     gammaN: np.ndarray         # (n, n, n) [a, b, c]
@@ -138,7 +148,8 @@ class MapTables:
 
 
 def _target_data(target, y, order):
-    """Target metric values, Christoffels and optionally curvature at y.
+    """Target metric values, Christoffels and optionally curvature at
+    points y (n, ...); a constant target metric gives unbatched arrays.
 
     order 1 gives gammaN values; order >= 2 adds d gammaN and the
     curvature tensor R^a_{bcd}.
@@ -159,24 +170,26 @@ def _target_data(target, y, order):
 
 
 def source_point_data(source: geo.ManifoldModel, x):
-    """Source-side tables at x: metric data, Christoffel values, frame.
+    """Source-side tables at points x (m, ...): metric data,
+    Christoffel values, frame.
 
-    Cacheable across repeated evaluations at the same point (the
+    Cacheable across repeated evaluations at the same points (the
     finite-difference oracle reuses it for every stencil value)."""
     met = geo.metric_at(source, x, order=1)
     gammaM, _ = geo.christoffel_arrays(geo.christoffel_jets(met.jets))
-    frame = geo.frame_at(source, x).vectors
-    return met, gammaM, frame
+    return met, gammaM, geo.gram_schmidt(met.values)
 
 
 def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
                      frame: np.ndarray = None, source_data=None) -> MapTables:
-    """Assemble pointwise tables from already-evaluated component jets
-    of order >= 2 (the oracle feeds deformed jets through here)."""
+    """Assemble tables at points x (m, ...) from already-evaluated
+    component jets of order >= 2 at those points (the oracle feeds
+    deformed jets through here)."""
+    x = np.asarray(x, dtype=float)
     m = spec.source.dim
     phi = np.array([jet.value for jet in comp_jets])
-    d1 = np.array([jet.gradient() for jet in comp_jets]).T
-    d2 = np.empty((m, m, len(comp_jets)))
+    d1 = np.swapaxes(np.array([jet.gradient() for jet in comp_jets]), 0, 1)
+    d2 = np.empty((m, m) + phi.shape)
     for i, j in itertools.product(range(m), repeat=2):
         beta = tuple(int(i == k) + int(j == k) for k in range(m))
         d2[i, j] = [jet.derivative(beta) for jet in comp_jets]
@@ -186,11 +199,11 @@ def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
     h, gammaN, dgammaN, riemN = _target_data(
         spec.target, phi, 2 if curvature else 1)
     sff = (d2
-           - np.einsum("kij,ka->ija", gammaM, d1)
-           + np.einsum("abc,ib,jc->ija", gammaN, d1, d1))
+           - np.einsum("kij...,ka...->ija...", gammaM, d1)
+           + np.einsum("abc...,ib...,jc...->ija...", gammaN, d1, d1))
     if frame is None:
         frame = default_frame
-    return MapTables(spec, list(map(float, x)), phi, d1, d2,
+    return MapTables(spec, x, phi, d1, d2,
                      met.values, met.inverse, met.sqrt_det, gammaM,
                      h, gammaN, sff, frame, riemN, dgammaN)
 
@@ -228,6 +241,17 @@ def tau_s(gi, h, d1, sff):
     return term1 + term2 + term3
 
 
+def h_inner(u, h, w):
+    """h(u, w) at every point: u, w (n, ...), h (n, n, ...)."""
+    return np.einsum("a...,ab...,b...->...", u, h, w)
+
+
+def frame_metric(frame):
+    """gi = sum_i e_i e_i^T (m, m, ...) from frame rows e_i (m, m, ...):
+    the inverse source metric for an orthonormal frame."""
+    return np.einsum("pi...,pj...->ij...", frame, frame)
+
+
 def energy_density(frame, h, d1):
     """Symphonic energy density |phi^* h|^2, the squared norm of the
     pullback metric in the orthonormal frame whose rows are e_i;
@@ -253,10 +277,12 @@ def pullback_metric(spec: MapSpec, x) -> np.ndarray:
     return np.einsum("ia,ab,jb->ij", t.d1, t.h, t.d1)
 
 
-def symphonic_energy_density(spec_or_tables, x=None, frame=None) -> float:
-    """Squared norm of the pullback metric in an orthonormal frame."""
+def symphonic_energy_density(spec_or_tables, x=None, frame=None):
+    """Squared norm of the pullback metric in an orthonormal frame: a
+    float at one point, an array over a batch."""
     t = _as_tables(spec_or_tables, x, frame=frame)
-    return float(energy_density(t.frame, t.h, t.d1))
+    density = energy_density(t.frame, t.h, t.d1)
+    return float(density) if density.ndim == 0 else density
 
 
 def second_fundamental_form(spec: MapSpec, x, X, Y) -> np.ndarray:
@@ -282,10 +308,10 @@ def symphonic_stress(spec: MapSpec, x, X, frame=None) -> np.ndarray:
 
 
 def tau_s_from_tables(t: MapTables, frame: np.ndarray = None) -> np.ndarray:
-    """Symphonic tension from pointwise tables, traced over the given
+    """Symphonic tension from tables, traced over the given
     orthonormal frame (default: the tables' frame)."""
     E = t.frame if frame is None else frame
-    return tau_s(E.T @ E, t.h, t.d1, t.sff)
+    return tau_s(frame_metric(E), t.h, t.d1, t.sff)
 
 
 def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
+from .jet import first_failure
 
 
 def pairwise_sum(values) -> float:
@@ -81,11 +82,12 @@ def build_mesh(model: geo.ManifoldModel, resolution) -> Mesh:
     weights = np.ones(points.shape[0])
     for w in wgrids:
         weights = weights * w.ravel()
-    for p in points:
-        if not model.contains(p):
-            raise geo.DomainError(
-                f"mesh node {p.tolist()} left the domain of '{model.name}'")
-    sqrtg = np.array([geo.metric_at(model, p).sqrt_det for p in points])
+    k = first_failure(~model.contains(points.T))
+    if k is not None:
+        raise geo.DomainError(
+            f"mesh node {points[k].tolist()} left the domain of "
+            f"'{model.name}'", index=k)
+    sqrtg = geo.metric_at(model, points.T).sqrt_det
     res_txt = "x".join(str(r) for r in resolution)
     return Mesh(points, weights, sqrtg,
                 f"{model.name} tensor mesh {res_txt}")

@@ -6,6 +6,13 @@ t = 0 is exactly v.  First derivatives use the 4-point central stencil
 (design order 4), mixed second derivatives the 2x2 cross stencil
 (design order 2).  Everything reduces with deterministic pairwise
 summation.
+
+An energy evaluation is one batched pass over all mesh nodes: the jets
+of the map and the fields at every node are built once per deformation
+(see ``jet``), each stencil value adds them and runs the energy kernel
+over the whole batch, and mesh.pairwise_sum reduces the node densities
+in node order.  A deformed image that leaves the target chart raises
+StepTooLargeError naming the first such mesh node.
 """
 
 from __future__ import annotations
@@ -50,38 +57,34 @@ class Deformation:
         spec = self.spec
         coords = spec.source.coords
         order = 1 if energy == ENERGY_SYM else 2
-        points = []
-        for p in mesh.points:
-            cj = spec.component_jets(p, order)
-            vj = self.v.jets(coords, p, order)
-            wj = (self.w.jets(coords, p, order)
-                  if self.w is not None else None)
-            src = mp.source_point_data(spec.source, p) if order == 2 else \
-                (None, None, geo.frame_at(spec.source, p).vectors)
-            points.append((p, cj, vj, wj, src))
+        x = mesh.points.T
+        cj = spec.component_jets(x, order)
+        vj = self.v.jets(coords, x, order)
+        wj = self.w.jets(coords, x, order) if self.w is not None else None
+        src = mp.source_point_data(spec.source, x) if order == 2 else \
+            (None, None, geo.frame_at(spec.source, x).vectors)
 
         def energy_at(s: float, t: float) -> float:
-            dens = np.empty(len(points))
-            for k, (p, cj, vj, wj, src) in enumerate(points):
-                jets = [c + t * v for c, v in zip(cj, vj)]
-                if wj is not None and s != 0.0:
-                    jets = [c + s * w for c, w in zip(jets, wj)]
-                try:
-                    if energy == ENERGY_SYM:
-                        y = [j.value for j in jets]
-                        spec.target.require_inside(y)
-                        d1 = np.array([j.gradient() for j in jets]).T
-                        dens[k] = mp.energy_density(
-                            src[2], geo.metric_values(spec.target, y), d1)
-                    else:
-                        t2 = mp.tables_from_jets(spec, p, jets,
-                                                 source_data=src)
-                        tau = mp.tau_s_from_tables(t2)
-                        dens[k] = float(tau @ t2.h @ tau)
-                except geo.DomainError as err:
-                    raise StepTooLargeError(
-                        f"deformation step left the target domain at "
-                        f"source point {list(map(float, p))}: {err}") from err
+            jets = [c + t * v for c, v in zip(cj, vj)]
+            if wj is not None and s != 0.0:
+                jets = [c + s * w for c, w in zip(jets, wj)]
+            try:
+                if energy == ENERGY_SYM:
+                    y = np.array([j.value for j in jets])
+                    spec.target.require_inside(y)
+                    d1 = np.swapaxes(np.array([j.gradient() for j in jets]),
+                                     0, 1)
+                    dens = mp.energy_density(
+                        src[2], geo.metric_values(spec.target, y), d1)
+                else:
+                    t2 = mp.tables_from_jets(spec, x, jets, source_data=src)
+                    tau = mp.tau_s_from_tables(t2)
+                    dens = mp.h_inner(tau, t2.h, tau)
+            except geo.DomainError as err:
+                p = mesh.points[err.index]
+                raise StepTooLargeError(
+                    f"deformation step left the target domain at "
+                    f"source point {list(map(float, p))}: {err}") from err
             return pairwise_sum(mesh.weights * mesh.sqrtg * dens)
 
         return energy_at

@@ -73,7 +73,8 @@ def _chart_from_dict(doc: dict, label: str) -> geo.ManifoldModel:
     try:
         return geo.ManifoldModel(doc.get("name", label), coords, metric_exprs,
                                  intervals, list(periodic), exclusions)
-    except geo.GeometryError as err:
+    except (geo.GeometryError, ex.ExprError) as err:
+        # the symmetry check evaluates the metric at sample points
         raise SpecFileError(f"/{label}: {err}") from err
 
 

@@ -28,6 +28,17 @@ with gi = sum_i e_i e_i^T, which equals g^{-1} for an orthonormal
 frame.  Every array may carry trailing batch axes.  The pointwise
 paths pass gi = E^T E for their frame E (rows e_i), so a rotated frame
 is still a real input.  The grid flow passes its whole grid at once.
+
+The jet-valued side is batched the same way.  tau_s_jets,
+_composed_target_jets, field_covariant_data, bi_tension and
+jacobi_operator take points x of shape (m, ...) and run their jet
+algebra once over all of them (see ``jet``); a single point (m,) is the
+batch of one through the same code.  The mesh integrals
+(symphonic_energy, bi_energy and the three pairings) therefore make one
+call over all quadrature nodes and reduce the node values with
+mesh.pairwise_sum in node order, so they equal the sum of pointwise
+node values up to rounding.  A domain error names the first failing
+node with the text the pointwise call there raises.
 """
 
 from __future__ import annotations
@@ -55,7 +66,8 @@ def _check_variant(variant):
 
 
 def _composed_target_jets(target, comp_jets, gamma_order):
-    """h  and Gamma^N along the map, as jets in the source variables.
+    """h  and Gamma^N along the map, as jets in the source variables
+    with the batch axes of comp_jets.
 
     gamma_order is the requested order of the composed Christoffel
     jets; the metric jets come out one order higher.
@@ -65,22 +77,22 @@ def _composed_target_jets(target, comp_jets, gamma_order):
     if h_const is not None:
         gam_phi = [[[0.0] * n for _ in range(n)] for _ in range(n)]
         return h_const.tolist(), gam_phi
-    y0 = [j.value for j in comp_jets]
+    y0 = np.array([j.value for j in comp_jets])
     target.require_inside(y0)
     g_yjets = geo.metric_jets(target, y0, gamma_order + 1)
     gam_yjets = geo.christoffel_jets(g_yjets)
     h_phi = [[compose(g_yjets[a][b], comp_jets) for b in range(n)]
              for a in range(n)]
-    gam_phi = [[[compose(_as_jet(gam_yjets[a][b][c], n, gamma_order),
-                         comp_jets)
+    gam_phi = [[[compose(_as_jet(gam_yjets[a][b][c], n, gamma_order,
+                                 y0.shape[1:]), comp_jets)
                  for c in range(n)] for b in range(n)] for a in range(n)]
     return h_phi, gam_phi
 
 
-def _as_jet(v, nvars, order):
+def _as_jet(v, nvars, order, batch):
     if isinstance(v, Jet):
         return v
-    return Jet.constant(float(v), nvars, order)
+    return Jet.constant(float(v), nvars, order, batch)
 
 
 def _hdot(h, u, w):
@@ -103,11 +115,13 @@ def _hdot(h, u, w):
 
 
 def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
-    """Symphonic tension components as source-variable jets.
+    """Symphonic tension components as source-variable jets at points
+    x (m, ...).
 
     With component jets of order p the result has order p - 2, which
     feeds the bi-tension assembly (p = 4 gives the required order 2).
     """
+    x = np.asarray(x, dtype=float)
     if comp_jets is None:
         comp_jets = spec.component_jets(x, order)
     p = comp_jets[0].order
@@ -178,7 +192,8 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
             for s in range(m):
                 acc = acc + _hdot(h_phi, draise[q], draise[s]) * sff[q][s][a]
         out.append(acc if isinstance(acc, Jet)
-                   else Jet.constant(float(acc), comp_jets[0].nvars, p - 2))
+                   else Jet.constant(float(acc), comp_jets[0].nvars, p - 2,
+                                     x.shape[1:]))
     return out
 
 
@@ -187,12 +202,14 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
 
 def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
                          tables: mp.MapTables = None):
-    """Values of v, nabla v, nabla^2 v at x for a field given by jets.
+    """Values of v, nabla v, nabla^2 v at points x (m, ...) for a field
+    given by jets there.
 
     v_jets must have order >= 2.  Returns (v (n,), Dv (m,n),
-    DDv (m,m,n)) where DDv[i,j] is the second covariant derivative with
-    outer direction i, using the source connection on the form index
-    and the pullback connection on the bundle index.
+    DDv (m,m,n)), each with the batch axes, where DDv[i,j] is the second
+    covariant derivative with outer direction i, using the source
+    connection on the form index and the pullback connection on the
+    bundle index.
     """
     m, n = spec.source.dim, spec.target.dim
     if comp_jets is None:
@@ -216,9 +233,10 @@ def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
             dv_jets[i][a] = acc
     dv = np.array([[jet.value for jet in row] for row in dv_jets])
     d_dv = np.array([[jet.gradient() for jet in row] for row in dv_jets])
-    ddv = (d_dv.transpose(2, 0, 1)                        # d_i (nab_j v)^a
-           + np.einsum("abc,ib,jc->ija", tables.gammaN, tables.d1, dv)
-           - np.einsum("kij,ka->ija", tables.gammaM, dv))
+    ddv = (np.moveaxis(d_dv, 2, 0)                        # d_i (nab_j v)^a
+           + np.einsum("abc...,ib...,jc...->ija...", tables.gammaN,
+                       tables.d1, dv)
+           - np.einsum("kij...,ka...->ija...", tables.gammaM, dv))
     return v, dv, ddv
 
 
@@ -272,18 +290,18 @@ def assemble(groups: dict, variant: str) -> np.ndarray:
 
 
 def _groups_at(tables: mp.MapTables, v, dv, ddv) -> dict:
-    """jacobi_groups at a point, traced over the tables' frame."""
-    E = tables.frame
-    return jacobi_groups(E.T @ E, tables.h, tables.d1, tables.sff,
-                         v, dv, ddv, tables.riemN)
+    """jacobi_groups at the tables' points, traced over their frame."""
+    return jacobi_groups(mp.frame_metric(tables.frame), tables.h, tables.d1,
+                         tables.sff, v, dv, ddv, tables.riemN)
 
 
 def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
                     frame=None) -> np.ndarray:
-    """Apply the Jacobi-type operator to a tangent field at a point.
+    """Apply the Jacobi-type operator to a tangent field at points x
+    (m, ...); the result is (n, ...).
 
     field is a TangentField or an already-evaluated list of component
-    jets of order >= 2.
+    jets of order >= 2 at those points.
     """
     _check_variant(variant)
     spec.source.require_inside(x)
@@ -298,13 +316,14 @@ def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
                frame=None) -> np.ndarray:
-    """The Jacobi-type operator applied to the symphonic tension."""
+    """The Jacobi-type operator applied to the symphonic tension, at
+    points x (m, ...)."""
     _check_variant(variant)
     return assemble(bi_tension_groups(spec, x, frame=frame), variant)
 
 
 def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
-    """Term-by-term breakdown of the bi-tension at a point."""
+    """Term-by-term breakdown of the bi-tension at points x (m, ...)."""
     spec.source.require_inside(x)
     comp_jets = spec.component_jets(x, 4)
     tau_jets = tau_s_jets(spec, x, comp_jets)
@@ -337,30 +356,24 @@ def sphere_term_breakdown(m: int, x=None):
 
 def symphonic_energy(spec: mp.MapSpec, mesh: Mesh) -> float:
     """Integral of |phi^* h|^2 against dv_g."""
-    dens = [mp.symphonic_energy_density(spec, p) for p in mesh.points]
-    return mesh.integrate(dens)
+    t = mp.map_tables(spec, mesh.points.T)
+    return mesh.integrate(mp.energy_density(t.frame, t.h, t.d1))
 
 
 def bi_energy(spec: mp.MapSpec, mesh: Mesh) -> float:
     """Integral of |tau^s|^2 against dv_g."""
-    dens = []
-    for p in mesh.points:
-        t = mp.map_tables(spec, p)
-        tau = mp.tau_s_from_tables(t)
-        dens.append(float(tau @ t.h @ tau))
-    return mesh.integrate(dens)
+    t = mp.map_tables(spec, mesh.points.T)
+    tau = mp.tau_s_from_tables(t)
+    return mesh.integrate(mp.h_inner(tau, t.h, tau))
 
 
 def first_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
                             mesh: Mesh) -> float:
     """-4 int h(tau^s, v) dv_g, the closed-form first variation."""
-    vals = []
-    for p in mesh.points:
-        t = mp.map_tables(spec, p)
-        tau = mp.tau_s_from_tables(t)
-        v = field.values(spec.source.coords, p)
-        vals.append(float(tau @ t.h @ v))
-    return -4.0 * mesh.integrate(vals)
+    x = mesh.points.T
+    t = mp.map_tables(spec, x)
+    v = field.values(spec.source.coords, x)
+    return -4.0 * mesh.integrate(mp.h_inner(mp.tau_s_from_tables(t), t.h, v))
 
 
 def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
@@ -368,13 +381,11 @@ def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
     """-1 int h(v, tau^s_2) dv_g, the classically normalized
     bi-energy pairing."""
     _check_variant(variant)
-    vals = []
-    for p in mesh.points:
-        tau2 = bi_tension(spec, p, variant=variant)
-        t = mp.map_tables(spec, p)
-        v = field.values(spec.source.coords, p)
-        vals.append(float(v @ t.h @ tau2))
-    return -1.0 * mesh.integrate(vals)
+    x = mesh.points.T
+    tau2 = bi_tension(spec, x, variant=variant)
+    t = mp.map_tables(spec, x)
+    v = field.values(spec.source.coords, x)
+    return -1.0 * mesh.integrate(mp.h_inner(v, t.h, tau2))
 
 
 def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
@@ -382,13 +393,11 @@ def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
                        variant: str = FULL) -> float:
     """-4 int h(J v, w) dv_g, the closed-form second variation."""
     _check_variant(variant)
-    vals = []
-    for p in mesh.points:
-        jv = jacobi_operator(spec, p, vfield, variant=variant)
-        t = mp.map_tables(spec, p)
-        w = wfield.values(spec.source.coords, p)
-        vals.append(float(jv @ t.h @ w))
-    return -4.0 * mesh.integrate(vals)
+    x = mesh.points.T
+    jv = jacobi_operator(spec, x, vfield, variant=variant)
+    t = mp.map_tables(spec, x)
+    w = wfield.values(spec.source.coords, x)
+    return -4.0 * mesh.integrate(mp.h_inner(jv, t.h, w))
 
 
 @dataclass

@@ -314,6 +314,66 @@ def test_eval_infinite_trig_argument_is_a_domain_error(tmp_path, capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("component", [
+    # inf - inf is NaN at every grid point: alone, and as a sin argument
+    pytest.param("t*1e300*1e300 - t*1e300*1e300", id="inf-minus-inf"),
+    pytest.param("sin(t*1e300*1e300 - t*1e300*1e300)", id="sin-of-nan"),
+])
+def test_eval_nan_is_a_domain_error(tmp_path, capsys, component):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(_one_dim_spec(component)))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "domain" in err
+
+
+def test_flow_map_undefined_on_the_grid_is_a_domain_error(tmp_path, capsys):
+    doc = _one_dim_spec("sqrt(t - 1)")
+    doc["source"]["domain"] = {"intervals": [[0.5, 2.0]], "periodic": [True]}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["flow", "--spec", str(path), "--grid", "8",
+                        "--steps", "2"], capsys)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "sqrt of non-positive value" in err
+
+
+def test_variation_metric_undefined_on_the_mesh_is_a_domain_error(tmp_path,
+                                                                  capsys):
+    doc = _one_dim_spec("t")
+    doc["source"] = {"dim": 1, "coords": ["t"], "metric": [["log(t)"]],
+                     "domain": {"intervals": [[-1.0, 2.0]]}}
+    doc["fields"] = [{"name": "v", "components": ["1"]}]
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["variation", "--spec", str(path), "--field", "v",
+                        "--grid", "4"], capsys)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "log of non-positive value" in err
+
+
+def test_variation_json_report_has_timing_and_is_deterministic(tmp_path,
+                                                               capsys):
+    docs = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        code, _, _ = run(["variation", "--spec", "builtin:torus-test",
+                          "--field", "v", "--grid", "12", "--seed", "3",
+                          "--json", str(out)], capsys)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert set(doc["timing"]) == {"total_seconds", "analytic_seconds",
+                                      "fd_seconds"}
+        del doc["timing"]
+        docs.append(json.dumps(doc, indent=2))
+    assert docs[0] == docs[1]
+
+
 def test_deep_source_metric_passes_the_symmetry_check(tmp_path, capsys):
     # the off-diagonal entries are compared structurally, at any depth
     off = " + ".join(["0.0001*x1"] * 3000)

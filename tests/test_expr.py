@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -124,7 +123,8 @@ _COORDS = ["x", "y"]
 
 def _expr_trees(depth):
     leaf = st.one_of(
-        st.floats(0.0, 9.0).map(lambda v: ex.Const(round(v, 3))),
+        st.floats(-9.0, 9.0).map(lambda v: ex.Const(round(v, 3))),
+        st.sampled_from([0.0, -0.0, -1.5]).map(ex.Const),
         st.sampled_from(_COORDS).map(ex.Var),
     )
     if depth == 0:
@@ -146,7 +146,33 @@ def _expr_trees(depth):
 @settings(max_examples=200, deadline=None)
 def test_print_parse_round_trip(tree):
     text = ex.to_source(tree)
-    assert ex.parse(text, _COORDS) == tree
+    parsed = ex.parse(text, _COORDS)
+    assert parsed == tree
+    # equality takes 0.0 == -0.0; the text tells the signs apart
+    assert ex.to_source(parsed) == text
+
+
+@pytest.mark.parametrize("text,value", [
+    ("-2^2", -4.0),
+    ("-2^2 + 1", -3.0),
+    ("3 - -2", 5.0),
+    ("2 * -1.5", -3.0),
+])
+def test_unary_minus_precedence(text, value):
+    assert ex.eval_value(ex.parse(text, []), [], []) == value
+
+
+def test_negative_literals_parse_as_constants():
+    assert ex.parse("-1.5", []) == ex.Const(-1.5)
+    zero = ex.parse("-0.0", [])
+    assert isinstance(zero, ex.Const) and repr(zero.value) == "-0.0"
+    # a minus before a power negates the power
+    assert isinstance(ex.parse("-2^2", []), ex.Neg)
+    # and a negated constant prints so that it parses back as a negation
+    neg = ex.Neg(ex.Const(1.5))
+    assert ex.to_source(neg) == "-(1.5)"
+    assert ex.parse(ex.to_source(neg), []) == neg
+    assert isinstance(ex.parse(ex.to_source(neg), []), ex.Neg)
 
 
 # interning and the tape ---------------------------------------------------
@@ -276,11 +302,9 @@ def test_tape_matches_recursive_reference(tree, x, y):
         assert (_outcome(ex.evaluate, tree, env)
                 == _outcome(_reference, tree, env))
     # a printed tree parses back to an equal tree, interned no wider
-    if all(math.copysign(1.0, n.value) > 0 for n in _distinct_nodes(tree)
-           if isinstance(n, ex.Const)):
-        parsed = ex.parse(ex.to_source(tree), ["x", "y", "z"])
-        assert parsed == tree
-        assert len(_distinct_nodes(parsed)) <= len(_distinct_nodes(tree))
+    parsed = ex.parse(ex.to_source(tree), ["x", "y", "z"])
+    assert parsed == tree
+    assert len(_distinct_nodes(parsed)) <= len(_distinct_nodes(tree))
 
 
 def test_deep_expressions_need_no_recursion():
@@ -361,3 +385,51 @@ def test_tiny_base_surfaces_as_eval_domain_error():
     with pytest.raises(ex.EvalDomainError) as err:
         ex.eval_jet(ex.parse("log(x)", ["x"]), ["x"], [1e-320], 4)
     assert "log(x)" in str(err.value)
+
+
+# batched evaluation -------------------------------------------------------
+
+
+def test_batched_evaluation_matches_pointwise(rng):
+    tree = ex.parse("0.7*sin(x)*cos(y) + exp(x*y)/(2 + y^2) - pow(x + 3, 1/3)",
+                    ["x", "y"])
+    pts = rng.uniform(-1.0, 1.0, size=(2, 3, 4))   # a 3x4 batch of points
+    values = ex.eval_value(tree, ["x", "y"], pts)
+    jets = ex.eval_jet(tree, ["x", "y"], pts, 4)
+    assert values.shape == (3, 4) and jets.batch == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            p = pts[:, i, j]
+            assert values[i, j] == pytest.approx(
+                ex.eval_value(tree, ["x", "y"], p), rel=1e-15)
+            ref = ex.eval_jet(tree, ["x", "y"], p, 4).coeffs
+            assert np.allclose(jets.coeffs[:, i, j], ref, rtol=1e-14,
+                               atol=1e-14 * np.abs(ref).max())
+    # a constant expression fills the batch
+    assert ex.eval_value(ex.parse("2", ["x"]), ["x"], np.zeros((1, 5))).shape \
+        == (5,)
+
+
+@pytest.mark.parametrize("text,order,points", [
+    ("log(x)", None, [1.0, 2.0, -0.5, 3.0, 0.0]),
+    ("log(x)", 2, [1.0, 2.0, -0.5, 3.0, 0.0]),
+    ("sqrt(x)", 4, [1.0, 2.0, -0.5, 3.0, 0.0]),
+    ("1/x", None, [1.0, 2.0, 0.0, 3.0, 1e-301]),
+    ("x*1e300*1e300 - x*1e300*1e300", None, [0.0, 0.0, 1.0, 0.0, 2.0]),
+])
+def test_batched_error_names_first_failing_point(text, order, points):
+    # points 2 and 4 fail; the batch raises what point 2 alone raises
+    tree = ex.parse(text, ["x"])
+    pts = np.array([points])
+
+    def run(p):
+        if order is None:
+            return ex.eval_value(tree, ["x"], p)
+        return ex.eval_jet(tree, ["x"], p, order)
+
+    with pytest.raises(ex.EvalDomainError) as batch_err:
+        run(pts)
+    with pytest.raises(ex.EvalDomainError) as point_err:
+        run(pts[:, 2])
+    assert str(batch_err.value) == str(point_err.value)
+    run(pts[:, :2])  # the points before it pass

@@ -193,3 +193,58 @@ def test_sample_points_gives_up_when_exclusions_cover_the_box():
     covered = charts.punctured_plane_chart(radius=1.0, hole=1.5)
     with pytest.raises(geo.GeometryError, match="excluded balls cover"):
         covered.sample_points(3, np.random.default_rng(0))
+
+
+def test_batched_metric_and_frame_match_pointwise(sphere2, rng):
+    pts = np.array(sphere2.sample_points(5, rng, shrink=0.05)).T  # (2, 5)
+    met = geo.metric_at(sphere2, pts, order=1)
+    frames = geo.frame_at(sphere2, pts).vectors
+    assert met.values.shape == (2, 2, 5) and frames.shape == (2, 2, 5)
+    for k in range(5):
+        one = geo.metric_at(sphere2, pts[:, k], order=1)
+        assert np.allclose(met.values[..., k], one.values, rtol=1e-15)
+        assert np.allclose(met.inverse[..., k], one.inverse, rtol=1e-14)
+        assert met.sqrt_det[k] == pytest.approx(one.sqrt_det, rel=1e-15)
+        assert np.allclose(frames[..., k],
+                           geo.frame_at(sphere2, pts[:, k]).vectors,
+                           rtol=1e-14)
+        gamma = geo.christoffel_arrays(geo.christoffel_jets(met.jets))[0]
+        assert np.allclose(gamma[..., k], geo.christoffel(
+            sphere2, pts[:, k]).gamma, rtol=1e-14, atol=1e-15)
+
+
+def test_batched_checks_name_the_first_failing_point(sphere2):
+    # points 1 and 3 fail; the batch raises what point 1 alone raises
+    pts = np.array([[1.0, 0.01, 1.5, 3.1], [0.5, 1.0, 2.0, 0.5]])
+    with pytest.raises(geo.DomainError) as batch_err:
+        sphere2.require_inside(pts)
+    with pytest.raises(geo.DomainError) as point_err:
+        sphere2.require_inside(pts[:, 1])
+    assert str(batch_err.value) == str(point_err.value)
+    assert batch_err.value.index == 1
+    assert list(sphere2.contains(pts)) == [True, False, True, False]
+
+    bad = chart("bad", ["x", "y"], [["x", "1"], ["1", "x"]],
+                [(0.0, 2.0), (0.0, 2.0)])
+    pts = np.array([[1.5, 0.5, 1.8, 0.2], [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(geo.NonSPDError) as batch_err:
+        geo.metric_at(bad, pts)
+    with pytest.raises(geo.NonSPDError) as point_err:
+        geo.metric_at(bad, pts[:, 1])
+    assert str(batch_err.value) == str(point_err.value)
+
+
+@pytest.mark.parametrize("intervals,periodic", [
+    ([(None, None)], [True]),      # a periodic side needs both bounds
+    ([(2.0, 1.0)], [False]),       # an empty interval
+])
+def test_degenerate_domains_rejected(intervals, periodic):
+    with pytest.raises(geo.GeometryError):
+        geo.ManifoldModel("c", ["t"], [[ex.Const(1.0)]], intervals, periodic)
+
+
+def test_half_bounded_chart_checks_symmetry():
+    # the symmetry check samples a non-empty box beyond a lone bound
+    c = chart("half", ["x", "y"], [["1", "0.1*x"], ["0.1*x", "1"]],
+              [(2.0, None), (None, -3.0)])
+    assert c.dim == 2

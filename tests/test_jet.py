@@ -141,6 +141,15 @@ def test_domain_errors():
     pytest.param(jet_cos, -math.inf, id="cos-inf"),
     pytest.param(lambda u: s_sin(u.value), math.inf, id="s_sin-inf"),
     pytest.param(lambda u: s_cos(u.value), -math.inf, id="s_cos-inf"),
+    # and every analytic function of a NaN argument
+    pytest.param(jet_sin, math.nan, id="sin-nan"),
+    pytest.param(jet_exp, math.nan, id="exp-nan"),
+    pytest.param(jet_log, math.nan, id="log-nan"),
+    pytest.param(jet_sqrt, math.nan, id="sqrt-nan"),
+    pytest.param(lambda u: 1.0 / u, math.nan, id="reciprocal-nan"),
+    pytest.param(lambda u: jet_pow(u, 1.5), math.nan, id="pow-3/2-nan"),
+    pytest.param(lambda u: s_pow(u.value, 1.5), math.nan, id="s_pow-frac-nan"),
+    pytest.param(lambda u: s_exp(u.value), math.nan, id="s_exp-nan"),
 ])
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_tiny_base_is_a_domain_error(fn, base, order):

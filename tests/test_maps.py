@@ -313,3 +313,38 @@ def test_image_outside_target_domain():
     spec = mp.MapSpec(interval, tight, [ex.parse("t^2", ["t"])])
     with pytest.raises(geo.DomainError):
         mp.pullback_metric(spec, [1.9])
+
+
+def test_batched_tangent_field_matches_pointwise():
+    field = mp.TangentField([ex.parse("1 + t", ["t"]), ex.parse("t^2", ["t"])],
+                            bump_center=[1.0], bump_radius=0.5)
+    pts = np.array([[0.4, 0.9, 1.1, 1.45, 1.9]])   # two outside the window
+    values = field.values(["t"], pts)
+    jets = field.jets(["t"], pts, 3)
+    for k in range(pts.shape[1]):
+        assert np.allclose(values[:, k], field.values(["t"], pts[:, k]),
+                           rtol=1e-15, atol=0.0)
+        for a, jet in enumerate(field.jets(["t"], pts[:, k], 3)):
+            assert np.allclose(jets[a].coeffs[:, k], jet.coeffs, rtol=1e-14,
+                               atol=1e-300)
+    assert np.all(values[:, [0, 4]] == 0.0)
+
+
+def test_batched_tables_match_pointwise(annulus, curved_target, rng):
+    spec = mp.MapSpec(annulus, curved_target,
+                      [ex.parse("r*cos(th) + 0.1*sin(2*th)", annulus.coords),
+                       ex.parse("r*sin(th)", annulus.coords)])
+    pts = np.array(annulus.sample_points(4, rng, shrink=0.05)).T
+    batch = mp.map_tables(spec, pts, curvature=True)
+    tau = mp.tau_s_from_tables(batch)
+    for k in range(pts.shape[1]):
+        one = mp.map_tables(spec, pts[:, k], curvature=True)
+        for name in ("phi", "d1", "d2", "g", "ginv", "gammaM", "h", "gammaN",
+                     "sff", "frame", "riemN"):
+            ref = getattr(one, name)
+            got = getattr(batch, name)[..., k]
+            assert np.allclose(got, ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref).max()), name
+        ref = mp.tau_s_from_tables(one)
+        assert np.allclose(tau[:, k], ref, rtol=1e-13,
+                           atol=1e-13 * np.abs(ref).max())

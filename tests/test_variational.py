@@ -313,3 +313,73 @@ def test_bi_energy_constant_on_curved_target_matches_flat(curved_target, rng):
     for c in coeffs:
         assert constant(curved_target, c) == pytest.approx(reference,
                                                            rel=1e-6)
+
+
+@pytest.mark.parametrize("curved", [False, True],
+                         ids=["flat-target", "curved-target"])
+def test_mesh_integrals_equal_sums_of_pointwise_values(curved,
+                                                       curved_target):
+    """Each mesh integral is one batched call over all nodes; it equals
+    the pairwise sum of the pointwise values at the nodes."""
+    chart = charts.torus_chart(2)
+    coords = chart.coords
+    target = (curved_target if curved
+              else geo.euclidean_space(2, coord_names=["y1", "y2"]))
+    spec = mp.MapSpec(chart, target, [
+        ex.parse("x1 + 0.3*x2 + 0.2*sin(x1)", coords),
+        ex.parse("-0.2*x1 + 1.1*x2 + 0.2*cos(x2)", coords)])
+    v = mp.TangentField([ex.parse("0.7*sin(x1)*cos(x2)", coords),
+                         ex.parse("0.4*cos(x1 + x2)", coords)])
+    w = mp.TangentField([ex.parse("0.5*sin(x1)*cos(x2) + 0.2*sin(x2)",
+                                  coords),
+                         ex.parse("0.3*cos(x1 + x2)", coords)])
+    mesh = build_mesh(chart, 6)
+    nodes = {key: [] for key in ("energy", "bi-energy", "first", "bi",
+                                 "index")}
+    for p in mesh.points:
+        h = mp.map_tables(spec, p).h
+        tau = mp.symphonic_tension(spec, p)
+        nodes["energy"].append(mp.symphonic_energy_density(spec, p))
+        nodes["bi-energy"].append(tau @ h @ tau)
+        nodes["first"].append(tau @ h @ v.values(coords, p))
+        nodes["bi"].append(v.values(coords, p) @ h
+                           @ va.bi_tension(spec, p, variant=va.FULL))
+        nodes["index"].append(va.jacobi_operator(spec, p, v, variant=va.FULL)
+                              @ h @ w.values(coords, p))
+    scale = {"energy": 1.0, "bi-energy": 1.0, "first": -4.0, "bi": -1.0,
+             "index": -4.0}
+    got = {"energy": va.symphonic_energy(spec, mesh),
+           "bi-energy": va.bi_energy(spec, mesh),
+           "first": va.first_variation_pairing(spec, v, mesh),
+           "bi": va.bi_variation_pairing(spec, v, mesh, variant=va.FULL),
+           "index": va.index_form_pairing(spec, v, w, mesh,
+                                          variant=va.FULL)}
+    for key, values in nodes.items():
+        expected = scale[key] * mesh.integrate(values)
+        assert abs(got[key] - expected) <= 1e-13 * abs(expected), key
+
+
+def test_batched_operators_match_pointwise(rng):
+    """bi_tension and jacobi_operator over a batch of points (here with
+    a rotated frame at each point) equal the pointwise calls."""
+    inc = charts.sphere_inclusion(3)
+    field = mp.TangentField([ex.parse("sin(t1)*cos(t3)", inc.source.coords)]
+                            + list(inc.components[1:]))
+    pts = np.array(inc.source.sample_points(4, rng, shrink=0.05)).T
+    frames = []
+    for k in range(pts.shape[1]):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        frames.append(q @ geo.frame_at(inc.source, pts[:, k]).vectors)
+    frames = np.stack(frames, axis=-1)
+    for variant in (va.REDUCED, va.FULL):
+        bi = va.bi_tension(inc, pts, variant=variant, frame=frames)
+        jac = va.jacobi_operator(inc, pts, field, variant=variant,
+                                 frame=frames)
+        for k in range(pts.shape[1]):
+            for got, ref in (
+                    (bi[:, k], va.bi_tension(inc, pts[:, k], variant=variant,
+                                             frame=frames[..., k])),
+                    (jac[:, k], va.jacobi_operator(inc, pts[:, k], field,
+                                                   variant=variant,
+                                                   frame=frames[..., k]))):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
