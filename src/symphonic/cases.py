@@ -4,6 +4,16 @@ Every case reports a list of named checks (measured value, expected
 value, tolerance, pass flag) and is deterministic for a fixed seed.
 Negative controls assert that a deliberately perturbed configuration
 exceeds its tolerance, guarding the positive checks against vacuity.
+
+Each case stacks its sample points into one batch (m, k) and makes one
+batched call per operator, exponent and variant (see ``geometry``,
+``maps`` and ``variational``); a check then reduces the per-point
+values over the batch axis, with any per-point scale kept per point.
+Random draws keep the order of a point-by-point loop, so a seed's
+sample points and frame vectors do not depend on the batching: for
+example rng.normal(size=(k, 2, m)) yields the same values, and leaves
+the generator in the same state, as k pairs of rng.normal(size=m)
+draws.
 """
 
 from __future__ import annotations
@@ -107,20 +117,15 @@ def case_scalar_symphonic(seed: int = DEFAULT_SEED) -> CaseResult:
     f = ex.parse("pow(x1^2 + x2^2, 1/3)", coords)
     f_map = mp.MapSpec(plane, geo.euclidean_space(1), [f])
     f_wrong = ex.parse("pow(x1^2 + x2^2, 0.34)", coords)
-    pts = _annulus_points(50, rng)
+    x = _annulus_points(50, rng).T
 
-    res_max = 0.0
-    lap_min = np.inf
-    cross_max = 0.0
-    wrong_min = np.inf
-    for p in pts:
-        res = mp.scalar_symphonic_residual(plane, f, p)
-        res_max = max(res_max, abs(res))
-        lap_min = min(lap_min, abs(geo.laplacian(plane, f, p)))
-        tau = mp.symphonic_tension(f_map, p)[0]
-        cross_max = max(cross_max, abs(res - tau))
-        wrong_min = min(wrong_min,
-                        abs(mp.scalar_symphonic_residual(plane, f_wrong, p)))
+    res = mp.scalar_symphonic_residual(plane, f, x)
+    res_max = float(np.abs(res).max())
+    lap_min = float(np.abs(geo.laplacian(plane, f, x)).min())
+    tau = mp.symphonic_tension(f_map, x)[0]
+    cross_max = float(np.abs(res - tau).max())
+    wrong_min = float(np.abs(
+        mp.scalar_symphonic_residual(plane, f_wrong, x)).min())
 
     out = CaseResult("scalar-symphonic",
                      "cube-root-of-r-squared field: symphonic, non-harmonic",
@@ -133,16 +138,17 @@ def case_scalar_symphonic(seed: int = DEFAULT_SEED) -> CaseResult:
     return out
 
 
-def power_curve_ode_residual(exponent: float, t: float) -> float:
+def power_curve_ode_residual(exponent: float, t):
     """The classical fourth-order curve condition evaluated from jet
-    derivatives of t^a (independent of the operator pipeline)."""
+    derivatives of t^a (independent of the operator pipeline), at a
+    float t or at every entry of an array of them."""
     curve = charts.power_curve(exponent)
     jet = ex.eval_jet(curve.components[0], ["t"], [t], 4)
     g1, g2, g3, g4 = (jet.derivative((k,)) for k in (1, 2, 3, 4))
     return 14 * g1 ** 2 * g2 ** 3 + 17 * g1 ** 3 * g2 * g3 + 2 * g1 ** 4 * g4
 
 
-def power_curve_closed_form(exponent: float, t: float) -> float:
+def power_curve_closed_form(exponent: float, t):
     """Hand expansion of the curve condition at t^a:
     a^5 (a-1) (33 a^2 - 89 a + 60) t^(5a-8)."""
     a = exponent
@@ -159,13 +165,10 @@ def case_power_curves(seed: int = DEFAULT_SEED) -> CaseResult:
 
     for a, label in ((4.0 / 3.0, "4/3"), (15.0 / 11.0, "15/11")):
         curve = charts.power_curve(a)
-        bt_max = 0.0
-        ts_min = np.inf
-        for t in ts:
-            bt = va.bi_tension(curve, [t], variant=va.REDUCED)
-            bt_max = max(bt_max, float(np.abs(bt).max()))
-            ts_min = min(ts_min,
-                         float(np.abs(mp.symphonic_tension(curve, [t])).max()))
+        bt = va.bi_tension(curve, [ts], variant=va.REDUCED)
+        bt_max = float(np.abs(bt).max())
+        ts_min = float(np.abs(mp.symphonic_tension(curve, [ts]))
+                       .max(axis=0).min())
         out.checks.append(check_upper(f"bi-tension-max a={label}", bt_max, 1e-8))
         out.checks.append(check_lower(f"tension-min a={label} (non-symphonic)",
                                       ts_min, 1e-3))
@@ -184,16 +187,12 @@ def case_power_curves(seed: int = DEFAULT_SEED) -> CaseResult:
     ctrl_ts = rng.uniform(0.5, 4.0, 10)
     for a in (1.2, 2.0, 3.0):
         curve = charts.power_curve(a)
-        ode_rel = 0.0
-        op_rel = 0.0
-        for t in ctrl_ts:
-            expected = power_curve_closed_form(a, t)
-            ode = power_curve_ode_residual(a, t)
-            op = float(va.bi_tension(curve, [t], variant=va.REDUCED)[0])
-            ode_rel = max(ode_rel, abs(ode - expected) / abs(expected))
-            op_rel = max(op_rel,
-                         abs(op - CURVE_OPERATOR_FACTOR * expected)
-                         / abs(CURVE_OPERATOR_FACTOR * expected))
+        expected = power_curve_closed_form(a, ctrl_ts)
+        ode = power_curve_ode_residual(a, ctrl_ts)
+        op = va.bi_tension(curve, [ctrl_ts], variant=va.REDUCED)[0]
+        ode_rel = float((np.abs(ode - expected) / np.abs(expected)).max())
+        op_rel = float((np.abs(op - CURVE_OPERATOR_FACTOR * expected)
+                        / np.abs(CURVE_OPERATOR_FACTOR * expected)).max())
         out.checks.append(check_upper(f"ode-residual-rel a={a}", ode_rel, 1e-8))
         out.checks.append(check_upper(f"operator-3x-residual-rel a={a}",
                                       op_rel, 1e-8))
@@ -216,39 +215,34 @@ def case_sphere_inclusion(m: int, seed: int = DEFAULT_SEED) -> CaseResult:
     rng = np.random.default_rng(seed)
     inc = charts.sphere_inclusion(m)
     pts = inc.source.sample_points(50, rng)
+    x = np.array(pts).T
+    # per point, the frame coefficients of X, then those of Y
+    a, b = np.moveaxis(rng.normal(size=(len(pts), 2, m)), 0, -1)
 
-    tau_err = 0.0
-    bt_err = 0.0
-    bt_err_full = 0.0
-    group_err = np.zeros(4)
-    extra_group_err = 0.0
-    sff_err = 0.0
-    p_norm_err = 0.0
+    def max_norm(vectors):
+        """Largest Euclidean norm over the batch of vectors (n, k)."""
+        return float(np.linalg.norm(vectors, axis=0).max())
+
+    P = inc.value(x)
+    t = mp.map_tables(inc, x)
+    groups = va.bi_tension_groups(inc, x)
+    reduced = va.assemble(groups, va.REDUCED)
+    full = va.assemble(groups, va.FULL)
     expected_groups = np.array([2.0 * m * m, 0.0, 0.0, m * m])
-    for x in pts:
-        P = inc.value(x)
-        p_norm_err = max(p_norm_err, abs(np.linalg.norm(P) - 1.0))
-        tau = mp.symphonic_tension(inc, x)
-        tau_err = max(tau_err, float(np.linalg.norm(tau + m * P)))
-        groups = va.bi_tension_groups(inc, x)
-        reduced = groups["A"] + groups["B"] + groups["C"] + groups["D"]
-        full = reduced + groups["E"] + groups["F"]
-        bt_err = max(bt_err, float(np.linalg.norm(reduced - 3 * m * m * P)))
-        bt_err_full = max(bt_err_full,
-                          float(np.linalg.norm(full - 3 * m * m * P)))
-        coeffs = np.array([float(groups[k] @ P) for k in "ABCD"])
-        group_err = np.maximum(group_err, np.abs(coeffs - expected_groups))
-        extra_group_err = max(
-            extra_group_err,
-            float(np.linalg.norm(groups["E"]) + np.linalg.norm(groups["F"])))
-        frame = geo.frame_at(inc.source, x).vectors
-        a = rng.normal(size=m)
-        b = rng.normal(size=m)
-        X = a @ frame
-        Y = b @ frame
-        sff = mp.second_fundamental_form(inc, x, X, Y)
-        inner = float(a @ b)  # <X, Y> in the round metric
-        sff_err = max(sff_err, float(np.linalg.norm(sff + inner * P)))
+    coeffs = np.array([np.einsum("a...,a...->...", groups[k], P)
+                       for k in "ABCD"])
+    group_err = np.abs(coeffs - expected_groups[:, None]).max(axis=1)
+    extra_group_err = float((np.linalg.norm(groups["E"], axis=0)
+                             + np.linalg.norm(groups["F"], axis=0)).max())
+    X = np.einsum("i...,ij...->j...", a, t.frame)
+    Y = np.einsum("i...,ij...->j...", b, t.frame)
+    sff = mp.second_fundamental_form(t, None, X, Y)
+    inner = np.einsum("i...,i...->...", a, b)  # <X, Y> in the round metric
+    tau_err = max_norm(mp.symphonic_tension(t) + m * P)
+    bt_err = max_norm(reduced - 3 * m * m * P)
+    bt_err_full = max_norm(full - 3 * m * m * P)
+    sff_err = max_norm(sff + inner * P)
+    p_norm_err = float(np.abs(np.linalg.norm(P, axis=0) - 1.0).max())
 
     out = CaseResult(f"sphere-inclusion-{m}",
                      f"canonical inclusion of S^{m} into R^{m + 1}", seed)
@@ -268,12 +262,10 @@ def case_sphere_inclusion(m: int, seed: int = DEFAULT_SEED) -> CaseResult:
                         [ex.parse(f"1.05 * ({charts.sphere_embedding_sources(m)[k]})",
                                   inc.source.coords)
                          for k in range(m + 1)])
-    x = pts[0]
-    P = inc.value(x)
-    tau_scaled = mp.symphonic_tension(scaled, x)
+    tau_scaled = mp.symphonic_tension(scaled, pts[0])
     out.checks.append(check_lower(
         "negative-control scaled embedding",
-        float(np.linalg.norm(tau_scaled + m * P)), 1e-3))
+        float(np.linalg.norm(tau_scaled + m * P[:, 0])), 1e-3))
     out.extra["expected_groups"] = [float(v) for v in expected_groups]
     return out
 
@@ -341,7 +333,19 @@ def case_variation_formulas(seed: int = DEFAULT_SEED,
 
 def operator_identity_max_rel(rng) -> float:
     """Worst relative deviation of the bi-tension from the operator
-    applied to a closed-form tension field (curve and sphere)."""
+    applied to a closed-form tension field (curve and sphere), each
+    point's deviation taken relative to that point's bi-tension."""
+
+    def worst_at(spec, x, tau_field):
+        worst = 0.0
+        for variant in (va.REDUCED, va.FULL):
+            bt = va.bi_tension(spec, x, variant=variant)
+            jv = va.jacobi_operator(spec, x, tau_field, variant=variant)
+            scale = np.maximum(np.abs(bt).max(axis=0), 1e-300)
+            worst = max(worst, float((np.abs(bt - jv).max(axis=0)
+                                      / scale).max()))
+        return worst
+
     worst = 0.0
     # power curve: tau^s = 3 a^3 (a - 1) t^(3a - 4)
     for a in (2.0, 1.7):
@@ -349,24 +353,16 @@ def operator_identity_max_rel(rng) -> float:
         coeff = 3 * a ** 3 * (a - 1)
         tau_field = mp.TangentField(
             [ex.parse(f"{coeff!r} * pow(t, {3 * a - 4!r})", ["t"])])
-        for t in rng.uniform(0.6, 3.5, 10):
-            for variant in (va.REDUCED, va.FULL):
-                bt = va.bi_tension(curve, [t], variant=variant)
-                jv = va.jacobi_operator(curve, [t], tau_field, variant=variant)
-                scale = max(float(np.abs(bt).max()), 1e-300)
-                worst = max(worst, float(np.abs(bt - jv).max()) / scale)
+        worst = max(worst, worst_at(curve, [rng.uniform(0.6, 3.5, 10)],
+                                    tau_field))
     # sphere: tau^s = -m P
     for m in (2, 3):
         inc = charts.sphere_inclusion(m)
         tau_field = mp.TangentField(
             [ex.parse(f"-{m} * ({s})", inc.source.coords)
              for s in charts.sphere_embedding_sources(m)])
-        for x in inc.source.sample_points(10, rng):
-            for variant in (va.REDUCED, va.FULL):
-                bt = va.bi_tension(inc, x, variant=variant)
-                jv = va.jacobi_operator(inc, x, tau_field, variant=variant)
-                scale = max(float(np.abs(bt).max()), 1e-300)
-                worst = max(worst, float(np.abs(bt - jv).max()) / scale)
+        x = np.array(inc.source.sample_points(10, rng)).T
+        worst = max(worst, worst_at(inc, x, tau_field))
     return worst
 
 

@@ -491,7 +491,10 @@ def free_variables(node: Expr) -> set[str]:
 # A tape is a tuple of steps (code, node, i, j), one per distinct node in
 # post-order; step k leaves its value in slot k.  i and j are the slots
 # of the operands, except: _CONST keeps the value in i, _VAR the name in
-# i, _POW the exponent in j, and _CALL the scalar function in j.
+# i, _POW the exponent in j, and _CALL the scalar function in j.  The
+# root's own step holds None for its node: the root caches its tape, so
+# the root there would make a reference cycle, and a dropped expression
+# would wait for the cycle collector instead of being freed at once.
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _SCALAR = {"sin": s_sin, "cos": s_cos, "exp": s_exp, "log": s_log,
@@ -503,19 +506,20 @@ def _compile(root) -> tuple:
     steps = []
     for node in _post_order(root):
         slot[id(node)] = len(steps)
+        at = None if node is root else node
         if isinstance(node, BinOp):
-            step = (_BINARY[node.op], node,
+            step = (_BINARY[node.op], at,
                     slot[id(node.left)], slot[id(node.right)])
         elif isinstance(node, Const):
-            step = (_CONST, node, node.value, None)
+            step = (_CONST, at, node.value, None)
         elif isinstance(node, Var):
-            step = (_VAR, node, node.name, None)
+            step = (_VAR, at, node.name, None)
         elif isinstance(node, Neg):
-            step = (_NEG, node, slot[id(node.arg)], None)
+            step = (_NEG, at, slot[id(node.arg)], None)
         elif isinstance(node, PowC):
-            step = (_POW, node, slot[id(node.base)], node.exponent)
+            step = (_POW, at, slot[id(node.base)], node.exponent)
         elif isinstance(node, Call):
-            step = (_CALL, node, slot[id(node.arg)], _SCALAR[node.func])
+            step = (_CALL, at, slot[id(node.arg)], _SCALAR[node.func])
         else:
             raise TypeError(f"not an expression node: {node!r}")
         steps.append(step)
@@ -567,7 +571,8 @@ def evaluate(node: Expr, env: dict):
             try:
                 push(env[i])
             except KeyError:
-                raise EvalDomainError(f"unbound variable '{i}'", at) from None
+                raise EvalDomainError(f"unbound variable '{i}'",
+                                      node if at is None else at) from None
             continue
         try:
             if code == _MUL:
@@ -587,7 +592,8 @@ def evaluate(node: Expr, env: dict):
             else:
                 push(_divide(vals[i], vals[j]))
         except JetDomainError as err:
-            raise EvalDomainError(str(err), at) from None
+            raise EvalDomainError(str(err),
+                                  node if at is None else at) from None
     return vals[-1]
 
 

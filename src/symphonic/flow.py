@@ -97,10 +97,6 @@ class FlowState:
                         compare=False)
 
     @property
-    def grid_shape(self):
-        return self.rem.shape[1:]
-
-    @property
     def phi(self):
         """Map values on the grid, linear part included."""
         return self.rem + np.einsum("ak,k...->a...", self.linear,

@@ -11,12 +11,14 @@ R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}.
 
 Points x have shape (m, ...): coordinate first, then any batch axes.
-Metric values, inverses, Christoffel arrays and frames carry the same
-trailing batch axes after their index axes, and metric and Christoffel
-jets are batched jets (see ``jet``).  A single point (m,) is the batch
-of one.  Domain and positive-definiteness checks run over the whole
-batch and name the first failing point, with the text the pointwise
-call at that point raises.
+Metric values, inverses, Christoffel arrays, frames and the gradient,
+Hessian and Laplacian of a scalar field carry the same trailing batch
+axes after their index axes, and metric and Christoffel jets are
+batched jets (see ``jet``).  A single point (m,) is the batch of one
+and gives unbatched arrays and floats.  Domain and
+positive-definiteness checks run over the whole batch and name the
+first failing point, with the text the pointwise call at that point
+raises.
 """
 
 from __future__ import annotations
@@ -463,32 +465,31 @@ def frame_at(model: ManifoldModel, x) -> Frame:
 
 
 def gradient(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
-    """Contravariant gradient components g^{ij} d_j f."""
+    """Contravariant gradient components g^{ij} d_j f, (m, ...) at
+    points x (m, ...)."""
     met = metric_at(model, x)
-    jet = ex.eval_jet(f, model.coords, x, 1)
-    df = np.asarray(jet.gradient())
-    return met.inverse @ df
+    df = ex.eval_jet(f, model.coords, x, 1).gradient()
+    return np.einsum("ij...,j...->i...", met.inverse, df)
 
 
 def hessian(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
-    """Covariant Hessian components d_i d_j f - Gamma^k_{ij} d_k f."""
+    """Covariant Hessian components d_i d_j f - Gamma^k_{ij} d_k f,
+    (m, m, ...) at points x (m, ...)."""
     m = model.dim
     jet = ex.eval_jet(f, model.coords, x, 2)
-    df = np.asarray(jet.gradient())
+    d2 = np.array([[jet.derivative([int(i == k) + int(j == k)
+                                    for k in range(m)])
+                    for j in range(m)] for i in range(m)])
     gamma = christoffel(model, x).gamma
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            alpha = [0] * m
-            alpha[i] += 1
-            alpha[j] += 1
-            hess[i, j] = jet.derivative(tuple(alpha)) - gamma[:, i, j] @ df
-    return hess
+    return d2 - np.einsum("kij...,k...->ij...", gamma, jet.gradient())
 
 
-def laplacian(model: ManifoldModel, f: ex.Expr, x) -> float:
+def laplacian(model: ManifoldModel, f: ex.Expr, x):
+    """g^{ij} Hess_f(e_i, e_j) at points x (m, ...): a float at one
+    point, an array over a batch."""
     met = metric_at(model, x)
-    return float(np.tensordot(met.inverse, hessian(model, f, x), axes=2))
+    lap = np.einsum("ij...,ij...->...", met.inverse, hessian(model, f, x))
+    return float(lap) if lap.ndim == 0 else lap
 
 
 def euclidean_space(dim: int, name: str = "euclidean", coord_names=None,

@@ -14,7 +14,10 @@ axes (a flat target's constant metric and vanishing Christoffels carry
 none and broadcast).  component_jets, TangentField.jets and .values,
 source_point_data and tables_from_jets each take one pass over all
 points, so a whole quadrature mesh is one call; a single point (m,) is
-the batch of one.
+the batch of one.  symphonic_tension, symphonic_energy_density,
+second_fundamental_form and scalar_symphonic_residual take batches of
+points the same way, so a catalog case evaluates its sample points in
+one call each.
 
 Index conventions for tables at a point x:
 
@@ -285,11 +288,14 @@ def symphonic_energy_density(spec_or_tables, x=None, frame=None):
     return float(density) if density.ndim == 0 else density
 
 
-def second_fundamental_form(spec: MapSpec, x, X, Y) -> np.ndarray:
-    t = map_tables(spec, x)
+def second_fundamental_form(spec_or_tables, x, X, Y) -> np.ndarray:
+    """(nabla dphi)(X, Y), (n, ...) at points x (m, ...) for tangent
+    vectors X, Y (m, ...) in coordinate components.  Given tables, x is
+    unused and X, Y take their batch axes."""
+    t = _as_tables(spec_or_tables, x)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return np.einsum("i,j,ija->a", X, Y, t.sff)
+    return np.einsum("i...,j...,ija...->a...", X, Y, t.sff)
 
 
 def tension_field(spec_or_tables, x=None, frame=None) -> np.ndarray:
@@ -319,14 +325,17 @@ def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:
     return tau_s_from_tables(t)
 
 
-def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x) -> float:
-    """(Delta f) |grad f|^2 + 2 Hess_f(grad f, grad f)."""
+def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x):
+    """(Delta f) |grad f|^2 + 2 Hess_f(grad f, grad f) at points x
+    (m, ...): a float at one point, an array over a batch."""
+    met = geo.metric_at(model, x)
     grad = geo.gradient(model, f, x)
     hess = geo.hessian(model, f, x)
-    lap = geo.laplacian(model, f, x)
-    g = geo.metric_at(model, x).values
-    grad_norm2 = float(grad @ g @ grad)
-    return lap * grad_norm2 + 2.0 * float(grad @ hess @ grad)
+    lap = np.einsum("ij...,ij...->...", met.inverse, hess)
+    grad_norm2 = np.einsum("i...,ij...,j...->...", grad, met.values, grad)
+    res = lap * grad_norm2 + 2.0 * np.einsum("i...,ij...,j...->...",
+                                             grad, hess, grad)
+    return float(res) if res.ndim == 0 else res
 
 
 def _as_tables(spec_or_tables, x, frame=None) -> MapTables:

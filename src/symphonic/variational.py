@@ -129,8 +129,6 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
         raise ValueError("tau_s_jets needs component jets of order >= 3")
     m, n = spec.source.dim, spec.target.dim
     d1 = [[comp_jets[a].partial(i) for a in range(n)] for i in range(m)]
-    d2 = [[[d1[i][a].partial(j) for a in range(n)] for j in range(m)]
-          for i in range(m)]
     g_jets = geo.metric_jets(spec.source, x, p - 1)
     gammaM = geo.christoffel_jets(g_jets)
     ginv = geo.mat_inv(g_jets)
@@ -141,7 +139,7 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
     for i in range(m):
         for j in range(i, m):
             for a in range(n):
-                acc = d2[i][j][a]
+                acc = d1[i][a].partial(j)
                 for k in range(m):
                     if not zero(gammaM[k][i][j]):
                         acc = acc - gammaM[k][i][j] * d1[k][a]

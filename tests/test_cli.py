@@ -44,6 +44,25 @@ def test_verify_json_report_valid_and_deterministic(tmp_path, capsys):
                                                           sort_keys=True)
 
 
+def test_verify_json_timing_has_each_case(tmp_path, capsys):
+    texts = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        code, _, _ = run(["verify", "--case", "all", "--seed", "1",
+                          "--json", str(out)], capsys)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        timing = doc.pop("timing")
+        ids = [case["id"] for case in doc["cases"]]
+        assert set(timing) == {"total_seconds", *ids}
+        assert all(isinstance(timing[k], float) and timing[k] >= 0.0
+                   for k in timing)
+        assert sum(timing[k] for k in ids) <= timing["total_seconds"]
+        texts.append(json.dumps(doc, indent=2))
+    assert texts[0] == texts[1]
+
+
 def test_verify_tol_scale_can_fail_controls(capsys, tmp_path):
     # shrinking tolerances by a huge factor trips the exact-value checks
     code, out, _ = run(["verify", "--case", "power-curves",
@@ -200,6 +219,17 @@ def test_variation_second(capsys):
                         "--grid", "16"], capsys)
     assert code == 0
     assert "mixed second variation" in out
+
+
+def test_variation_second_of_bi_energy_is_a_usage_error(capsys):
+    code, out, err = run(["variation", "--spec", "builtin:linear-torus",
+                          "--field", "v", "--field2", "w", "--second",
+                          "--energy", "bisym", "--grid", "16"], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "bi-energy" in lines[0] and "not implemented" in lines[0]
 
 
 def test_variation_step_too_large(tmp_path, capsys):

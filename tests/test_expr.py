@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,23 @@ def test_domain_error_names_subexpression():
     with pytest.raises(ex.EvalDomainError) as err:
         ex.eval_value(tree, ["x"], [1.0])
     assert "log" in str(err.value)
+    assert err.value.node is tree
+    tree = ex.parse("1 + log(x - 5)", ["x"])
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.eval_jet(tree, ["x"], [1.0], 2)
+    assert err.value.node is tree.right
+
+
+def test_evaluated_expression_is_freed_without_the_cycle_collector():
+    tree = ex.parse("sin(x) * x + 1", ["x"])
+    ex.eval_value(tree, ["x"], [0.5])  # compiles and caches the tape
+    ref = weakref.ref(tree)
+    gc.disable()
+    try:
+        del tree
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_constant_expression_evaluates_without_env():

@@ -213,6 +213,28 @@ def test_batched_metric_and_frame_match_pointwise(sphere2, rng):
             sphere2, pts[:, k]).gamma, rtol=1e-14, atol=1e-15)
 
 
+def test_batched_scalar_field_operators_match_pointwise(sphere2, rng):
+    f = ex.parse("sin(t1) * cos(t2) + t1^2", sphere2.coords)
+    pts = np.array(sphere2.sample_points(6, rng, shrink=0.05)).T  # (2, 6)
+    grad = geo.gradient(sphere2, f, pts)
+    hess = geo.hessian(sphere2, f, pts)
+    lap = geo.laplacian(sphere2, f, pts)
+    assert grad.shape == (2, 6) and hess.shape == (2, 2, 6)
+    assert lap.shape == (6,)
+    for k in range(6):
+        x = pts[:, k]
+        one_grad = geo.gradient(sphere2, f, x)
+        one_hess = geo.hessian(sphere2, f, x)
+        one_lap = geo.laplacian(sphere2, f, x)
+        assert one_grad.shape == (2,) and one_hess.shape == (2, 2)
+        assert isinstance(one_lap, float)
+        scale = np.abs(one_hess).max()
+        assert np.abs(grad[:, k] - one_grad).max() <= 1e-14 * np.abs(
+            one_grad).max()
+        assert np.abs(hess[..., k] - one_hess).max() <= 1e-14 * scale
+        assert abs(lap[k] - one_lap) <= 1e-13 * scale
+
+
 def test_batched_checks_name_the_first_failing_point(sphere2):
     # points 1 and 3 fail; the batch raises what point 1 alone raises
     pts = np.array([[1.0, 0.01, 1.5, 3.1], [0.5, 1.0, 2.0, 0.5]])
