@@ -17,6 +17,7 @@ seeds give byte-identical reports (timing aside).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -396,7 +397,11 @@ def cmd_flow(args) -> int:
 # entry point ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: argparse's parsers, actions
+    and formatters form reference cycles, which a parser per call would
+    leave to the cycle collector."""
     parser = argparse.ArgumentParser(
         prog="symphonic",
         description="Numerical toolkit for symphonic and bi-symphonic maps.",

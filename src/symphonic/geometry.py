@@ -13,8 +13,10 @@ R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
 Points x have shape (m, ...): coordinate first, then any batch axes.
 Metric values, inverses, Christoffel arrays, frames and the gradient,
 Hessian and Laplacian of a scalar field carry the same trailing batch
-axes after their index axes, and metric and Christoffel jets are
-batched jets (see ``jet``).  A single point (m,) is the batch of one
+axes after their index axes.  Metric jets, their inverse and the
+Christoffel jets are jet arrays (see ``jet``): coefficients
+(size, m, m, ...) and (size, m, m, m, ...), and the Christoffels are
+one jet.einsum contraction.  A single point (m,) is the batch of one
 and gives unbatched arrays and floats.  Domain and
 positive-definiteness checks run over the whole batch and name the
 first failing point, with the text the pointwise call at that point
@@ -23,13 +25,12 @@ raises.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
-from .jet import Jet, first_failure, s_value
+from .jet import Jet, einsum, first_failure, stack
 
 SPD_EIGENVALUE_FLOOR = 1e-10
 # uniform draws ManifoldModel.sample_points spends on one point
@@ -215,7 +216,7 @@ class MetricAtPoint:
     values: np.ndarray
     inverse: np.ndarray
     sqrt_det: float
-    jets: list = None  # m x m nested list of Jet when requested
+    jets: Jet = None  # (m, m) jet array when requested
 
 
 @dataclass
@@ -235,61 +236,16 @@ class Frame:
     vectors: np.ndarray  # [i, component]
 
 
-# generic small linear algebra (floats or jets) ---------------------------
-
-
-def _is_zero_scalar(v):
-    if isinstance(v, Jet):
-        return not v.coeffs.any()
-    return v == 0.0
-
-
-def mat_inv(rows):
-    """Invert a small symmetric positive-definite matrix of scalars
-    (floats or jets, possibly batched) by Gauss-Jordan elimination.
-
-    Row exchanges are not needed for such matrices (the metrics this
-    is used on), so one elimination order serves every point of a
-    batch.  Diagonal matrices short-circuit to entrywise reciprocals."""
-    m = len(rows)
-    if all(_is_zero_scalar(rows[i][j])
-           for i in range(m) for j in range(m) if i != j):
-        out = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            out[i][i] = 1.0 / rows[i][i]
-        return out
-    a = [list(r) for r in rows]
-    inv = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    for col in range(m):
-        if np.any(abs(s_value(a[col][col])) < 1e-300):
-            raise NonSPDError("metric matrix is numerically singular")
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(m):
-            if r == col:
-                continue
-            f = a[r][col]
-            if isinstance(f, float) and f == 0.0:
-                continue
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
-
-
 # metric evaluation --------------------------------------------------------
 
 
-def metric_jets(model: ManifoldModel, x, order: int):
-    """Jets of every metric coefficient at x."""
+def metric_jets(model: ManifoldModel, x, order: int) -> Jet:
+    """Jets of the metric coefficients at x, as an (m, m) jet array."""
     m = model.dim
-    out = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            jet = ex.eval_jet(model.metric[i][j], model.coords, x, order)
-            out[i][j] = jet
-            out[j][i] = jet
-    return out
+    jets = {(i, j): ex.eval_jet(model.metric[i][j], model.coords, x, order)
+            for i in range(m) for j in range(i, m)}
+    return stack([stack([jets[min(i, j), max(i, j)] for j in range(m)])
+                  for i in range(m)])
 
 
 def metric_values(model: ManifoldModel, x) -> np.ndarray:
@@ -337,7 +293,7 @@ def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
     jets = None
     if order >= 1:
         jets = metric_jets(model, x, order)
-        values = np.array([[jet.value for jet in row] for row in jets])
+        values = jets.value
     else:
         values = metric_values(model, x)
     mats = _matrices(values)
@@ -355,53 +311,39 @@ def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
     return MetricAtPoint(values, inverse, sqrt_det, jets)
 
 
-def christoffel_jets(g_jets):
-    """Christoffel symbol jets from metric coefficient jets.
+def inverse_jets(g_jets: Jet) -> Jet:
+    """Inverse of an (m, m) jet array of SPD matrices: np.linalg.inv of
+    the value G0, then G^-1 = sum_k (-G0^-1 N)^k G0^-1 over the
+    nilpotent part N, a finite sum at the jet's order."""
+    ginv0 = _from_matrices(np.linalg.inv(_matrices(g_jets.value)))
+    step = -einsum("ij...,jk...->ik...", ginv0, g_jets)
+    step.coeffs[0] = 0.0  # -G0^-1 N
+    out = Jet.constant(ginv0, g_jets.nvars, g_jets.order, ginv0.shape)
+    term = ginv0
+    for _ in range(g_jets.order):
+        term = einsum("ij...,jk...->ik...", step, term)
+        out = out + term
+    return out
 
-    Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij});
+
+def christoffel_jets(g_jets: Jet) -> Jet:
+    """Christoffel symbol jets [k, i, j] from an (m, m) metric jet array,
+
+        Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij});
+
     the result order is one below the metric jet order.
     """
-    m = len(g_jets)
-    ginv = mat_inv(g_jets)
-    dg = [[[g_jets[i][j].partial(l) for j in range(m)] for i in range(m)]
-          for l in range(m)]
-    gamma = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                acc = 0.0
-                for l in range(m):
-                    if _is_zero_scalar(ginv[k][l]):
-                        continue
-                    paren = dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                    if _is_zero_scalar(paren):
-                        continue
-                    acc = acc + ginv[k][l] * paren
-                val = 0.5 * acc
-                gamma[k][i][j] = val
-                gamma[k][j][i] = val
-    return gamma
+    half_ginv = 0.5 * inverse_jets(g_jets.truncate(g_jets.order - 1))
+    dg = g_jets.partials()  # [l, i, j] = d_l g_ij
+    paren = einsum("ijl...->lij...", dg) + einsum("jil...->lij...", dg) - dg
+    return einsum("kl...,lij...->kij...", half_ginv, paren)
 
 
-def christoffel_arrays(gam_jets, derivs: bool = False):
-    """(gamma[k, i, j, ...], dgamma[l, k, i, j, ...]) from Christoffel
-    jets.
-
-    Entries of gam_jets are jets or, where they vanish identically,
-    floats; the arrays take the batch axes of the jets.  dgamma holds
-    the first partials d_l Gamma^k_{ij} and needs jets of order >= 1;
-    it is None unless derivs."""
-    m = len(gam_jets)
-    batch = next((c.batch for row in gam_jets for col in row for c in col
-                  if isinstance(c, Jet)), ())
-    gamma = np.empty((m, m, m) + batch)
-    dgamma = np.zeros((m, m, m, m) + batch) if derivs else None
-    for k, i, j in itertools.product(range(m), repeat=3):
-        c = gam_jets[k][i][j]
-        gamma[k, i, j] = s_value(c)
-        if derivs and isinstance(c, Jet):
-            dgamma[:, k, i, j] = c.gradient()
-    return gamma, dgamma
+def christoffel_arrays(gam_jets: Jet, derivs: bool = False):
+    """(gamma[k, i, j, ...], dgamma[l, k, i, j, ...]) from a Christoffel
+    jet array: its value and, if derivs, its gradient (first partials
+    d_l Gamma^k_{ij}, which need jets of order >= 1); else None."""
+    return gam_jets.value, gam_jets.gradient() if derivs else None
 
 
 def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
@@ -475,13 +417,10 @@ def gradient(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
 def hessian(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
     """Covariant Hessian components d_i d_j f - Gamma^k_{ij} d_k f,
     (m, m, ...) at points x (m, ...)."""
-    m = model.dim
     jet = ex.eval_jet(f, model.coords, x, 2)
-    d2 = np.array([[jet.derivative([int(i == k) + int(j == k)
-                                    for k in range(m)])
-                    for j in range(m)] for i in range(m)])
     gamma = christoffel(model, x).gamma
-    return d2 - np.einsum("kij...,k...->ij...", gamma, jet.gradient())
+    return jet.hessian() - np.einsum("kij...,k...->ij...", gamma,
+                                     jet.gradient())
 
 
 def laplacian(model: ManifoldModel, f: ex.Expr, x):

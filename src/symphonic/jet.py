@@ -15,6 +15,17 @@ of one with no trailing axes, shape (size,), and runs through the same
 code.  Accessors return floats for a pointwise jet and arrays over the
 batch axes otherwise.
 
+A jet array is a jet of a tensor: its coefficients are
+(size, *tensor_axes, *batch), the tensor axes before the batch axes
+(stack builds one from a list of jets).  No other class is needed: +,
+-, scalar *, value, gradient, hessian and partials act entrywise, and
+einsum(subscripts, *operands) is np.einsum over jet arrays and plain
+arrays alike: a product of two jet arrays contracts their tensor axes
+with np.einsum coefficient by coefficient, through the space's product
+table (Taylor-mode arithmetic on whole tensors).  A kernel written once
+with einsum thus runs on floats, where einsum is np.einsum, and on
+jets.
+
 Domain checks (log of a non-positive value, overflow, a NaN or
 infinite argument of an analytic function, ...) look at every point of
 the batch.  The JetDomainError names the first point, in C order of the
@@ -29,6 +40,7 @@ the two orders (truncation is exact for the common coefficients).
 from __future__ import annotations
 
 import math
+import string
 from functools import lru_cache
 
 import numpy as np
@@ -90,19 +102,21 @@ class JetSpace:
         self.monomials = monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: k for k, m in enumerate(self.monomials)}
-        # multiplication: gather a[i] * b[j], then scatter the products
-        # onto coefficient k with one 0/1 matrix
-        ii, jj, kk = [], [], []
-        for i, a in enumerate(self.monomials):
-            for j, b in enumerate(self.monomials):
-                if sum(a) + sum(b) <= order:
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(self.index[tuple(x + y for x, y in zip(a, b))])
-        self._mul_i = np.asarray(ii, dtype=np.intp)
-        self._mul_j = np.asarray(jj, dtype=np.intp)
-        self._scatter = np.zeros((self.size, len(kk)))
-        self._scatter[kk, np.arange(len(kk))] = 1.0
+        # the product table: a[i] * b[j] lands on coefficient k.  By
+        # left factor i, the right factors are the first n monomials
+        # (those of low enough degree), and their products land on
+        # distinct k; sorted by k, the pairs of each k are one segment.
+        self._by_left = []
+        for a in self.monomials:
+            k = [self.index[tuple(x + y for x, y in zip(a, b))]
+                 for b in self.monomials if sum(a) + sum(b) <= order]
+            self._by_left.append((len(k), np.asarray(k, dtype=np.intp)))
+        counts = [n for n, _ in self._by_left]
+        kk = np.concatenate([k for _, k in self._by_left])
+        by_k = np.argsort(kk, kind="stable")
+        self._mul_i = np.repeat(np.arange(self.size), counts)[by_k]
+        self._mul_j = np.concatenate([np.arange(n) for n in counts])[by_k]
+        self._mul_starts = np.searchsorted(kk[by_k], np.arange(self.size))
         # partial-derivative extraction tables, one per variable
         self._deriv = []
         if order >= 1:
@@ -122,16 +136,33 @@ class JetSpace:
         self._factorials = np.array(
             [math.prod(math.factorial(a) for a in m) for m in self.monomials]
         )
+        # second-partial extraction: the index of e_i + e_j
+        if order >= 2:
+            units = [_unit(v, nvars) for v in range(nvars)]
+            self._hess = np.array([[self.index[tuple(map(sum, zip(u, w)))]
+                                    for w in units] for u in units])
+
+    def contract(self, subscripts: str, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+        """Truncated product of the jet arrays with coefficients a and b,
+        contracted by np.einsum(subscripts) (one coefficient of a against
+        the coefficient axis of b) per left factor of the product table:
+        no pair is gathered, so temporaries stay the size of the result."""
+        out = None
+        for i, (n, k) in enumerate(self._by_left):
+            prod = np.einsum(subscripts, a[i], b[:n])
+            if out is None:  # the constant term pairs with every monomial
+                out = prod
+            else:
+                out[k] += prod
+        return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product of two coefficient arrays (size, ...) with
-        broadcastable batch axes: one gather and one scatter for the
-        whole batch."""
-        prod = a[self._mul_i] * b[self._mul_j]
-        if prod.ndim <= 2:
-            return self._scatter @ prod
-        flat = self._scatter @ prod.reshape(len(prod), -1)
-        return flat.reshape((self.size,) + prod.shape[1:])
+        broadcastable batch axes: one gather of the pairs and one sum
+        per coefficient for the whole batch."""
+        return np.add.reduceat(a[self._mul_i] * b[self._mul_j],
+                               self._mul_starts, axis=0)
 
 
 def _scalar(v):
@@ -233,7 +264,8 @@ class Jet:
 
     @property
     def batch(self) -> tuple:
-        """Shape of the batch axes, () for a pointwise jet."""
+        """Shape of the axes after the coefficient axis: the batch axes,
+        () for a pointwise jet, and the tensor axes of a jet array."""
         return self.coeffs.shape[1:]
 
     @property
@@ -262,12 +294,19 @@ class Jet:
 
         The result has order one less than this jet.
         """
+        d = self.partials()
+        return Jet(d.space, d.coeffs[:, var])
+
+    def partials(self) -> "Jet":
+        """Jet array of the first partials, one order lower, with a new
+        leading tensor axis over the variables: (nvars, ...)."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        src, dst, fac = self.space._deriv[var]
         sp = _space(self.nvars, self.order - 1)
-        c = np.zeros((sp.size,) + self.batch)
-        c[dst] = self.coeffs[src] * fac.reshape((-1,) + (1,) * len(self.batch))
+        c = np.zeros((sp.size, self.nvars) + self.batch)
+        lift = (-1,) + (1,) * len(self.batch)
+        for v, (src, dst, fac) in enumerate(self.space._deriv):
+            c[dst, v] = self.coeffs[src] * fac.reshape(lift)
         return Jet(sp, c)
 
     def gradient(self) -> np.ndarray:
@@ -275,6 +314,14 @@ class Jet:
         if self.order < 1:
             raise ValueError("an order-0 jet has no gradient")
         return self.coeffs[self.space._grad]
+
+    def hessian(self) -> np.ndarray:
+        """Second partials, shape (nvars, nvars, ...)."""
+        if self.order < 2:
+            raise ValueError("a jet of order below 2 has no hessian")
+        k = self.space._hess
+        lift = k.shape + (1,) * len(self.batch)
+        return self.coeffs[k] * self.space._factorials[k].reshape(lift)
 
     def __repr__(self):
         return f"Jet(order={self.order}, batch={self.batch}, value={self.value!r})"
@@ -473,14 +520,16 @@ def jet_pow(jet: Jet, exponent: float) -> Jet:
 def compose(outer: Jet, inner: list[Jet]) -> Jet:
     """Substitute inner jets for the variables of an outer jet.
 
-    outer is a jet in len(inner) variables; each inner jet shares one
-    common space and batch, which outer either shares or lacks.  The
-    result is the jet of the composite function in the inner
-    variables, truncated at min(outer.order, inner order).
+    outer is a jet in len(inner) variables, or a jet array of them;
+    each inner jet shares one common space and batch.  outer carries
+    that batch after its tensor axes, or is a scalar jet without one.
+    The result is the jet (array) of the composite function in the
+    inner variables, truncated at min(outer.order, inner order).
     """
     if len(inner) != outer.nvars:
         raise ValueError("composition needs one inner jet per outer variable")
     sp_in = inner[0].space
+    batch = inner[0].batch
     order = min(outer.order, sp_in.order)
     sp_out = _space(sp_in.nvars, order)
     # displacement jets (zero constant term), with power caches
@@ -492,7 +541,9 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
         for k in range(2, order + 1):
             cache.append(sp_out.mul(cache[-1], d))
         powers.append(cache)
-    out = np.zeros((sp_out.size,) + inner[0].batch)
+    tensor = outer.coeffs.shape[1:max(outer.coeffs.ndim - len(batch), 1)]
+    lift = (slice(None),) + (None,) * len(tensor)  # room for the tensor axes
+    out = np.zeros((sp_out.size,) + tensor + batch)
     for idx, beta in enumerate(monomials(outer.nvars, outer.order)):
         if sum(beta) > order:
             continue
@@ -508,8 +559,94 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
         if term is None:
             out[0] += c
         else:
-            out += c * term
+            out += c * term[lift]
     return Jet(sp_out, out)
+
+
+def stack(jets) -> Jet:
+    """The jet array (len(jets), ...) of jets of one space and batch; a
+    jet array is returned as it is."""
+    if isinstance(jets, Jet):
+        return jets
+    return Jet(jets[0].space, np.stack([j.coeffs for j in jets], axis=1))
+
+
+# contraction of jet arrays --------------------------------------------------
+
+
+def einsum(subscripts: str, *operands):
+    """np.einsum(subscripts, *operands) over jet arrays and plain arrays.
+
+    subscripts name the tensor and batch axes, with an explicit output;
+    a jet's coefficient axis is implicit.  The operands are contracted
+    pairwise in the order np.einsum_path (greedy) picks for their tensor
+    shapes: two jets at their common order through the product table
+    (JetSpace.contract), a jet and a plain array linearly.  Without a
+    jet operand this is exactly np.einsum.
+    """
+    for op in operands:  # the float path allocates nothing more
+        if isinstance(op, Jet):
+            break
+    else:
+        return np.einsum(subscripts, *operands)
+    jets = tuple(isinstance(op, Jet) for op in operands)
+    shapes = tuple(op.coeffs.shape[1:] if jet else np.shape(op)
+                   for op, jet in zip(operands, jets))
+    ops = list(operands)
+    for picked, spec, kind in _einsum_plan(subscripts, shapes, jets):
+        args = [ops.pop(k) for k in picked]
+        if kind == "product":
+            a, b = args
+            if a.nvars != b.nvars:
+                raise ValueError("jets over different variable counts")
+            sp = a.space if a.order <= b.order else b.space
+            # the lower order's table indexes a prefix of either jet
+            ops.append(Jet(sp, sp.contract(spec, a.coeffs, b.coeffs)))
+        elif kind == "linear":
+            space = next(a.space for a in args if isinstance(a, Jet))
+            ops.append(Jet(space, np.einsum(
+                spec, *(a.coeffs if isinstance(a, Jet) else a for a in args))))
+        else:
+            ops.append(np.einsum(spec, *args))
+    return ops[0]
+
+
+@lru_cache(maxsize=1024)
+def _einsum_plan(subscripts, shapes, jets):
+    """Steps (operand positions to pop, np.einsum subscripts, kind) of
+    einsum, with kind "product" (two jets), "linear" (one jet) or
+    "plain"; memoized on the subscripts and the operand shapes."""
+    inputs, output = subscripts.replace(" ", "").split("->")
+    terms = inputs.split(",")
+    # the batch axes are broadcast, so the tensor axes alone set the order
+    dummies = [np.broadcast_to(0.0, shape[:len(term.replace("...", ""))])
+               for term, shape in zip(terms, shapes)]
+    path = np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]
+    if any(len(step) > 2 for step in path):  # nothing summed: any pairs
+        path = [(0, 1)] * (len(terms) - 1)
+    coeff = next(c for c in string.ascii_letters if c not in subscripts)
+    jets = list(jets)
+    steps = []
+    for step in path:
+        picked = tuple(sorted(step, reverse=True))
+        ins = [terms.pop(k) for k in picked]
+        kinds = [jets.pop(k) for k in picked]
+        out = output
+        if terms:  # keep what a later operand or the output needs
+            keep = set("".join(terms) + output)
+            letters = "".join(ins).replace("...", "")
+            out = "".join(dict.fromkeys(c for c in letters if c in keep))
+            out += "..." if any("..." in t for t in ins) else ""
+        terms.append(out)
+        jets.append(any(kinds))
+        kind = ("plain", "linear", "product")[sum(kinds)]
+        if kind == "product":  # one coefficient of the first factor
+            kinds[0] = False
+        if kind != "plain":
+            ins = [coeff + t if j else t for t, j in zip(ins, kinds)]
+            out = coeff + out
+        steps.append((picked, ",".join(ins) + "->" + out, kind))
+    return tuple(steps)
 
 
 # scalar dispatch helpers (accept jets, floats or arrays of floats) ------
@@ -563,8 +700,3 @@ def s_pow(x, e):
     _reject(x, *domain, (_is_inf(out) & np.isfinite(x),
                          "{!r} to the power " + repr(e) + " overflows"))
     return out
-
-
-def s_value(x):
-    """The value of a jet, float or array of floats."""
-    return x.value if isinstance(x, Jet) else x

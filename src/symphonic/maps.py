@@ -3,10 +3,13 @@
 The central objects are coefficient tables (values of the map
 partials, both metrics, both Christoffel families) from which the
 differential, pullback metric, second fundamental form, tension field,
-symphonic stress and symphonic tension are assembled.  The symphonic
-tension and the energy density are written once, as the kernels tau_s
-and energy_density over trailing batch axes; the pointwise functions,
-the mesh integrals and the grid flow all call them.
+symphonic stress and symphonic tension are assembled.  The second
+fundamental form, the symphonic tension and the energy density are
+written once, as the kernels nabla_dphi, tau_s and energy_density over
+trailing batch axes; the pointwise functions, the mesh integrals and
+the grid flow all call them.  nabla_dphi and tau_s contract with
+jet.einsum, so they run on jet arrays too: the jet-valued tension that
+feeds the bi-tension is tau_s on jets (see ``variational``).
 
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
@@ -30,14 +33,13 @@ Index conventions for tables at a point x:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .jet import Jet
+from .jet import Jet, einsum, stack
 
 __all__ = [
     "MapSpec", "TangentField", "MapTables",
@@ -45,7 +47,7 @@ __all__ = [
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
     "map_tables", "tables_from_jets", "tau_s_from_tables",
-    "tau_s", "energy_density", "frame_metric", "h_inner",
+    "nabla_dphi", "tau_s", "energy_density", "frame_metric", "h_inner",
 ]
 
 
@@ -186,24 +188,17 @@ def source_point_data(source: geo.ManifoldModel, x):
 def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
                      frame: np.ndarray = None, source_data=None) -> MapTables:
     """Assemble tables at points x (m, ...) from already-evaluated
-    component jets of order >= 2 at those points (the oracle feeds
-    deformed jets through here)."""
+    component jets of order >= 2 at those points, a list or an (n,) jet
+    array (the oracle feeds deformed jets through here)."""
     x = np.asarray(x, dtype=float)
-    m = spec.source.dim
-    phi = np.array([jet.value for jet in comp_jets])
-    d1 = np.swapaxes(np.array([jet.gradient() for jet in comp_jets]), 0, 1)
-    d2 = np.empty((m, m) + phi.shape)
-    for i, j in itertools.product(range(m), repeat=2):
-        beta = tuple(int(i == k) + int(j == k) for k in range(m))
-        d2[i, j] = [jet.derivative(beta) for jet in comp_jets]
+    phi_jets = stack(comp_jets)
+    phi, d1, d2 = phi_jets.value, phi_jets.gradient(), phi_jets.hessian()
     if source_data is None:
         source_data = source_point_data(spec.source, x)
     met, gammaM, default_frame = source_data
     h, gammaN, dgammaN, riemN = _target_data(
         spec.target, phi, 2 if curvature else 1)
-    sff = (d2
-           - np.einsum("kij...,ka...->ija...", gammaM, d1)
-           + np.einsum("abc...,ib...,jc...->ija...", gammaN, d1, d1))
+    sff = nabla_dphi(d2, gammaM, d1, gammaN)
     if frame is None:
         frame = default_frame
     return MapTables(spec, x, phi, d1, d2,
@@ -223,7 +218,23 @@ def map_tables(spec: MapSpec, x, curvature: bool = False,
 # Coordinate form over trailing batch axes: every array may carry the
 # same extra axes ... after its index axes (grid nodes, sample points),
 # and arrays without them broadcast.  gi stands for sum_i e_i e_i^T over
-# an orthonormal frame, which is the inverse source metric.
+# an orthonormal frame, which is the inverse source metric.  Kernels
+# that contract with jet.einsum take jet arrays as well.
+
+
+def nabla_dphi(d2, gammaM, d1, gammaN):
+    """Covariant second fundamental form
+
+        (nabla dphi)_ij^a = d_i d_j phi^a - Gamma^k_{ij} d_k phi^a
+                          + Gamma^a_{bc}(phi) d_i phi^b d_j phi^c
+
+    from d2 (m, m, n, ...), gammaM (m, m, m, ...), d1 (m, n, ...) and
+    gammaN (n, n, n, ...) along the map, None for a flat target.
+    """
+    out = d2 - einsum("kij...,ka...->ija...", gammaM, d1)
+    if gammaN is None:
+        return out
+    return out + einsum("abc...,ib...,jc...->ija...", gammaN, d1, d1)
 
 
 def tau_s(gi, h, d1, sff):
@@ -236,17 +247,17 @@ def tau_s(gi, h, d1, sff):
     with S the second fundamental form; gi (m, m, ...), h (n, n, ...),
     d1 (m, n, ...), sff (m, m, n, ...).
     """
-    hs_d = np.einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)  # h(S_pq, d_r)
-    hd_d = np.einsum("pa...,ab...,rb...->pr...", d1, h, d1)     # h(d_p, d_r)
-    term1 = np.einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, hs_d, d1)
-    term2 = np.einsum("pq...,rs...,qrp...,sa...->a...", gi, gi, hs_d, d1)
-    term3 = np.einsum("pq...,rs...,pr...,qsa...->a...", gi, gi, hd_d, sff)
+    hs_d = einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)  # h(S_pq, d_r)
+    hd_d = einsum("pa...,ab...,rb...->pr...", d1, h, d1)     # h(d_p, d_r)
+    term1 = einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, hs_d, d1)
+    term2 = einsum("pq...,rs...,qrp...,sa...->a...", gi, gi, hs_d, d1)
+    term3 = einsum("pq...,rs...,pr...,qsa...->a...", gi, gi, hd_d, sff)
     return term1 + term2 + term3
 
 
 def h_inner(u, h, w):
     """h(u, w) at every point: u, w (n, ...), h (n, n, ...)."""
-    return np.einsum("a...,ab...,b...->...", u, h, w)
+    return einsum("a...,ab...,b...->...", u, h, w)
 
 
 def frame_metric(frame):
@@ -270,8 +281,7 @@ def energy_density(frame, h, d1):
 def differential(spec: MapSpec, x) -> np.ndarray:
     """d phi_x as an (n x m) matrix in coordinate bases."""
     spec.source.require_inside(x)
-    jets = spec.component_jets(x, 1)
-    return np.array([jet.gradient() for jet in jets])
+    return np.swapaxes(stack(spec.component_jets(x, 1)).gradient(), 0, 1)
 
 
 def pullback_metric(spec: MapSpec, x) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import maps as mp
+from .jet import stack
 from .mesh import Mesh, pairwise_sum
 
 DEFAULT_FIRST_STEP = 1e-3
@@ -58,24 +59,23 @@ class Deformation:
         coords = spec.source.coords
         order = 1 if energy == ENERGY_SYM else 2
         x = mesh.points.T
-        cj = spec.component_jets(x, order)
-        vj = self.v.jets(coords, x, order)
-        wj = self.w.jets(coords, x, order) if self.w is not None else None
+        cj = stack(spec.component_jets(x, order))
+        vj = stack(self.v.jets(coords, x, order))
+        wj = None if self.w is None else stack(self.w.jets(coords, x, order))
         src = mp.source_point_data(spec.source, x) if order == 2 else \
             (None, None, geo.frame_at(spec.source, x).vectors)
 
         def energy_at(s: float, t: float) -> float:
-            jets = [c + t * v for c, v in zip(cj, vj)]
+            jets = cj + t * vj
             if wj is not None and s != 0.0:
-                jets = [c + s * w for c, w in zip(jets, wj)]
+                jets = jets + s * wj
             try:
                 if energy == ENERGY_SYM:
-                    y = np.array([j.value for j in jets])
+                    y = jets.value
                     spec.target.require_inside(y)
-                    d1 = np.swapaxes(np.array([j.gradient() for j in jets]),
-                                     0, 1)
                     dens = mp.energy_density(
-                        src[2], geo.metric_values(spec.target, y), d1)
+                        src[2], geo.metric_values(spec.target, y),
+                        jets.gradient())
                 else:
                     t2 = mp.tables_from_jets(spec, x, jets, source_data=src)
                     tau = mp.tau_s_from_tables(t2)

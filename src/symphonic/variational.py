@@ -20,20 +20,22 @@ pullback connection).  Two variants are exposed:
     by exactly the E and F contributions.
 
 The bi-tension is this operator applied to the symphonic tension of
-the map itself, evaluated through jet-valued fields.
+the map itself, evaluated through jet-valued fields: tau_s_jets is the
+kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
+one formula for floats and jets.
 
-jacobi_groups is the one float implementation of the six groups.  It
-works in coordinate form: each frame sum over i becomes a contraction
-with gi = sum_i e_i e_i^T, which equals g^{-1} for an orthonormal
-frame.  Every array may carry trailing batch axes.  The pointwise
-paths pass gi = E^T E for their frame E (rows e_i), so a rotated frame
-is still a real input.  The grid flow passes its whole grid at once.
+jacobi_groups is the one implementation of the six groups.  It works
+in coordinate form: each frame sum over i becomes a contraction with
+gi = sum_i e_i e_i^T, which equals g^{-1} for an orthonormal frame.
+Every array may carry trailing batch axes.  The pointwise paths pass
+gi = E^T E for their frame E (rows e_i), so a rotated frame is still a
+real input.  The grid flow passes its whole grid at once.
 
 The jet-valued side is batched the same way.  tau_s_jets,
-_composed_target_jets, field_covariant_data, bi_tension and
-jacobi_operator take points x of shape (m, ...) and run their jet
-algebra once over all of them (see ``jet``); a single point (m,) is the
-batch of one through the same code.  The mesh integrals
+field_covariant_data, bi_tension and jacobi_operator take points x of
+shape (m, ...) and run their jet algebra once over all of them, on jet
+arrays whose tensor axes come before the batch axes; a single point
+(m,) is the batch of one through the same code.  The mesh integrals
 (symphonic_energy, bi_energy and the three pairings) therefore make one
 call over all quadrature nodes and reduce the node values with
 mesh.pairwise_sum in node order, so they equal the sum of pointwise
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import maps as mp
-from .jet import Jet, compose
+from .jet import compose, einsum, stack
 from .mesh import Mesh
 
 REDUCED = "reduced"
@@ -65,58 +67,36 @@ def _check_variant(variant):
 # target data composed along the map ---------------------------------------
 
 
-def _composed_target_jets(target, comp_jets, gamma_order):
-    """h  and Gamma^N along the map, as jets in the source variables
-    with the batch axes of comp_jets.
-
-    gamma_order is the requested order of the composed Christoffel
-    jets; the metric jets come out one order higher.
-    """
-    n = target.dim
+def _composed_target_jets(target, comp_jets, order):
+    """h (n, n) and Gamma^N (n, n, n) along the map, as jet arrays of
+    the given order in the source variables with the batch axes of
+    comp_jets; a constant target metric gives its matrix and None."""
     h_const = geo.constant_metric(target)
     if h_const is not None:
-        gam_phi = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        return h_const.tolist(), gam_phi
+        return h_const, None
     y0 = np.array([j.value for j in comp_jets])
-    target.require_inside(y0)
-    g_yjets = geo.metric_jets(target, y0, gamma_order + 1)
-    gam_yjets = geo.christoffel_jets(g_yjets)
-    h_phi = [[compose(g_yjets[a][b], comp_jets) for b in range(n)]
-             for a in range(n)]
-    gam_phi = [[[compose(_as_jet(gam_yjets[a][b][c], n, gamma_order,
-                                 y0.shape[1:]), comp_jets)
-                 for c in range(n)] for b in range(n)] for a in range(n)]
-    return h_phi, gam_phi
+    met = geo.metric_at(target, y0, order + 1)
+    return (compose(met.jets.truncate(order), comp_jets),
+            compose(geo.christoffel_jets(met.jets), comp_jets))
 
 
-def _as_jet(v, nvars, order, batch):
-    if isinstance(v, Jet):
-        return v
-    return Jet.constant(float(v), nvars, order, batch)
-
-
-def _hdot(h, u, w):
-    """h-inner product for lists of scalars (floats or jets)."""
-    n = len(u)
-    acc = 0.0
-    for a in range(n):
-        for b in range(n):
-            hab = h[a][b]
-            if geo._is_zero_scalar(hab):
-                continue
-            if isinstance(hab, float) and hab == 1.0:
-                acc = acc + u[a] * w[b]
-            else:
-                acc = acc + hab * u[a] * w[b]
-    return acc
+def _source_jets(source, x, order):
+    """g^-1 (m, m) and Gamma^M (m, m, m) at points x, as jet arrays of
+    the given order; a constant source metric gives plain arrays."""
+    if geo.constant_metric(source) is not None:
+        m = source.dim
+        return geo.metric_at(source, x).inverse, np.zeros((m, m, m))
+    met = geo.metric_at(source, x, order + 1)
+    return (geo.inverse_jets(met.jets.truncate(order)),
+            geo.christoffel_jets(met.jets))
 
 
 # jet-valued symphonic tension ----------------------------------------------
 
 
 def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
-    """Symphonic tension components as source-variable jets at points
-    x (m, ...).
+    """Symphonic tension as an (n,) jet array in the source variables
+    at points x (m, ...): maps.tau_s on jet arrays.
 
     With component jets of order p the result has order p - 2, which
     feeds the bi-tension assembly (p = 4 gives the required order 2).
@@ -127,72 +107,14 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
     p = comp_jets[0].order
     if p < 3:
         raise ValueError("tau_s_jets needs component jets of order >= 3")
-    m, n = spec.source.dim, spec.target.dim
-    d1 = [[comp_jets[a].partial(i) for a in range(n)] for i in range(m)]
-    g_jets = geo.metric_jets(spec.source, x, p - 1)
-    gammaM = geo.christoffel_jets(g_jets)
-    ginv = geo.mat_inv(g_jets)
-    h_phi, gam_phi = _composed_target_jets(spec.target, comp_jets, p - 2)
-    # covariant second fundamental form, jet entries of order p - 2
-    zero = geo._is_zero_scalar
-    sff = [[[None] * n for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            for a in range(n):
-                acc = d1[i][a].partial(j)
-                for k in range(m):
-                    if not zero(gammaM[k][i][j]):
-                        acc = acc - gammaM[k][i][j] * d1[k][a]
-                for b in range(n):
-                    for c in range(n):
-                        gj = gam_phi[a][b][c]
-                        if zero(gj):
-                            continue
-                        acc = acc + gj * d1[i][b] * d1[j][c]
-                sff[i][j][a] = acc
-            sff[j][i] = sff[i][j]
-    # raised objects (skip vanishing inverse-metric entries)
-    draise = [[None] * n for _ in range(m)]
-    for q in range(m):
-        for a in range(n):
-            acc = 0.0
-            for pp in range(m):
-                if not zero(ginv[pp][q]):
-                    acc = acc + ginv[pp][q] * d1[pp][a]
-            draise[q][a] = acc
-    tension = [None] * n
-    for a in range(n):
-        acc = 0.0
-        for pp in range(m):
-            for q in range(m):
-                if not zero(ginv[pp][q]):
-                    acc = acc + ginv[pp][q] * sff[pp][q][a]
-        tension[a] = acc
-    # term 1: sum_s h(tension, draise_s) d1_s
-    t_r = [_hdot(h_phi, tension, d1[r]) for r in range(m)]
-    # term 2 coefficients: c_r = sum_q h(draise_q, sff_qr)
-    c_r = []
-    for r in range(m):
-        acc = 0.0
-        for q in range(m):
-            acc = acc + _hdot(h_phi, draise[q], sff[q][r])
-        c_r.append(acc)
-    out = []
-    for a in range(n):
-        acc = 0.0
-        for r in range(m):
-            tc = t_r[r] + c_r[r]
-            for s in range(m):
-                if not zero(ginv[r][s]):
-                    acc = acc + ginv[r][s] * tc * d1[s][a]
-        # term 3: sum_{q,s} h(draise_q, draise_s) sff_qs
-        for q in range(m):
-            for s in range(m):
-                acc = acc + _hdot(h_phi, draise[q], draise[s]) * sff[q][s][a]
-        out.append(acc if isinstance(acc, Jet)
-                   else Jet.constant(float(acc), comp_jets[0].nvars, p - 2,
-                                     x.shape[1:]))
-    return out
+    gi, gammaM = _source_jets(spec.source, x, p - 2)
+    h, gammaN = _composed_target_jets(spec.target, comp_jets, p - 2)
+    d1 = stack(comp_jets).partials()             # [i, a], order p - 1
+    d2 = d1.partials()                           # [j, i, a], order p - 2
+    d1 = d1.truncate(p - 2)
+    sff = mp.nabla_dphi(d2, gammaM, d1, gammaN)
+    del d2, gammaM  # free these whole-batch arrays before the kernel runs
+    return mp.tau_s(gi, h, d1, sff)
 
 
 # covariant derivatives of a field along the map -----------------------------
@@ -203,35 +125,25 @@ def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
     """Values of v, nabla v, nabla^2 v at points x (m, ...) for a field
     given by jets there.
 
-    v_jets must have order >= 2.  Returns (v (n,), Dv (m,n),
-    DDv (m,m,n)), each with the batch axes, where DDv[i,j] is the second
-    covariant derivative with outer direction i, using the source
-    connection on the form index and the pullback connection on the
-    bundle index.
+    v_jets, the field's n component jets or their (n,) jet array, must
+    have order >= 2.  Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with
+    the batch axes, where DDv[i,j] is the second covariant derivative
+    with outer direction i, using the source connection on the form
+    index and the pullback connection on the bundle index.
     """
-    m, n = spec.source.dim, spec.target.dim
     if comp_jets is None:
         comp_jets = spec.component_jets(x, 2)
     if tables is None:
         tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True)
-    _, gam_phi = _composed_target_jets(spec.target, comp_jets, 1)
-    d1_jets = [[comp_jets[a].partial(i) for a in range(n)] for i in range(m)]
-    v = np.array([j.value for j in v_jets])
-    # first covariant derivative as jets (order >= 1)
-    dv_jets = [[None] * n for _ in range(m)]
-    for i in range(m):
-        for a in range(n):
-            acc = v_jets[a].partial(i)
-            for b in range(n):
-                for c in range(n):
-                    gj = gam_phi[a][b][c]
-                    if geo._is_zero_scalar(gj):
-                        continue
-                    acc = acc + gj * d1_jets[i][b] * v_jets[c]
-            dv_jets[i][a] = acc
-    dv = np.array([[jet.value for jet in row] for row in dv_jets])
-    d_dv = np.array([[jet.gradient() for jet in row] for row in dv_jets])
-    ddv = (np.moveaxis(d_dv, 2, 0)                        # d_i (nab_j v)^a
+    _, gammaN = _composed_target_jets(spec.target, comp_jets, 1)
+    v_jets = stack(v_jets)
+    # first covariant derivative as a jet array [i, a] of order >= 1
+    dv_jets = v_jets.partials()
+    if gammaN is not None:
+        dv_jets = dv_jets + einsum("abc...,ib...,c...->ia...", gammaN,
+                                   stack(comp_jets).partials(), v_jets)
+    v, dv = v_jets.value, dv_jets.value
+    ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
            + np.einsum("abc...,ib...,jc...->ija...", tables.gammaN,
                        tables.d1, dv)
            - np.einsum("kij...,ka...->ija...", tables.gammaM, dv))
@@ -255,27 +167,27 @@ def jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None) -> dict:
     """
     ddv_D = ddv
     if riem is not None:
-        ddv_D = ddv + np.einsum("abcd...,c...,sd...,qb...->sqa...",
-                                riem, v, d1, d1)
-    tr_ddv = np.einsum("pq...,pqa...->a...", gi, ddv)
-    tr_s = np.einsum("pq...,pqa...->a...", gi, sff)
-    dv_d = np.einsum("pa...,ab...,rb...->pr...", dv, h, d1)      # h(Dv_p, D_r)
-    d_d = np.einsum("pa...,ab...,rb...->pr...", d1, h, d1)
-    dv_s = np.einsum("pa...,ab...,qrb...->pqr...", dv, h, sff)   # h(Dv_p, S_qr)
-    s_d = np.einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)    # h(S_pq, D_r)
-    ddv_d = np.einsum("pqa...,ab...,rb...->pqr...", ddv, h, d1)  # h(DDv_pq, D_r)
-    hb = (np.einsum("ra...,ab...,b...->r...", d1, h, tr_ddv)     # h(trDDv, D_r)
-          + np.einsum("ra...,ab...,b...->r...", dv, h, tr_s))    # h(Dv_r, trS)
-    hc = (np.einsum("rs...,prs...->p...", gi, s_d)               # h(S_pj, D_j)
-          + np.einsum("pa...,ab...,b...->p...", d1, h, tr_s))    # h(D_p, trS)
+        ddv_D = ddv + einsum("abcd...,c...,sd...,qb...->sqa...",
+                             riem, v, d1, d1)
+    tr_ddv = einsum("pq...,pqa...->a...", gi, ddv)
+    tr_s = einsum("pq...,pqa...->a...", gi, sff)
+    dv_d = einsum("pa...,ab...,rb...->pr...", dv, h, d1)      # h(Dv_p, D_r)
+    d_d = einsum("pa...,ab...,rb...->pr...", d1, h, d1)
+    dv_s = einsum("pa...,ab...,qrb...->pqr...", dv, h, sff)   # h(Dv_p, S_qr)
+    s_d = einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)    # h(S_pq, D_r)
+    ddv_d = einsum("pqa...,ab...,rb...->pqr...", ddv, h, d1)  # h(DDv_pq, D_r)
+    hb = (einsum("ra...,ab...,b...->r...", d1, h, tr_ddv)     # h(trDDv, D_r)
+          + einsum("ra...,ab...,b...->r...", dv, h, tr_s))    # h(Dv_r, trS)
+    hc = (einsum("rs...,prs...->p...", gi, s_d)               # h(S_pj, D_j)
+          + einsum("pa...,ab...,b...->p...", d1, h, tr_s))    # h(D_p, trS)
     return {
-        "A": 2.0 * np.einsum("pq...,rs...,pr...,qsa...->a...",
-                             gi, gi, dv_d, sff),
-        "B": np.einsum("rs...,r...,sa...->a...", gi, hb, d1),
-        "C": np.einsum("pq...,p...,qa...->a...", gi, hc, dv),
-        "D": np.einsum("pq...,rs...,pr...,sqa...->a...", gi, gi, d_d, ddv_D),
-        "E": np.einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, dv_s, d1),
-        "F": np.einsum("pq...,rs...,rps...,qa...->a...", gi, gi, ddv_d, d1),
+        "A": 2.0 * einsum("pq...,rs...,pr...,qsa...->a...",
+                          gi, gi, dv_d, sff),
+        "B": einsum("rs...,r...,sa...->a...", gi, hb, d1),
+        "C": einsum("pq...,p...,qa...->a...", gi, hc, dv),
+        "D": einsum("pq...,rs...,pr...,sqa...->a...", gi, gi, d_d, ddv_D),
+        "E": einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, dv_s, d1),
+        "F": einsum("pq...,rs...,rps...,qa...->a...", gi, gi, ddv_d, d1),
     }
 
 
@@ -287,10 +199,13 @@ def assemble(groups: dict, variant: str) -> np.ndarray:
     return out
 
 
-def _groups_at(tables: mp.MapTables, v, dv, ddv) -> dict:
-    """jacobi_groups at the tables' points, traced over their frame."""
-    return jacobi_groups(mp.frame_metric(tables.frame), tables.h, tables.d1,
-                         tables.sff, v, dv, ddv, tables.riemN)
+def _groups_at(spec: mp.MapSpec, x, comp_jets, v_jets, frame) -> dict:
+    """jacobi_groups for the field given by v_jets at points x, traced
+    over the frame (default: the tables' own)."""
+    t = mp.tables_from_jets(spec, x, comp_jets, curvature=True, frame=frame)
+    v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, t)
+    return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
+                         v, dv, ddv, t.riemN)
 
 
 def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
@@ -298,18 +213,15 @@ def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
     """Apply the Jacobi-type operator to a tangent field at points x
     (m, ...); the result is (n, ...).
 
-    field is a TangentField or an already-evaluated list of component
-    jets of order >= 2 at those points.
+    field is a TangentField or its already-evaluated component jets of
+    order >= 2 at those points (a list or an (n,) jet array).
     """
     _check_variant(variant)
     spec.source.require_inside(x)
     comp_jets = spec.component_jets(x, 2)
-    tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True,
-                                 frame=frame)
     v_jets = (field.jets(spec.source.coords, x, 2)
               if isinstance(field, mp.TangentField) else field)
-    v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, tables)
-    return assemble(_groups_at(tables, v, dv, ddv), variant)
+    return assemble(_groups_at(spec, x, comp_jets, v_jets, frame), variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
@@ -324,11 +236,8 @@ def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
     """Term-by-term breakdown of the bi-tension at points x (m, ...)."""
     spec.source.require_inside(x)
     comp_jets = spec.component_jets(x, 4)
-    tau_jets = tau_s_jets(spec, x, comp_jets)
-    tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True,
-                                 frame=frame)
-    v, dv, ddv = field_covariant_data(spec, x, tau_jets, comp_jets, tables)
-    return _groups_at(tables, v, dv, ddv)
+    return _groups_at(spec, x, comp_jets, tau_s_jets(spec, x, comp_jets),
+                      frame)
 
 
 def sphere_term_breakdown(m: int, x=None):

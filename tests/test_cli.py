@@ -1,3 +1,4 @@
+import gc
 import json
 
 import jsonschema
@@ -20,6 +21,20 @@ def test_verify_single_case(capsys):
     code, out, _ = run(["verify", "--case", "scalar-symphonic"], capsys)
     assert code == 0
     assert "[PASS] scalar-symphonic" in out
+
+
+def test_repeated_main_leaves_no_argparse_garbage(capsys):
+    run(["verify", "--case", "scalar-symphonic"], capsys)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(["verify", "--case", "scalar-symphonic"], capsys)
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leaked
 
 
 def test_verify_unknown_case(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from symphonic import charts, geometry as geo
 from symphonic import expr as ex
+from symphonic.jet import einsum
 
 
 def chart(name, coords, rows, intervals, periodic=None):
@@ -75,8 +76,7 @@ def test_metric_compatibility_via_jets(sphere2, rng):
         gamma = geo.christoffel(sphere2, x).gamma
         g = met.values
         for k in range(2):
-            dg = np.array([[met.jets[i][j].gradient()[k] for j in range(2)]
-                           for i in range(2)])
+            dg = met.jets.gradient()[k]
             recon = np.einsum("li,lj->ij", gamma[:, k, :], g) \
                 + np.einsum("lj,il->ij", gamma[:, k, :], g)
             assert np.allclose(dg, recon, atol=1e-8)
@@ -270,3 +270,50 @@ def test_half_bounded_chart_checks_symmetry():
     c = chart("half", ["x", "y"], [["1", "0.1*x"], ["0.1*x", "1"]],
               [(2.0, None), (None, -3.0)])
     assert c.dim == 2
+
+
+@pytest.mark.parametrize("which", ["curved-plane", "S^3"])
+def test_jet_inverse_and_christoffels_on_a_batch(which, curved_target, rng):
+    if which == "S^3":
+        model = charts.sphere_chart(3)
+        pts = np.array(model.sample_points(6, rng, shrink=0.1)).T
+    else:
+        model = curved_target
+        pts = rng.uniform(-3.0, 3.0, (2, 6))
+    # order 2, as in the jet tension's inverse metric and Christoffels
+    met = geo.metric_at(model, pts, order=2)
+    product = einsum("ij...,jk...->ik...", met.jets,
+                     geo.inverse_jets(met.jets)).coeffs
+    product[0] -= np.eye(model.dim)[..., None]
+    assert np.abs(product).max() <= 1e-13
+
+    # d_s Gamma^k_ij from the metric's first and second partials:
+    # Gamma^k_ij = 1/2 g^kl P_lij, P_lij = d_i g_jl + d_j g_il - d_l g_ij
+    g_inv, dg, ddg = met.inverse, met.jets.gradient(), met.jets.hessian()
+    p = (np.einsum("ijl...->lij...", dg) + np.einsum("jil...->lij...", dg)
+         - dg)
+    dp = (np.einsum("sijl...->slij...", ddg)
+          + np.einsum("sjil...->slij...", ddg) - ddg)
+    dginv = -np.einsum("ka...,sab...,bl...->skl...", g_inv, dg, g_inv)
+    dgamma = 0.5 * (np.einsum("skl...,lij...->skij...", dginv, p)
+                    + np.einsum("kl...,slij...->skij...", g_inv, dp))
+    got = geo.christoffel_jets(met.jets).gradient()
+    scale = np.abs(dgamma).max()
+    assert np.abs(got - dgamma).max() <= 1e-13 * scale
+    for k in range(pts.shape[1]):
+        one = geo.christoffel(model, pts[:, k], derivs=True).dgamma
+        assert np.abs(got[..., k] - one).max() <= 1e-13 * scale
+
+
+def test_jet_tension_names_the_first_non_spd_source_point():
+    from symphonic import maps as mp, variational as va
+    source = chart("tilted", ["x", "y"], [["1", "0"], ["0", "x"]],
+                   [(-1.0, 1.0), (-1.0, 1.0)])
+    spec = mp.MapSpec(source, geo.euclidean_space(2),
+                      [ex.parse("x*y", source.coords),
+                       ex.parse("y", source.coords)])
+    pts = np.array([[0.5, -0.5, -0.2], [0.1, 0.2, 0.3]])
+    with pytest.raises(geo.NonSPDError, match=r"\[-0\.5, 0\.2\]"):
+        va.tau_s_jets(spec, pts)
+    with pytest.raises(geo.NonSPDError, match=r"\[-0\.5, 0\.2\]"):
+        va.bi_tension(spec, pts)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symphonic.jet import (Jet, JetDomainError, compose, jet_cos, jet_exp,
-                           jet_log, jet_pow, jet_sin, jet_sqrt, monomials,
-                           s_cos, s_exp, s_pow, s_sin)
+from symphonic.jet import (Jet, JetDomainError, _space, compose, einsum,
+                           jet_cos, jet_exp, jet_log, jet_pow, jet_sin,
+                           jet_sqrt, monomials, s_cos, s_exp, s_pow, s_sin,
+                           stack)
 
 
 def jet_of(fn_sym, var_values, order, syms=None):
@@ -199,3 +201,141 @@ def test_monomial_enumeration_is_prefix_stable():
     assert high[: len(low)] == low
     assert len(monomials(2, 4)) == 15
     assert len(monomials(4, 4)) == 70
+
+
+# jet arrays and einsum --------------------------------------------------------
+
+
+def random_jet_array(rng, nvars, order, shape):
+    sp = _space(nvars, order)
+    return Jet(sp, rng.uniform(-1.0, 1.0, (sp.size,) + shape))
+
+
+def entry(a, idx):
+    """The scalar jet (or float) at tensor index idx of an operand."""
+    if isinstance(a, Jet):
+        return Jet(a.space, a.coeffs[(slice(None),) + idx])
+    return a[idx]
+
+
+def einsum_by_loops(subscripts, tensor_ranks, *operands):
+    """Reference einsum over the named tensor axes with explicit Jet
+    mul/add: every index assignment, one scalar product each."""
+    inputs, output = subscripts.split("->")
+    terms = [t.replace("...", "") for t in inputs.split(",")]
+    dims = {}
+    for term, op, rank in zip(terms, operands, tensor_ranks):
+        shape = op.coeffs.shape[1:] if isinstance(op, Jet) else op.shape
+        dims.update(zip(term, shape[:rank]))
+    letters = sorted(dims)
+    out = {}
+    for values in itertools.product(*(range(dims[c]) for c in letters)):
+        at = dict(zip(letters, values))
+        prod = None
+        for term, op in zip(terms, operands):
+            e = entry(op, tuple(at[c] for c in term))
+            prod = e if prod is None else prod * e
+        key = tuple(at[c] for c in output.replace("...", ""))
+        out[key] = prod if key not in out else out[key] + prod
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("subscripts,shapes,orders", [
+    ("ij...,jk...->ik...", [(3, 2), (2, 4)], [2, 2]),
+    ("pq...,rs...,pqr...,sa...->a...", [(2, 2), (2, 2), (2, 2, 2), (2, 3)],
+     [2, 2, 2, 2]),
+    ("pqa...,ab...,rb...->pqr...", [(2, 2, 3), (3, 3), (2, 3)], [3, 3, 3]),
+])
+def test_einsum_matches_explicit_jet_loops(seed, subscripts, shapes, orders):
+    rng = np.random.default_rng(seed)
+    batch = (4,)
+    ops = [random_jet_array(rng, 2, order, shape + batch)
+           for shape, order in zip(shapes, orders)]
+    got = einsum(subscripts, *ops)
+    ref = einsum_by_loops(subscripts, [len(s) for s in shapes], *ops)
+    for key, jet in ref.items():
+        scale = np.abs(jet.coeffs).max()
+        assert np.abs(got.coeffs[(slice(None),) + key]
+                      - jet.coeffs).max() <= 1e-15 * max(scale, 1.0)
+
+
+def test_einsum_mixed_orders_truncate_to_the_minimum():
+    rng = np.random.default_rng(5)
+    a = random_jet_array(rng, 3, 4, (2, 3))
+    b = random_jet_array(rng, 3, 2, (3, 2))
+    got = einsum("ij...,jk...->ik...", a, b)
+    assert got.order == 2
+    want = einsum("ij...,jk...->ik...", a.truncate(2), b)
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_einsum_pointwise_jet_broadcasts_against_a_batch():
+    rng = np.random.default_rng(6)
+    point = random_jet_array(rng, 2, 2, (3, 3))          # no batch axes
+    batched = random_jet_array(rng, 2, 2, (3, 2, 5))
+    got = einsum("ij...,jk...->ik...", point, batched)
+    assert got.coeffs.shape == (6, 3, 2, 5)
+    for k in range(5):
+        one = einsum("ij...,jk...->ik...", point,
+                     Jet(batched.space, batched.coeffs[..., k]))
+        assert np.allclose(got.coeffs[..., k], one.coeffs, rtol=0,
+                           atol=1e-15)
+
+
+def test_einsum_with_a_plain_array_is_linear_in_the_coefficients():
+    rng = np.random.default_rng(7)
+    matrix = rng.uniform(-1, 1, (4, 3, 5))
+    jets = random_jet_array(rng, 2, 3, (3, 2, 5))
+    got = einsum("ij...,jk...->ik...", matrix, jets)
+    assert got.order == 3
+    for c in range(jets.space.size):
+        assert np.allclose(got.coeffs[c], np.einsum(
+            "ij...,jk...->ik...", matrix, jets.coeffs[c]), rtol=0,
+            atol=1e-15)
+
+
+def test_einsum_of_plain_arrays_is_numpy_einsum():
+    rng = np.random.default_rng(8)
+    ops = [rng.normal(size=s) for s in [(3, 3, 4), (3, 2, 4), (2, 4)]]
+    got = einsum("pq...,qr...,r...->p...", *ops)
+    assert type(got) is np.ndarray
+    assert np.array_equal(got, np.einsum("pq...,qr...,r...->p...", *ops))
+
+
+def test_outer_product_of_three_jets():
+    rng = np.random.default_rng(9)
+    ops = [random_jet_array(rng, 2, 2, (n,)) for n in (2, 3, 2)]
+    got = einsum("i,j,k->ijk", *ops)
+    ref = einsum_by_loops("i,j,k->ijk", [1, 1, 1], *ops)
+    for key, jet in ref.items():
+        assert np.allclose(got.coeffs[(slice(None),) + key], jet.coeffs,
+                           rtol=0, atol=1e-15)
+
+
+def test_partials_hessian_and_stack():
+    rng = np.random.default_rng(10)
+    jets = [random_jet_array(rng, 3, 3, (4,)) for _ in range(2)]
+    arr = stack(jets)
+    assert arr.coeffs.shape == (20, 2, 4)
+    d = arr.partials()
+    hess = arr.hessian()
+    assert d.coeffs.shape == (10, 3, 2, 4) and hess.shape == (3, 3, 2, 4)
+    for a, jet in enumerate(jets):
+        for i in range(3):
+            assert np.array_equal(d.coeffs[:, i, a], jet.partial(i).coeffs)
+            for j in range(3):
+                beta = tuple(int(i == k) + int(j == k) for k in range(3))
+                assert np.array_equal(hess[i, j, a], jet.derivative(beta))
+
+
+def test_compose_of_a_jet_array_is_entrywise():
+    rng = np.random.default_rng(11)
+    inner = [random_jet_array(rng, 2, 3, (4,)) for _ in range(3)]
+    outer = random_jet_array(rng, 3, 2, (2, 2, 4))
+    got = compose(outer, inner)
+    assert got.order == 2 and got.coeffs.shape == (6, 2, 2, 4)
+    for i, j in itertools.product(range(2), repeat=2):
+        one = compose(Jet(outer.space, outer.coeffs[:, i, j]), inner)
+        assert np.allclose(got.coeffs[:, i, j], one.coeffs, rtol=0,
+                           atol=1e-15)
