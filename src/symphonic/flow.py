@@ -5,7 +5,9 @@ derivatives use order-4 central differences, so the grid tension agrees
 with the jet-computed tension to O(dx^4).  Steps follow explicit Euler
 on d phi/dt = tau^s with energy-monotone acceptance: a candidate step
 is kept only if the energy does not increase, otherwise the step size
-is halved (20 rejections in a row end the run as stalled).
+is halved.  One step tries at most MAX_HALVINGS + 1 = 21 candidates;
+when all of them are rejected the run ends as stalled, with the step
+size halved 21 times.
 
 The bi-energy descent (d phi/dt = -tau^s_2, full variant) is wired
 behind the same interface but is experimental; its operator is degree
@@ -17,7 +19,10 @@ variational.jacobi_groups), which work in coordinate form over trailing
 batch axes: the grid axes are the batch, gi is the constant inverse
 source metric, which equals sum_i e_i e_i^T for any orthonormal frame,
 and the partials come from one stencil routine that serves both the map
-and its tension field.
+and its tension field.  Per field and axis it makes one copy wrapped by
+two cells on each side (a single take in wrap mode); every shifted
+field a stencil reads is a slice view of that copy, so no stencil
+allocates a shifted copy of its own.
 
 Each quantity is computed at most once per grid state.  FlowState
 holds a single-slot memo keyed on the identity of one remainder array
@@ -168,26 +173,43 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
 # order-4 periodic stencils --------------------------------------------------
 
 
-def _d1(f, axis, h):
-    return (-np.roll(f, -2, axis) + 8 * np.roll(f, -1, axis)
-            - 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h)
+def _shifted(f, axis):
+    """The five views f[i-2], f[i-1], f[i], f[i+1], f[i+2] along a
+    periodic axis, all slices of one copy of f wrapped by two cells on
+    each side."""
+    n = f.shape[axis]
+    wrapped = f.take(np.arange(-2, n + 2), axis, mode="wrap")
+    index = [slice(None)] * f.ndim
+    views = []
+    for k in range(5):
+        index[axis] = slice(k, k + n)
+        views.append(wrapped[tuple(index)])
+    return views
 
 
-def _d2(f, axis, h):
-    return (-np.roll(f, -2, axis) + 16 * np.roll(f, -1, axis) - 30 * f
-            + 16 * np.roll(f, 1, axis) - np.roll(f, 2, axis)) / (12 * h * h)
+def _d1(shifted, h):
+    m2, m1, _, p1, p2 = shifted
+    return (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+
+
+def _d2(shifted, h):
+    m2, m1, f0, p1, p2 = shifted
+    return (-p2 + 16 * p1 - 30 * f0 + 16 * m1 - m2) / (12 * h * h)
 
 
 def _stencil_derivatives(f, spacings):
     """First and second partials, order 4, of a periodic grid field f
     whose leading axis holds components: d1 (m, ...), d2 (m, m, ...)."""
     m = len(spacings)
-    d1 = np.stack([_d1(f, 1 + k, spacings[k]) for k in range(m)])
+    d1 = np.empty((m,) + f.shape)
     d2 = np.empty((m, m) + f.shape)
+    for i, h in enumerate(spacings):
+        shifted = _shifted(f, 1 + i)
+        d1[i] = _d1(shifted, h)
+        d2[i, i] = _d2(shifted, h)
     for i in range(m):
-        d2[i, i] = _d2(f, 1 + i, spacings[i])
         for j in range(i + 1, m):
-            d2[i, j] = d2[j, i] = _d1(d1[i], 1 + j, spacings[j])
+            d2[i, j] = d2[j, i] = _d1(_shifted(d1[i], 1 + j), spacings[j])
     return d1, d2
 
 
@@ -272,11 +294,13 @@ def max_gradient_norm(state: FlowState, rem=None) -> float:
 
 def _image_in_domain(state: FlowState, rem) -> bool:
     target = state.target
+    bounded = [(a, lo, hi) for a, ((lo, hi), per)
+               in enumerate(zip(target.intervals, target.periodic))
+               if not per and (lo is not None or hi is not None)]
+    if not bounded:
+        return True
     phi = rem + np.einsum("ak,k...->a...", state.linear, state.coord_grids)
-    for a, (bounds, per) in enumerate(zip(target.intervals, target.periodic)):
-        if per:
-            continue
-        lo, hi = bounds
+    for a, lo, hi in bounded:
         if lo is not None and phi[a].min() < lo:
             return False
         if hi is not None and phi[a].max() > hi:

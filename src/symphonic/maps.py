@@ -9,7 +9,9 @@ written once, as the kernels nabla_dphi, tau_s and energy_density over
 trailing batch axes; the pointwise functions, the mesh integrals and
 the grid flow all call them.  nabla_dphi and tau_s contract with
 jet.einsum, so they run on jet arrays too: the jet-valued tension that
-feeds the bi-tension is tau_s on jets (see ``variational``).
+feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
+raises its frame indices once and then contracts two operands at a
+time, which keeps every einsum call cheap on grids and on jets.
 
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
@@ -246,13 +248,23 @@ def tau_s(gi, h, d1, sff):
 
     with S the second fundamental form; gi (m, m, ...), h (n, n, ...),
     d1 (m, n, ...), sff (m, m, n, ...).
+
+    Raised-index form, every contraction over two operands: with
+    hd_r = h d_r (target index lowered), up^p = gi^pq d_q,
+    hup^p = gi^pq hd_q and tau = gi^pq S_pq,
+
+        w_r   = tau . hd_r + S_qr . hup^q
+        tau^s = w_r up^r + (hup^q . up^s) S_qs.
     """
-    hs_d = einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)  # h(S_pq, d_r)
-    hd_d = einsum("pa...,ab...,rb...->pr...", d1, h, d1)     # h(d_p, d_r)
-    term1 = einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, hs_d, d1)
-    term2 = einsum("pq...,rs...,qrp...,sa...->a...", gi, gi, hs_d, d1)
-    term3 = einsum("pq...,rs...,pr...,qsa...->a...", gi, gi, hd_d, sff)
-    return term1 + term2 + term3
+    hd = einsum("ab...,rb...->ra...", h, d1)
+    up = einsum("pq...,qa...->pa...", gi, d1)
+    hup = einsum("pq...,qa...->pa...", gi, hd)
+    tau = einsum("pq...,pqa...->a...", gi, sff)
+    w = (einsum("a...,ra...->r...", tau, hd)
+         + einsum("qra...,qa...->r...", sff, hup))
+    return (einsum("r...,ra...->a...", w, up)
+            + einsum("qs...,qsa...->a...",
+                     einsum("qb...,sb...->qs...", hup, up), sff))
 
 
 def h_inner(u, h, w):

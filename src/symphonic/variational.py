@@ -27,9 +27,11 @@ one formula for floats and jets.
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
 gi = sum_i e_i e_i^T, which equals g^{-1} for an orthonormal frame.
-Every array may carry trailing batch axes.  The pointwise paths pass
-gi = E^T E for their frame E (rows e_i), so a rotated frame is still a
-real input.  The grid flow passes its whole grid at once.
+The frame indices are raised once (gi dphi, h gi dphi, gi nab v, ...),
+after which each group is two or three contractions of two operands
+each.  Every array may carry trailing batch axes.  The pointwise paths
+pass gi = E^T E for their frame E (rows e_i), so a rotated frame is
+still a real input.  The grid flow passes its whole grid at once.
 
 The jet-valued side is batched the same way.  tau_s_jets,
 field_covariant_data, bi_tension and jacobi_operator take points x of
@@ -164,30 +166,45 @@ def jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None) -> dict:
     covariant derivative with its outer direction first.
     riem (n, n, n, n, ...) is R^a_{bcd} of the target along the map,
     None for a flat target; it enters group D only.
+
+    Raised-index form, every contraction over two operands: the frame
+    sums are raised once, up^p = gi^pq D_q, hup^p = h up^p,
+    dvu^p = gi^pq Dv_q, hdvu^p = h dvu^p, trS = gi^pq S_pq and
+    htrS = h trS, and then
+
+        A = 2 (dvu^q . hup^s) S_qs
+        B = (hup^s . trDDv + dvu^s . htrS) D_s
+        C = (S_pr . hup^r + D_p . htrS) dvu^p
+        D = (up^q . hup^s) DDv_sq        (+ the curvature term)
+        E = (hdvu^q . S_qr) up^r
+        F = (DDv_rp . hup^r) up^p
     """
     ddv_D = ddv
     if riem is not None:
         ddv_D = ddv + einsum("abcd...,c...,sd...,qb...->sqa...",
                              riem, v, d1, d1)
-    tr_ddv = einsum("pq...,pqa...->a...", gi, ddv)
+    up = einsum("pq...,qa...->pa...", gi, d1)
+    hup = einsum("ab...,pb...->pa...", h, up)
+    dvu = einsum("pq...,qa...->pa...", gi, dv)
+    hdvu = einsum("ab...,pb...->pa...", h, dvu)
     tr_s = einsum("pq...,pqa...->a...", gi, sff)
-    dv_d = einsum("pa...,ab...,rb...->pr...", dv, h, d1)      # h(Dv_p, D_r)
-    d_d = einsum("pa...,ab...,rb...->pr...", d1, h, d1)
-    dv_s = einsum("pa...,ab...,qrb...->pqr...", dv, h, sff)   # h(Dv_p, S_qr)
-    s_d = einsum("pqa...,ab...,rb...->pqr...", sff, h, d1)    # h(S_pq, D_r)
-    ddv_d = einsum("pqa...,ab...,rb...->pqr...", ddv, h, d1)  # h(DDv_pq, D_r)
-    hb = (einsum("ra...,ab...,b...->r...", d1, h, tr_ddv)     # h(trDDv, D_r)
-          + einsum("ra...,ab...,b...->r...", dv, h, tr_s))    # h(Dv_r, trS)
-    hc = (einsum("rs...,prs...->p...", gi, s_d)               # h(S_pj, D_j)
-          + einsum("pa...,ab...,b...->p...", d1, h, tr_s))    # h(D_p, trS)
+    htr_s = einsum("ab...,b...->a...", h, tr_s)
+    tr_ddv = einsum("pq...,pqa...->a...", gi, ddv)
+    hb = (einsum("sa...,a...->s...", hup, tr_ddv)
+          + einsum("sa...,a...->s...", dvu, htr_s))
+    hc = (einsum("pra...,ra...->p...", sff, hup)
+          + einsum("pa...,a...->p...", d1, htr_s))
     return {
-        "A": 2.0 * einsum("pq...,rs...,pr...,qsa...->a...",
-                          gi, gi, dv_d, sff),
-        "B": einsum("rs...,r...,sa...->a...", gi, hb, d1),
-        "C": einsum("pq...,p...,qa...->a...", gi, hc, dv),
-        "D": einsum("pq...,rs...,pr...,sqa...->a...", gi, gi, d_d, ddv_D),
-        "E": einsum("pq...,rs...,pqr...,sa...->a...", gi, gi, dv_s, d1),
-        "F": einsum("pq...,rs...,rps...,qa...->a...", gi, gi, ddv_d, d1),
+        "A": 2.0 * einsum("qs...,qsa...->a...",
+                          einsum("qa...,sa...->qs...", dvu, hup), sff),
+        "B": einsum("s...,sa...->a...", hb, d1),
+        "C": einsum("p...,pa...->a...", hc, dvu),
+        "D": einsum("qs...,sqa...->a...",
+                    einsum("qa...,sa...->qs...", up, hup), ddv_D),
+        "E": einsum("r...,ra...->a...",
+                    einsum("qa...,qra...->r...", hdvu, sff), up),
+        "F": einsum("p...,pa...->a...",
+                    einsum("rpa...,ra...->p...", ddv, hup), up),
     }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from symphonic import charts, flow, geometry as geo, maps as mp
 from symphonic import expr as ex
+from symphonic.specfile import load_spec
 
 
 def perturbed_map(amplitude=0.1):
@@ -212,3 +213,56 @@ def test_remainder_and_gradient_are_read_only():
             flow.gradient_field(state)[0, 0, 0] = 1.0
         state = flow.flow_step(state)
     assert state.iteration == 2
+
+
+def test_huge_step_stalls_after_all_halvings():
+    state = flow.flow_init(perturbed_map(), 16, epsilon=1e6)
+    state = flow.flow_run(state, 10, 1e-12)
+    assert state.status == flow.STATUS_STALLED
+    assert state.iteration == 0
+    assert state.epsilon == 1e6 * 0.5 ** (flow.MAX_HALVINGS + 1)
+
+
+def _roll_d1(f, axis, h):
+    return (-np.roll(f, -2, axis) + 8 * np.roll(f, -1, axis)
+            - 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h)
+
+
+def _roll_d2(f, axis, h):
+    return (-np.roll(f, -2, axis) + 16 * np.roll(f, -1, axis) - 30 * f
+            + 16 * np.roll(f, 1, axis) - np.roll(f, 2, axis)) / (12 * h * h)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("grid, spacings", [
+    ((16,), [0.3]),
+    ((8, 12), [0.25, 0.4]),
+    ((8, 12, 10), [0.3, 0.2, 0.7]),
+])
+def test_stencils_equal_rolled_formulas(rng, components, grid, spacings):
+    f = rng.normal(size=(components,) + grid)
+    d1, d2 = flow._stencil_derivatives(f, spacings)
+    m = len(spacings)
+    assert d1.shape == (m, components) + grid
+    assert d2.shape == (m, m, components) + grid
+    for i in range(m):
+        assert np.array_equal(d1[i], _roll_d1(f, 1 + i, spacings[i]))
+        assert np.array_equal(d2[i, i], _roll_d2(f, 1 + i, spacings[i]))
+        for j in range(i + 1, m):
+            cross = _roll_d1(_roll_d1(f, 1 + i, spacings[i]), 1 + j,
+                             spacings[j])
+            assert np.array_equal(d2[i, j], cross)
+            assert np.array_equal(d2[j, i], cross)
+
+
+def test_readme_flow_pinned():
+    """symphonic flow --spec builtin:torus-test --grid 32 --dt 2e-3
+    --tol 1e-5 --steps 5000, as the README runs it."""
+    spec, _ = load_spec("builtin:torus-test")
+    state = flow.flow_init(spec, 32, epsilon=2e-3)
+    state = flow.flow_run(state, 5000, 1e-5)
+    assert state.status == flow.STATUS_CONVERGED
+    assert state.iteration == 2073
+    hist = state.energy_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    assert hist[-1] == pytest.approx(109.92370597903712, rel=1e-10)
