@@ -7,8 +7,9 @@ Grammar (EBNF):
     factor := '-' factor | atom ('^' number)?
     atom   := number | ident | func '(' expr (',' expr)? ')' | '(' expr ')'
     func   := sin | cos | exp | log | sqrt | pow
-    number := decimal, optionally scientific; in exponent position an
-              integer fraction 'a/b' is also accepted
+    number := decimal digits with at most one point, optionally
+              scientific; in exponent position an integer fraction
+              'a/b' (b not zero) is also accepted
 
 Exponents are real constants.  ``pow(base, e)`` accepts any constant
 subexpression as e (it is folded at parse time), which is how the
@@ -17,6 +18,17 @@ directly before a number that takes no '^' is part of the number: "-1.5"
 is the constant -1.5, while "-2^2" is -(2^2) = -4.  The printer writes
 a negated constant as "-(c)", so parse(to_source(e)) == e holds for
 negative constants and -0.0 too.
+
+The tokenizer is one pass of a compiled regular expression, and tokens
+are plain strings: a name (a word character that is not a decimal
+digit, then word characters), a number or one operator or punctuation
+mark.  Numbers take decimal digits only (``str.isdecimal``: '٣' is a
+digit, while '²' is a name character).  Blanks are ' ', tab, '\r' and
+'\n'; any other character that no token takes is reported before
+anything else.  Lines and columns (only '\n' ends a line, and every
+character is one column) exist only in error messages: they are worked
+out when an error is raised, by scanning the source up to the failing
+token, so a parse that succeeds never computes one.
 
 The parser hash-conses: within one parse every node is built once per
 class and fields, with children keyed by identity and floats by
@@ -46,7 +58,9 @@ the failing subexpression.  A result that is not finite at some point
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,81 +211,49 @@ def _post_order(root) -> list:
 
 # tokenizer ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num ident op lparen rparen comma end
-    text: str
-    line: int
-    column: int
+# one match per token: a name, a number, or an operator or punctuation
+# mark; blanks and stray characters match nothing
+_TOKEN = re.compile(r"[^\W\d]\w*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[-+*/^(),]")
+_BLANKS = " \t\r\n"
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(_Token("num", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, line, start_col))
-        else:
-            raise SyntaxErrorAt(f"unexpected character {ch!r}", line, start_col)
-        i += 1
-        col += 1
-    tokens.append(_Token("end", "", line, col))
+def _tokenize(source: str) -> list[str]:
+    """The tokens of source as strings, in order."""
+    tokens = _TOKEN.findall(source)
+    # the tokens and blanks cover the source unless a character is stray
+    if (sum(map(len, tokens)) + sum(map(source.count, _BLANKS))
+            != len(source)):
+        rest = _TOKEN.sub(lambda m: " " * len(m[0]), source)
+        at = len(rest) - len(rest.lstrip(_BLANKS))
+        raise SyntaxErrorAt(f"unexpected character {source[at]!r}",
+                            *_line_column(source, at))
     return tokens
+
+
+def _line_column(source, offset):
+    """1-based line and column of source[offset]; only '\\n' ends a line."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def _is_number(token):
+    first = token[:1]
+    return first.isdecimal() or first == "."
 
 
 # parser ------------------------------------------------------------------
 
+_EXPECTED = {")": "rparen", ",": "comma"}
+
 
 class _Parser:
-    def __init__(self, tokens, coords):
-        self.tokens = tokens
+    """Recursive descent over the token strings, which end with "" for
+    the end of input."""
+
+    def __init__(self, source, coords):
+        self.source = source
+        self.tokens = _tokenize(source)
+        self.tokens.append("")
         self.pos = 0
         self.coords = set(coords)
         self.nodes = {}  # intern table: key -> the one node with that key
@@ -297,133 +279,134 @@ class _Parser:
     def powc(self, base, exponent):
         return self.node((PowC, id(base), repr(exponent)), PowC, base, exponent)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def where(self, index):
+        """Line and column of token index, or of the end of input, found
+        by scanning the source up to it: only an error message needs
+        them."""
+        if index >= len(self.tokens) - 1:
+            offset = len(self.source)
+        else:
+            match = next(itertools.islice(_TOKEN.finditer(self.source),
+                                          index, None))
+            offset = match.start()
+        return _line_column(self.source, offset)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
+    def error(self, message, index=None):
+        """SyntaxErrorAt token index, by default the current one."""
+        return SyntaxErrorAt(message,
+                             *self.where(self.pos if index is None else index))
+
+    def expect(self, token):
+        found = self.tokens[self.pos]
+        if found != token:
+            raise self.error(f"expected {_EXPECTED[token]!r}, "
+                             f"found {found or 'end of input'!r}")
         self.pos += 1
-        return tok
-
-    def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise SyntaxErrorAt(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                                tok.line, tok.column)
-        return self.advance()
 
     def parse(self):
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SyntaxErrorAt(f"unexpected trailing input {tok.text!r}",
-                                tok.line, tok.column)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}")
         return e
 
     def expr(self):
+        tokens = self.tokens
         left = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while tokens[self.pos] in ("+", "-"):
+            op = tokens[self.pos]
+            self.pos += 1
             left = self.binop(op, left, self.term())
         return left
 
     def term(self):
+        tokens = self.tokens
         left = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while tokens[self.pos] in ("*", "/"):
+            op = tokens[self.pos]
+            self.pos += 1
             left = self.binop(op, left, self.factor())
         return left
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            num, after = self.peek(), self.tokens[self.pos + 1]
-            if num.kind == "num" and not (after.kind == "op"
-                                          and after.text == "^"):
+        tokens = self.tokens
+        if tokens[self.pos] == "-":
+            self.pos += 1
+            num = tokens[self.pos]
+            if _is_number(num) and tokens[self.pos + 1] != "^":
                 # a negative literal: one constant, not Neg(Const)
-                self.advance()
-                return self.const(-float(num.text))
+                self.pos += 1
+                return self.const(-float(num))
             arg = self.factor()
             return self.node((Neg, id(arg)), Neg, arg)
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            exponent = self.exponent_number()
-            base = self.powc(base, exponent)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "^":
-                raise SyntaxErrorAt("chained '^' is not allowed, use pow()",
-                                    nxt.line, nxt.column)
+        if tokens[self.pos] == "^":
+            self.pos += 1
+            base = self.powc(base, self.exponent_number())
+            if tokens[self.pos] == "^":
+                raise self.error("chained '^' is not allowed, use pow()")
         return base
 
     def exponent_number(self):
+        tokens = self.tokens
         sign = 1.0
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            if tok.text == "-":
+        tok = tokens[self.pos]
+        if tok in ("+", "-"):
+            self.pos += 1
+            if tok == "-":
                 sign = -1.0
-            tok = self.peek()
-        if tok.kind != "num":
-            raise SyntaxErrorAt("exponent must be a numeric constant",
-                                tok.line, tok.column)
-        self.advance()
-        value = float(tok.text)
+            tok = tokens[self.pos]
+        if not _is_number(tok):
+            raise self.error("exponent must be a numeric constant")
+        self.pos += 1
+        value = float(tok)
         # integer fraction exponent: a/b binds to the exponent
-        nxt = self.peek()
-        if (nxt.kind == "op" and nxt.text == "/"
-                and self.tokens[self.pos + 1].kind == "num"
-                and "." not in tok.text and "e" not in tok.text.lower()):
-            den_tok = self.tokens[self.pos + 1]
-            if "." not in den_tok.text and "e" not in den_tok.text.lower():
-                self.advance()
-                self.advance()
-                value = value / float(den_tok.text)
+        if (tokens[self.pos] == "/" and tok.isdecimal()
+                and tokens[self.pos + 1].isdecimal()):
+            den = float(tokens[self.pos + 1])
+            if den == 0.0:
+                raise self.error("exponent fraction has a zero denominator",
+                                 self.pos + 1)
+            self.pos += 2
+            value = value / den
         return sign * value
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            return self.const(float(tok.text))
-        if tok.kind == "lparen":
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "(":
             e = self.expr()
-            self.expect("rparen")
+            self.expect(")")
             return e
-        if tok.kind == "ident":
-            if self.peek().kind == "lparen":
+        if _is_number(tok):
+            return self.const(float(tok))
+        if tok[:1].isalnum() or tok[:1] == "_":
+            if self.tokens[self.pos] == "(":
                 return self.call(tok)
-            if tok.text not in self.coords:
-                raise UndeclaredVariable(tok.text, tok.line, tok.column)
-            return self.node((Var, tok.text), Var, tok.text)
-        raise SyntaxErrorAt(f"unexpected token {tok.text or 'end of input'!r}",
-                            tok.line, tok.column)
+            if tok not in self.coords:
+                raise UndeclaredVariable(tok, *self.where(self.pos - 1))
+            return self.node((Var, tok), Var, tok)
+        raise self.error(f"unexpected token {tok or 'end of input'!r}",
+                         self.pos - 1)
 
-    def call(self, name_tok):
-        name = name_tok.text
+    def call(self, name):
+        at = self.pos - 1  # the name's token
         if name not in FUNCTIONS:
-            raise SyntaxErrorAt(f"unknown function '{name}'",
-                                name_tok.line, name_tok.column)
-        self.expect("lparen")
+            raise self.error(f"unknown function '{name}'", at)
+        self.pos += 1  # its '('
         first = self.expr()
         if name == "pow":
-            self.expect("comma")
+            self.expect(",")
             second = self.expr()
-            self.expect("rparen")
-            exponent = _fold_constant(second, name_tok)
+            self.expect(")")
+            try:
+                exponent = float(evaluate(second, {}))
+            except ExprError:
+                raise self.error("pow() exponent must be a constant "
+                                 "expression", at) from None
             return self.powc(first, exponent)
-        self.expect("rparen")
+        self.expect(")")
         return self.node((Call, name, id(first)), Call, name, first)
-
-
-def _fold_constant(node, tok):
-    try:
-        value = evaluate(node, {})
-    except ExprError:
-        raise SyntaxErrorAt("pow() exponent must be a constant expression",
-                            tok.line, tok.column) from None
-    return float(value)
 
 
 def parse(source: str, coords) -> Expr:
@@ -431,13 +414,11 @@ def parse(source: str, coords) -> Expr:
 
     The result is a DAG: equal subexpressions are one shared node.
     """
-    parser = _Parser(_tokenize(source), coords)
+    parser = _Parser(source, coords)
     try:
         return parser.parse()
     except RecursionError:
-        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
-        raise SyntaxErrorAt("expression nested too deeply",
-                            tok.line, tok.column) from None
+        raise parser.error("expression nested too deeply") from None
 
 
 # printer -----------------------------------------------------------------

@@ -337,6 +337,30 @@ def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
             assert float(line.split(",")[1]) == pytest.approx(6000.0)
 
 
+@pytest.mark.parametrize("component,message", [
+    # a unary minus with nothing after it
+    pytest.param("t*-", "unexpected token 'end of input' (line 1, column 4)",
+                 id="minus-at-end"),
+    # a superscript two is a digit but not a decimal one: a name
+    pytest.param("t*²", "undeclared variable '²' (line 1, column 3)",
+                 id="superscript-two"),
+    # an exponent fraction over zero
+    pytest.param("t^1/0", "exponent fraction has a zero denominator "
+                 "(line 1, column 5)", id="zero-denominator"),
+])
+def test_eval_malformed_map_component_is_a_usage_error(tmp_path, capsys,
+                                                       component, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_one_dim_spec(component)))
+    code, _, err = run(["eval", "--spec", str(path), "--op", "tension",
+                        "--grid", "3"], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+
+
 def test_eval_overflow_is_a_domain_error(tmp_path, capsys):
     # exp(4^5) overflows at the last grid point: a NaN row and exit 4
     path = tmp_path / "overflow.json"

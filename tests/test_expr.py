@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import struct
 import weakref
 
@@ -452,3 +453,118 @@ def test_batched_error_names_first_failing_point(text, order, points):
         run(pts[:, 2])
     assert str(batch_err.value) == str(point_err.value)
     run(pts[:, :2])  # the points before it pass
+
+
+# parser errors --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source,error,message", [
+    ("x +\n  (y * $)", ex.SyntaxErrorAt,
+     "unexpected character '$' (line 2, column 8)"),
+    ("x\n\t+ @", ex.SyntaxErrorAt,
+     "unexpected character '@' (line 2, column 4)"),
+    ("x +\r\n  * y", ex.SyntaxErrorAt,
+     "unexpected token '*' (line 2, column 3)"),
+    ("x +\n\n   q", ex.UndeclaredVariable,
+     "undeclared variable 'q' (line 3, column 4)"),
+    ("1.5.2", ex.SyntaxErrorAt,
+     "unexpected trailing input '.2' (line 1, column 4)"),
+    ("x.y", ex.SyntaxErrorAt, "unexpected character '.' (line 1, column 2)"),
+    ("x@1", ex.SyntaxErrorAt, "unexpected character '@' (line 1, column 2)"),
+    ("x\f+ 1", ex.SyntaxErrorAt,
+     "unexpected character '\\x0c' (line 1, column 2)"),
+    # a stray character is reported before an earlier syntax error
+    ("+ + $", ex.SyntaxErrorAt, "unexpected character '$' (line 1, column 5)"),
+    ("x^2^3", ex.SyntaxErrorAt,
+     "chained '^' is not allowed, use pow() (line 1, column 4)"),
+    ("x^y", ex.SyntaxErrorAt,
+     "exponent must be a numeric constant (line 1, column 3)"),
+    ("pow(x, y)", ex.SyntaxErrorAt,
+     "pow() exponent must be a constant expression (line 1, column 1)"),
+    ("sin(x,)", ex.SyntaxErrorAt,
+     "expected 'rparen', found ',' (line 1, column 6)"),
+    ("pow(x 2)", ex.SyntaxErrorAt,
+     "expected 'comma', found '2' (line 1, column 7)"),
+    ("(x + 1", ex.SyntaxErrorAt,
+     "expected 'rparen', found 'end of input' (line 1, column 7)"),
+    ("tan(x)", ex.SyntaxErrorAt, "unknown function 'tan' (line 1, column 1)"),
+    ("cos x", ex.UndeclaredVariable,
+     "undeclared variable 'cos' (line 1, column 1)"),
+    ("1 2", ex.SyntaxErrorAt,
+     "unexpected trailing input '2' (line 1, column 3)"),
+    ("", ex.SyntaxErrorAt,
+     "unexpected token 'end of input' (line 1, column 1)"),
+])
+def test_parse_error_text(source, error, message):
+    with pytest.raises(ex.ExprError) as err:
+        ex.parse(source, ["x", "y"])
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source,column", [
+    ("-", 2), ("(-", 3), ("t*-", 4), ("t +\n-", 2),
+])
+def test_unary_minus_at_end_of_input_is_a_syntax_error(source, column):
+    with pytest.raises(ex.SyntaxErrorAt) as err:
+        ex.parse(source, ["t"])
+    line = source.count("\n") + 1
+    assert str(err.value) == (f"unexpected token 'end of input' "
+                              f"(line {line}, column {column})")
+
+
+def test_zero_denominator_in_an_exponent_fraction_is_a_syntax_error():
+    for source in ("x^1/0", "x^-0/00"):
+        with pytest.raises(ex.SyntaxErrorAt) as err:
+            ex.parse(source, ["x"])
+        column = source.index("/") + 2
+        assert str(err.value) == ("exponent fraction has a zero denominator "
+                                  f"(line 1, column {column})")
+    # a decimal denominator is a division, evaluated later
+    assert isinstance(ex.parse("x^1/0.0", ["x"]), ex.BinOp)
+
+
+def test_numbers_take_decimal_digits_only():
+    # '²' is a digit but not a decimal one: a name, not a number
+    with pytest.raises(ex.UndeclaredVariable) as err:
+        ex.parse("t*²", ["t"])
+    assert str(err.value) == "undeclared variable '²' (line 1, column 3)"
+    # an Arabic-Indic three is a decimal digit, and a Greek letter a name
+    assert ex.parse("٣*θ", ["θ"]) == ex.BinOp("*", ex.Const(3.0),
+                                                ex.Var("θ"))
+    assert ex.parse("θ٣", ["θ٣"]) == ex.Var("θ٣")
+
+
+_DSL_TEXT = st.text(
+    alphabet=list("xyt0123456789.eE+-*/^(), sincoexplgqrtw_")
+    + ["$", "²", "٣", "θ", "\f", "\n", "\t"],
+    max_size=24)
+
+
+@given(_DSL_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_parse_returns_an_expression_or_an_expr_error(source):
+    try:
+        tree = ex.parse(source, ["x", "y", "t"])
+    except ex.ExprError:
+        return
+    assert isinstance(tree, ex.Expr)
+
+
+def _repeating_source(terms):
+    """A deterministic sum whose terms repeat subexpressions."""
+    parts = []
+    for k in range(terms):
+        a, b, c = k % 7, k % 11, k % 5
+        parts.append(f"sin(x*{a} + y)^2*pow(x + {b}, 1/3)"
+                     f" - cos(y/{c + 1})*-{a}.5 + (x - y)^{c}")
+    return " + ".join(parts)
+
+
+def test_parse_interns_a_large_repetitive_expression():
+    root = ex.parse(_repeating_source(2000), ["x", "y"])
+    assert len(ex._post_order(root)) == 6197
+    text = ex.to_source(root)
+    assert len(text) == 212178
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4d1b1e7c1b971ca989a4ed73fe28abd3f536690ccade7329e03a158b8f9a136e")
