@@ -71,6 +71,16 @@ def _write_json(path, payload) -> int:
     return EXIT_OK
 
 
+def _read_spec(ref):
+    """((spec, fields), EXIT_OK), else the printed error's exit code."""
+    try:
+        return load_spec(ref), EXIT_OK
+    except (FileNotFoundError, SpecFileError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        io = isinstance(err, FileNotFoundError)
+        return (None, None), EXIT_IO if io else EXIT_USAGE
+
+
 # verify ---------------------------------------------------------------------
 
 
@@ -166,14 +176,9 @@ def _apply_op(args, spec, fields, x):
 
 
 def cmd_eval(args) -> int:
-    try:
-        spec, fields = load_spec(args.spec)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except SpecFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    (spec, fields), code = _read_spec(args.spec)
+    if code != EXIT_OK:
+        return code
     if args.op == "jacobi":
         if not args.field:
             print("error: --op jacobi requires --field", file=sys.stderr)
@@ -235,14 +240,9 @@ def cmd_variation(args) -> int:
         print("error: the second variation of the bi-energy is not "
               "implemented (--second needs --energy sym)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        spec, fields = load_spec(args.spec)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except SpecFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    (spec, fields), code = _read_spec(args.spec)
+    if code != EXIT_OK:
+        return code
     if args.field not in fields:
         print(f"error: unknown field '{args.field}' "
               f"(spec defines: {sorted(fields)})", file=sys.stderr)
@@ -270,32 +270,21 @@ def cmd_variation(args) -> int:
         if args.second:
             w = fields[args.field2]
             analytic = va.index_form_pairing(spec, v, w, mesh, variant=va.FULL)
-            t2 = time.perf_counter()
-            fd = orc.fd_second_variation(spec, v, w, mesh, step)
-            fd_half = orc.fd_second_variation(spec, v, w, mesh, step / 2)
-            fd_quarter = orc.fd_second_variation(spec, v, w, mesh, step / 4)
-            tolerance = 1e-3
-            label = "mixed second variation"
+            fd_at = functools.partial(orc.fd_second_variation, spec, v, w,
+                                      mesh)
+            tolerance, label = 1e-3, "mixed second variation"
         elif args.energy == "bisym":
             pairing = va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
             analytic = -2.0 * pairing
-            t2 = time.perf_counter()
-            fd = orc.fd_first_variation(spec, v, mesh, step,
-                                        energy=orc.ENERGY_BISYM)
-            fd_half = orc.fd_first_variation(spec, v, mesh, step / 2,
-                                             energy=orc.ENERGY_BISYM)
-            fd_quarter = orc.fd_first_variation(spec, v, mesh, step / 4,
-                                                energy=orc.ENERGY_BISYM)
-            tolerance = 1e-3
-            label = "bi-energy first variation"
+            fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh,
+                                      energy=orc.ENERGY_BISYM)
+            tolerance, label = 1e-3, "bi-energy first variation"
         else:
             analytic = va.first_variation_pairing(spec, v, mesh)
-            t2 = time.perf_counter()
-            fd = orc.fd_first_variation(spec, v, mesh, step)
-            fd_half = orc.fd_first_variation(spec, v, mesh, step / 2)
-            fd_quarter = orc.fd_first_variation(spec, v, mesh, step / 4)
-            tolerance = 1e-4
-            label = "first variation"
+            fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh)
+            tolerance, label = 1e-4, "first variation"
+        t2 = time.perf_counter()
+        fd, fd_half, fd_quarter = [fd_at(step / k) for k in (1, 2, 4)]
         t3 = time.perf_counter()
     except orc.StepTooLargeError as err:
         print(f"error: step too large: {err}", file=sys.stderr)
@@ -345,14 +334,9 @@ def cmd_variation(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    try:
-        spec, _ = load_spec(args.spec)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except SpecFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    (spec, _), code = _read_spec(args.spec)
+    if code != EXIT_OK:
+        return code
     try:
         state = flow_mod.flow_init(spec, args.grid, epsilon=args.dt,
                                    energy=args.energy)

@@ -11,9 +11,9 @@ Grammar (EBNF):
               scientific; in exponent position an integer fraction
               'a/b' (b not zero) is also accepted
 
-Exponents are real constants.  ``pow(base, e)`` accepts any constant
-subexpression as e (it is folded at parse time), which is how the
-fractional powers such as pow(t, 4/3) are written.  A minus sign
+Exponents are finite real constants.  ``pow(base, e)`` accepts any
+constant subexpression as e (it is folded at parse time), which is how
+the fractional powers such as pow(t, 4/3) are written.  A minus sign
 directly before a number that takes no '^' is part of the number: "-1.5"
 is the constant -1.5, while "-2^2" is -(2^2) = -4.  The printer writes
 a negated constant as "-(c)", so parse(to_source(e)) == e holds for
@@ -349,6 +349,7 @@ class _Parser:
 
     def exponent_number(self):
         tokens = self.tokens
+        at = self.pos  # the exponent's first token
         sign = 1.0
         tok = tokens[self.pos]
         if tok in ("+", "-"):
@@ -369,6 +370,8 @@ class _Parser:
                                  self.pos + 1)
             self.pos += 2
             value = value / den
+        if not math.isfinite(value):
+            raise self.error("exponent must be finite", at)
         return sign * value
 
     def atom(self):
@@ -397,6 +400,7 @@ class _Parser:
         first = self.expr()
         if name == "pow":
             self.expect(",")
+            at_exponent = self.pos
             second = self.expr()
             self.expect(")")
             try:
@@ -404,6 +408,8 @@ class _Parser:
             except ExprError:
                 raise self.error("pow() exponent must be a constant "
                                  "expression", at) from None
+            if not math.isfinite(exponent):
+                raise self.error("exponent must be finite", at_exponent)
             return self.powc(first, exponent)
         self.expect(")")
         return self.node((Call, name, id(first)), Call, name, first)

@@ -339,17 +339,10 @@ def christoffel_jets(g_jets: Jet) -> Jet:
     return einsum("kl...,lij...->kij...", half_ginv, paren)
 
 
-def christoffel_arrays(gam_jets: Jet, derivs: bool = False):
-    """(gamma[k, i, j, ...], dgamma[l, k, i, j, ...]) from a Christoffel
-    jet array: its value and, if derivs, its gradient (first partials
-    d_l Gamma^k_{ij}, which need jets of order >= 1); else None."""
-    return gam_jets.value, gam_jets.gradient() if derivs else None
-
-
 def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
     """Levi-Civita coefficients at a point; derivs adds d_l Gamma."""
-    g_jets = metric_at(model, x, order=2 if derivs else 1).jets
-    return Christoffel(*christoffel_arrays(christoffel_jets(g_jets), derivs))
+    gam = christoffel_jets(metric_at(model, x, order=2 if derivs else 1).jets)
+    return Christoffel(gam.value, gam.gradient() if derivs else None)
 
 
 def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:

@@ -13,11 +13,16 @@ feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
 raises its frame indices once and then contracts two operands at a
 time, which keeps every einsum call cheap on grids and on jets.
 
+Each metric is evaluated in one place, as metric and Christoffel jets
+of the order the caller needs: source_point_data at x and
+target_point_data at phi(x).  The tables read floats off those jets,
+and ``variational`` composes the same target jets with the map.
+
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
 axes (a flat target's constant metric and vanishing Christoffels carry
 none and broadcast).  component_jets, TangentField.jets and .values,
-source_point_data and tables_from_jets each take one pass over all
+the point data and tables_from_jets each take one pass over all
 points, so a whole quadrature mesh is one call; a single point (m,) is
 the batch of one.  symphonic_tension, symphonic_energy_density,
 second_fundamental_form and scalar_symphonic_residual take batches of
@@ -144,68 +149,64 @@ class MapTables:
     d2: np.ndarray             # (m, m, n)
     g: np.ndarray              # (m, m)
     ginv: np.ndarray
-    sqrtg: float               # or an array over the batch
     gammaM: np.ndarray         # (m, m, m) [k, i, j]
     h: np.ndarray              # (n, n)
     gammaN: np.ndarray         # (n, n, n) [a, b, c]
     sff: np.ndarray            # (m, m, n)
     frame: np.ndarray          # (m, m) rows are frame vectors
     riemN: np.ndarray = None   # (n, n, n, n) R^a_{bcd} at phi(x)
-    dgammaN: np.ndarray = None  # (n, n, n, n) [d, a, b, c]
 
 
-def _target_data(target, y, order):
-    """Target metric values, Christoffels and optionally curvature at
-    points y (n, ...); a constant target metric gives unbatched arrays.
+def source_point_data(source: geo.ManifoldModel, x, order: int = 1):
+    """(met, gammaM, frame) at points x (m, ...): geometry.metric_at
+    with jets of order >= 1 and its Christoffel jets, one order lower.
+    The finite-difference oracle reuses it for every stencil value."""
+    if geo.constant_metric(source) is not None:
+        order = 1  # its higher jets vanish; the jet tension reads values
+    met = geo.metric_at(source, x, order)
+    return met, geo.christoffel_jets(met.jets), geo.gram_schmidt(met.values)
 
-    order 1 gives gammaN values; order >= 2 adds d gammaN and the
-    curvature tensor R^a_{bcd}.
-    """
+
+def target_point_data(target: geo.ManifoldModel, y, order: int = 1):
+    """(h, gammaN) at points y (n, ...): the metric jets of order >= 1 and
+    their Christoffel jets; a constant metric gives its matrix and None."""
     target.require_inside(y)
-    n = target.dim
-    h_const = geo.constant_metric(target)
-    if h_const is not None:
-        zeros3 = np.zeros((n, n, n))
-        zeros4 = np.zeros((n, n, n, n)) if order >= 2 else None
-        return h_const, zeros3, zeros4, zeros4
+    h = geo.constant_metric(target)
+    if h is not None:
+        return h, None
     met = geo.metric_at(target, y, order)
-    gammaN, dgammaN = geo.christoffel_arrays(geo.christoffel_jets(met.jets),
-                                             derivs=order >= 2)
-    riemN = (geo.riemann_from_christoffel(gammaN, dgammaN)
-             if order >= 2 else None)
-    return met.values, gammaN, dgammaN, riemN
-
-
-def source_point_data(source: geo.ManifoldModel, x):
-    """Source-side tables at points x (m, ...): metric data,
-    Christoffel values, frame.
-
-    Cacheable across repeated evaluations at the same points (the
-    finite-difference oracle reuses it for every stencil value)."""
-    met = geo.metric_at(source, x, order=1)
-    gammaM, _ = geo.christoffel_arrays(geo.christoffel_jets(met.jets))
-    return met, gammaM, geo.gram_schmidt(met.values)
+    return met.jets, geo.christoffel_jets(met.jets)
 
 
 def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
-                     frame: np.ndarray = None, source_data=None) -> MapTables:
+                     frame: np.ndarray = None, source_data=None,
+                     target_data=None) -> MapTables:
     """Assemble tables at points x (m, ...) from already-evaluated
     component jets of order >= 2 at those points, a list or an (n,) jet
-    array (the oracle feeds deformed jets through here)."""
+    array (the oracle feeds deformed jets through here), and from the
+    point data at x and phi(x) (target order >= 2 for curvature)."""
     x = np.asarray(x, dtype=float)
     phi_jets = stack(comp_jets)
     phi, d1, d2 = phi_jets.value, phi_jets.gradient(), phi_jets.hessian()
     if source_data is None:
         source_data = source_point_data(spec.source, x)
+    if target_data is None:
+        target_data = target_point_data(spec.target, phi, 1 + curvature)
     met, gammaM, default_frame = source_data
-    h, gammaN, dgammaN, riemN = _target_data(
-        spec.target, phi, 2 if curvature else 1)
-    sff = nabla_dphi(d2, gammaM, d1, gammaN)
+    h, gammaN = target_data
+    n = spec.target.dim
+    if gammaN is None:
+        gammaN = np.zeros((n, n, n))
+        riemN = np.zeros((n, n, n, n)) if curvature else None
+    else:
+        riemN = (geo.riemann_from_christoffel(gammaN.value, gammaN.gradient())
+                 if curvature else None)
+        h, gammaN = h.value, gammaN.value
+    sff = nabla_dphi(d2, gammaM.value, d1, gammaN)
     if frame is None:
         frame = default_frame
-    return MapTables(spec, x, phi, d1, d2,
-                     met.values, met.inverse, met.sqrt_det, gammaM,
-                     h, gammaN, sff, frame, riemN, dgammaN)
+    return MapTables(spec, x, phi, d1, d2, met.values, met.inverse,
+                     gammaM.value, h, gammaN, sff, frame, riemN)
 
 
 def map_tables(spec: MapSpec, x, curvature: bool = False,

@@ -22,7 +22,11 @@ pullback connection).  Two variants are exposed:
 The bi-tension is this operator applied to the symphonic tension of
 the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
-one formula for floats and jets.
+one formula for floats and jets.  bi_tension_groups and jacobi_operator
+evaluate the source metric at x and the target metric at phi(x) once,
+with jets of the order they need, and pass them down: the tables read
+their floats, and tau_s_jets and field_covariant_data share the target
+jets composed with the map (_along).
 
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
@@ -53,7 +57,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import maps as mp
-from .jet import compose, einsum, stack
+from .jet import Jet, compose, einsum, stack
 from .mesh import Mesh
 
 REDUCED = "reduced"
@@ -69,39 +73,26 @@ def _check_variant(variant):
 # target data composed along the map ---------------------------------------
 
 
-def _composed_target_jets(target, comp_jets, order):
-    """h (n, n) and Gamma^N (n, n, n) along the map, as jet arrays of
-    the given order in the source variables with the batch axes of
-    comp_jets; a constant target metric gives its matrix and None."""
-    h_const = geo.constant_metric(target)
-    if h_const is not None:
-        return h_const, None
-    y0 = np.array([j.value for j in comp_jets])
-    met = geo.metric_at(target, y0, order + 1)
-    return (compose(met.jets.truncate(order), comp_jets),
-            compose(geo.christoffel_jets(met.jets), comp_jets))
-
-
-def _source_jets(source, x, order):
-    """g^-1 (m, m) and Gamma^M (m, m, m) at points x, as jet arrays of
-    the given order; a constant source metric gives plain arrays."""
-    if geo.constant_metric(source) is not None:
-        m = source.dim
-        return geo.metric_at(source, x).inverse, np.zeros((m, m, m))
-    met = geo.metric_at(source, x, order + 1)
-    return (geo.inverse_jets(met.jets.truncate(order)),
-            geo.christoffel_jets(met.jets))
+def _along(target_jets, comp_jets, order):
+    """A jet array of maps.target_point_data truncated to order and
+    composed with the map; a constant metric and None pass through."""
+    if not isinstance(target_jets, Jet):
+        return target_jets
+    return compose(target_jets.truncate(order), comp_jets)
 
 
 # jet-valued symphonic tension ----------------------------------------------
 
 
-def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
+def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4,
+               source_data=None, along=None):
     """Symphonic tension as an (n,) jet array in the source variables
     at points x (m, ...): maps.tau_s on jet arrays.
 
     With component jets of order p the result has order p - 2, which
     feeds the bi-tension assembly (p = 4 gives the required order 2).
+    source_data (of order >= p - 1) and along (of order p - 2) are
+    evaluated here when not given, as in bi_tension_groups.
     """
     x = np.asarray(x, dtype=float)
     if comp_jets is None:
@@ -109,8 +100,18 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
     p = comp_jets[0].order
     if p < 3:
         raise ValueError("tau_s_jets needs component jets of order >= 3")
-    gi, gammaM = _source_jets(spec.source, x, p - 2)
-    h, gammaN = _composed_target_jets(spec.target, comp_jets, p - 2)
+    if source_data is None:
+        source_data = mp.source_point_data(spec.source, x, p - 1)
+    if along is None:
+        along = [_along(j, comp_jets, p - 2) for j in mp.target_point_data(
+            spec.target, stack(comp_jets).value, p - 1)]
+    met, gammaM, _ = source_data
+    if geo.constant_metric(spec.source) is None:
+        gi = geo.inverse_jets(met.jets.truncate(p - 2))
+        gammaM = gammaM.truncate(p - 2)
+    else:  # plain arrays: a constant g^-1 and zero Christoffels
+        gi, gammaM = met.inverse, gammaM.value
+    h, gammaN = along
     d1 = stack(comp_jets).partials()             # [i, a], order p - 1
     d2 = d1.partials()                           # [j, i, a], order p - 2
     d1 = d1.truncate(p - 2)
@@ -123,7 +124,7 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4):
 
 
 def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
-                         tables: mp.MapTables = None):
+                         tables: mp.MapTables = None, gammaN=None):
     """Values of v, nabla v, nabla^2 v at points x (m, ...) for a field
     given by jets there.
 
@@ -131,18 +132,22 @@ def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
     have order >= 2.  Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with
     the batch axes, where DDv[i,j] is the second covariant derivative
     with outer direction i, using the source connection on the form
-    index and the pullback connection on the bundle index.
+    index and the pullback connection on the bundle index.  gammaN is
+    composed here when not given, as in jacobi_operator.
     """
     if comp_jets is None:
         comp_jets = spec.component_jets(x, 2)
     if tables is None:
         tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True)
-    _, gammaN = _composed_target_jets(spec.target, comp_jets, 1)
+    if gammaN is None and geo.constant_metric(spec.target) is None:
+        gammaN = _along(mp.target_point_data(spec.target, tables.phi, 2)[1],
+                        comp_jets, 1)
     v_jets = stack(v_jets)
     # first covariant derivative as a jet array [i, a] of order >= 1
     dv_jets = v_jets.partials()
     if gammaN is not None:
-        dv_jets = dv_jets + einsum("abc...,ib...,c...->ia...", gammaN,
+        dv_jets = dv_jets + einsum("abc...,ib...,c...->ia...",
+                                   gammaN.truncate(1),
                                    stack(comp_jets).partials(), v_jets)
     v, dv = v_jets.value, dv_jets.value
     ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
@@ -216,11 +221,13 @@ def assemble(groups: dict, variant: str) -> np.ndarray:
     return out
 
 
-def _groups_at(spec: mp.MapSpec, x, comp_jets, v_jets, frame) -> dict:
+def _groups_at(spec: mp.MapSpec, x, comp_jets, v_jets, frame, source,
+               target, gammaN) -> dict:
     """jacobi_groups for the field given by v_jets at points x, traced
     over the frame (default: the tables' own)."""
-    t = mp.tables_from_jets(spec, x, comp_jets, curvature=True, frame=frame)
-    v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, t)
+    t = mp.tables_from_jets(spec, x, comp_jets, curvature=True, frame=frame,
+                            source_data=source, target_data=target)
+    v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, t, gammaN)
     return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
                          v, dv, ddv, t.riemN)
 
@@ -238,7 +245,11 @@ def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
     comp_jets = spec.component_jets(x, 2)
     v_jets = (field.jets(spec.source.coords, x, 2)
               if isinstance(field, mp.TangentField) else field)
-    return assemble(_groups_at(spec, x, comp_jets, v_jets, frame), variant)
+    source = mp.source_point_data(spec.source, x)
+    target = mp.target_point_data(spec.target, stack(comp_jets).value, 2)
+    return assemble(_groups_at(spec, x, comp_jets, v_jets, frame, source,
+                               target, _along(target[1], comp_jets, 1)),
+                    variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
@@ -253,8 +264,12 @@ def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
     """Term-by-term breakdown of the bi-tension at points x (m, ...)."""
     spec.source.require_inside(x)
     comp_jets = spec.component_jets(x, 4)
-    return _groups_at(spec, x, comp_jets, tau_s_jets(spec, x, comp_jets),
-                      frame)
+    source = mp.source_point_data(spec.source, x, 3)
+    target = mp.target_point_data(spec.target, stack(comp_jets).value, 3)
+    along = [_along(j, comp_jets, 2) for j in target]
+    tau = tau_s_jets(spec, x, comp_jets, source_data=source, along=along)
+    return _groups_at(spec, x, comp_jets, tau, frame, source, target,
+                      along[1])
 
 
 def sphere_term_breakdown(m: int, x=None):

@@ -155,6 +155,26 @@ def test_eval_missing_spec_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["eval", "--op", "tension"], ["variation", "--field", "v"], ["flow"],
+], ids=["eval", "variation", "flow"])
+@pytest.mark.parametrize("content,code,message", [
+    (None, 3, "cannot read spec file"),
+    ("{not json", 2, "is not valid JSON"),
+], ids=["missing", "not-json"])
+def test_unreadable_and_invalid_spec_files(tmp_path, capsys, command,
+                                           content, code, message):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    got, _, err = run(command[:1] + ["--spec", str(path)] + command[1:],
+                      capsys)
+    assert got == code
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+
+
 def test_eval_domain_error_rows(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1.0\n9.5\n")  # second point outside [0.5, 4]
@@ -347,6 +367,9 @@ def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
     # an exponent fraction over zero
     pytest.param("t^1/0", "exponent fraction has a zero denominator "
                  "(line 1, column 5)", id="zero-denominator"),
+    # an exponent that overflows to infinity
+    pytest.param("t^1e400", "exponent must be finite (line 1, column 3)",
+                 id="infinite-exponent"),
 ])
 def test_eval_malformed_map_component_is_a_usage_error(tmp_path, capsys,
                                                        component, message):

@@ -481,6 +481,15 @@ def test_batched_error_names_first_failing_point(text, order, points):
      "exponent must be a numeric constant (line 1, column 3)"),
     ("pow(x, y)", ex.SyntaxErrorAt,
      "pow() exponent must be a constant expression (line 1, column 1)"),
+    # an exponent that overflows, or folds to NaN, at the exponent
+    ("x^1e400", ex.SyntaxErrorAt,
+     "exponent must be finite (line 1, column 3)"),
+    ("x^-1e400", ex.SyntaxErrorAt,
+     "exponent must be finite (line 1, column 3)"),
+    ("pow(x, 1e400)", ex.SyntaxErrorAt,
+     "exponent must be finite (line 1, column 8)"),
+    ("pow(x, 1e400-1e400)", ex.SyntaxErrorAt,
+     "exponent must be finite (line 1, column 8)"),
     ("sin(x,)", ex.SyntaxErrorAt,
      "expected 'rparen', found ',' (line 1, column 6)"),
     ("pow(x 2)", ex.SyntaxErrorAt,

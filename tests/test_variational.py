@@ -383,3 +383,47 @@ def test_batched_operators_match_pointwise(rng):
                                                    variant=variant,
                                                    frame=frames[..., k]))):
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("which,op,expected", [
+    ("torus-curved", "bi_tension",
+     {"metric_at": 2, "christoffel_jets": 2, "compose": 2}),
+    ("torus-curved", "jacobi_operator",
+     {"metric_at": 2, "christoffel_jets": 2, "compose": 1}),
+    ("S^2", "bi_tension",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+])
+def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
+                                                which, op, expected):
+    """One operator call at one point evaluates the source metric once at
+    x and the target metric once at phi(x), and composes each target jet
+    array with the map at most once."""
+    if which == "S^2":
+        spec = charts.sphere_inclusion(2)
+        x = [1.1, 0.7]
+    else:
+        tor = charts.torus_chart(2)
+        spec = mp.MapSpec(tor, curved_target, [
+            ex.parse("x1 + 0.3*sin(x2)", tor.coords),
+            ex.parse("x2 - 0.2*cos(x1)", tor.coords)])
+        x = [0.4, 1.3]
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(geo, "metric_at")
+    counted(geo, "christoffel_jets")
+    counted(va, "compose")  # the binding variational calls
+    field = mp.TangentField([ex.parse("sin(x1)", ["x1", "x2"]),
+                             ex.parse("cos(x2)", ["x1", "x2"])])
+    if op == "bi_tension":
+        va.bi_tension(spec, x)
+    else:
+        va.jacobi_operator(spec, x, field)
+    assert counts == expected
