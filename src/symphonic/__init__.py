@@ -19,7 +19,7 @@ from .mesh import Mesh, build_mesh, pairwise_sum  # noqa: F401
 from .variational import (  # noqa: F401
     REDUCED, FULL, jacobi_operator, bi_tension, bi_tension_groups,
     symphonic_energy, bi_energy, first_variation_pairing,
-    bi_variation_pairing, index_form_pairing, VariationReport,
+    bi_variation_pairing, index_form_pairing,
 )
 from .oracle import (  # noqa: F401
     Deformation, fd_first_variation, fd_second_variation, richardson_order,

@@ -11,13 +11,14 @@ Grammar (EBNF):
               scientific; in exponent position an integer fraction
               'a/b' (b not zero) is also accepted
 
-Exponents are finite real constants.  ``pow(base, e)`` accepts any
-constant subexpression as e (it is folded at parse time), which is how
-the fractional powers such as pow(t, 4/3) are written.  A minus sign
-directly before a number that takes no '^' is part of the number: "-1.5"
-is the constant -1.5, while "-2^2" is -(2^2) = -4.  The printer writes
-a negated constant as "-(c)", so parse(to_source(e)) == e holds for
-negative constants and -0.0 too.
+Number literals and exponents are finite: a literal that overflows,
+such as 1e400, is a syntax error at its column.  ``pow(base, e)``
+accepts any constant subexpression as e (it is folded at parse time),
+which is how the fractional powers such as pow(t, 4/3) are written.
+A minus sign directly before a number that takes no '^' is part of the
+number: "-1.5" is the constant -1.5, while "-2^2" is -(2^2) = -4.  The
+printer writes a negated constant as "-(c)", so
+parse(to_source(e)) == e holds for negative constants and -0.0 too.
 
 The tokenizer is one pass of a compiled regular expression, and tokens
 are plain strings: a name (a word character that is not a decimal
@@ -274,6 +275,10 @@ class _Parser:
         return self.node((BinOp, op, id(left), id(right)), BinOp, op, left, right)
 
     def const(self, value):
+        """The constant of the number token just read; a literal that
+        overflows to infinity is a syntax error there."""
+        if not math.isfinite(value):
+            raise self.error("number must be finite", self.pos - 1)
         return self.node((Const, repr(value)), Const, value)
 
     def powc(self, base, exponent):

@@ -13,18 +13,22 @@ feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
 raises its frame indices once and then contracts two operands at a
 time, which keeps every einsum call cheap on grids and on jets.
 
-Each metric is evaluated in one place, as metric and Christoffel jets
-of the order the caller needs: source_point_data at x and
-target_point_data at phi(x).  The tables read floats off those jets,
-and ``variational`` composes the same target jets with the map.
+An operator call builds one AlongMap (along_map) at its points: the
+component jets of the order it needs, the source metric and
+Christoffel jets at x with the frame (source_point_data), and, on
+first use, the target ones at phi(x) and those composed with the map.
+The tables, the jet tension and the covariant derivatives of a field
+(``variational``) all read from it, so each metric is evaluated once
+per call.  The finite-difference oracle swaps deformed component jets
+into one context (AlongMap.deformed) and keeps its source side.
 
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
 axes (a flat target's constant metric and vanishing Christoffels carry
 none and broadcast).  component_jets, TangentField.jets and .values,
-the point data and tables_from_jets each take one pass over all
-points, so a whole quadrature mesh is one call; a single point (m,) is
-the batch of one.  symphonic_tension, symphonic_energy_density,
+along_map and tables_from_jets each take one pass over all points, so
+a whole quadrature mesh is one call; a single point (m,) is the batch
+of one.  symphonic_tension, symphonic_energy_density,
 second_fundamental_form and scalar_symphonic_residual take batches of
 points the same way, so a catalog case evaluates its sample points in
 one call each.
@@ -40,20 +44,22 @@ Index conventions for tables at a point x:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .jet import Jet, einsum, stack
+from .jet import Jet, compose, einsum, stack
 
 __all__ = [
     "MapSpec", "TangentField", "MapTables",
     "differential", "pullback_metric", "symphonic_energy_density",
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
-    "map_tables", "tables_from_jets", "tau_s_from_tables",
+    "AlongMap", "along_map", "map_tables", "tables_from_jets",
+    "tau_s_from_tables",
     "nabla_dphi", "tau_s", "energy_density", "frame_metric", "h_inner",
 ]
 
@@ -157,63 +163,112 @@ class MapTables:
     riemN: np.ndarray = None   # (n, n, n, n) R^a_{bcd} at phi(x)
 
 
-def source_point_data(source: geo.ManifoldModel, x, order: int = 1):
+def source_point_data(source: geo.ManifoldModel, x, order: int):
     """(met, gammaM, frame) at points x (m, ...): geometry.metric_at
-    with jets of order >= 1 and its Christoffel jets, one order lower.
-    The finite-difference oracle reuses it for every stencil value."""
+    with jets of order >= 1 and its Christoffel jets, one order lower."""
     if geo.constant_metric(source) is not None:
         order = 1  # its higher jets vanish; the jet tension reads values
     met = geo.metric_at(source, x, order)
     return met, geo.christoffel_jets(met.jets), geo.gram_schmidt(met.values)
 
 
-def target_point_data(target: geo.ManifoldModel, y, order: int = 1):
-    """(h, gammaN) at points y (n, ...): the metric jets of order >= 1 and
-    their Christoffel jets; a constant metric gives its matrix and None."""
-    target.require_inside(y)
-    h = geo.constant_metric(target)
-    if h is not None:
-        return h, None
-    met = geo.metric_at(target, y, order)
-    return met.jets, geo.christoffel_jets(met.jets)
+@dataclass(frozen=True, eq=False)
+class AlongMap:
+    """What the operators read about a map at points x (m, ...), as
+    jets in the source variables: built once per call by along_map.
+
+    jets is the (n,) component jet array of order p, source the
+    source_point_data at x with metric jets of order max(p - 1, 1).
+    target (the target metric jets at phi(x), of order
+    max(p - 1, 1 + curvature), and their Christoffel jets) and
+    gammaN_along (those composed with the map) are evaluated on first
+    use; a constant target metric gives its matrix and None.
+    """
+
+    spec: MapSpec
+    x: np.ndarray
+    jets: Jet
+    source: tuple
+    curvature: bool = False
+
+    @cached_property
+    def target(self):
+        """(h, gammaN) jet arrays at phi(x), or (matrix, None)."""
+        model = self.spec.target
+        y = self.jets.value
+        model.require_inside(y)
+        h = geo.constant_metric(model)
+        if h is not None:
+            return h, None
+        met = geo.metric_at(model, y,
+                            max(self.jets.order - 1, 1 + self.curvature))
+        return met.jets, geo.christoffel_jets(met.jets)
+
+    def target_values(self):
+        """(h, gammaN) floats at phi(x); a constant metric has zero
+        Christoffel symbols."""
+        h, gammaN = self.target
+        if gammaN is None:
+            n = self.spec.target.dim
+            return h, np.zeros((n, n, n))
+        return h.value, gammaN.value
+
+    def along(self, target_jets):
+        """A jet array of target truncated to the Christoffel order and
+        composed with the map; a constant metric and None pass through."""
+        if not isinstance(target_jets, Jet):
+            return target_jets
+        comps = [Jet(self.jets.space, c)
+                 for c in np.moveaxis(self.jets.coeffs, 1, 0)]
+        return compose(target_jets.truncate(self.target[1].order), comps)
+
+    @cached_property
+    def gammaN_along(self):
+        return self.along(self.target[1])
+
+    def deformed(self, jets) -> "AlongMap":
+        """The context of a map with other component jets (an (n,) jet
+        array of the same order) at the same points: the source side is
+        kept, the target side is evaluated anew."""
+        return replace(self, jets=jets)
 
 
-def tables_from_jets(spec: MapSpec, x, comp_jets, curvature: bool = False,
-                     frame: np.ndarray = None, source_data=None,
-                     target_data=None) -> MapTables:
-    """Assemble tables at points x (m, ...) from already-evaluated
-    component jets of order >= 2 at those points, a list or an (n,) jet
-    array (the oracle feeds deformed jets through here), and from the
-    point data at x and phi(x) (target order >= 2 for curvature)."""
+def along_map(spec: MapSpec, x, order: int,
+              curvature: bool = False) -> AlongMap:
+    """The AlongMap of spec at points x (m, ...) with component jets of
+    the given order; curvature asks for target jets of order >= 2,
+    which R^N and the covariant derivatives of a field need."""
+    spec.source.require_inside(x)
     x = np.asarray(x, dtype=float)
-    phi_jets = stack(comp_jets)
-    phi, d1, d2 = phi_jets.value, phi_jets.gradient(), phi_jets.hessian()
-    if source_data is None:
-        source_data = source_point_data(spec.source, x)
-    if target_data is None:
-        target_data = target_point_data(spec.target, phi, 1 + curvature)
-    met, gammaM, default_frame = source_data
-    h, gammaN = target_data
-    n = spec.target.dim
-    if gammaN is None:
-        gammaN = np.zeros((n, n, n))
-        riemN = np.zeros((n, n, n, n)) if curvature else None
-    else:
-        riemN = (geo.riemann_from_christoffel(gammaN.value, gammaN.gradient())
-                 if curvature else None)
-        h, gammaN = h.value, gammaN.value
+    return AlongMap(spec, x, stack(spec.component_jets(x, order)),
+                    source_point_data(spec.source, x, max(order - 1, 1)),
+                    curvature)
+
+
+def tables_from_jets(ctx: AlongMap, frame: np.ndarray = None) -> MapTables:
+    """Assemble tables from a context whose component jets have order
+    >= 2, with R^N when it was built with curvature, traced over the
+    given frame (default: the source's Gram-Schmidt frame)."""
+    jets = ctx.jets
+    d1, d2 = jets.gradient(), jets.hessian()
+    met, gammaM, default_frame = ctx.source
+    h, gammaN = ctx.target_values()
+    riemN = None
+    if ctx.curvature:
+        n = ctx.spec.target.dim
+        gj = ctx.target[1]
+        riemN = (np.zeros((n, n, n, n)) if gj is None else
+                 geo.riemann_from_christoffel(gj.value, gj.gradient()))
     sff = nabla_dphi(d2, gammaM.value, d1, gammaN)
     if frame is None:
         frame = default_frame
-    return MapTables(spec, x, phi, d1, d2, met.values, met.inverse,
-                     gammaM.value, h, gammaN, sff, frame, riemN)
+    return MapTables(ctx.spec, ctx.x, jets.value, d1, d2, met.values,
+                     met.inverse, gammaM.value, h, gammaN, sff, frame, riemN)
 
 
 def map_tables(spec: MapSpec, x, curvature: bool = False,
                frame: np.ndarray = None) -> MapTables:
-    spec.source.require_inside(x)
-    return tables_from_jets(spec, x, spec.component_jets(x, 2),
-                            curvature=curvature, frame=frame)
+    return tables_from_jets(along_map(spec, x, 2, curvature), frame)
 
 
 # operator kernels ----------------------------------------------------------
@@ -351,9 +406,12 @@ def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:
 def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x):
     """(Delta f) |grad f|^2 + 2 Hess_f(grad f, grad f) at points x
     (m, ...): a float at one point, an array over a batch."""
-    met = geo.metric_at(model, x)
-    grad = geo.gradient(model, f, x)
-    hess = geo.hessian(model, f, x)
+    met = geo.metric_at(model, x, 1)
+    f_jets = ex.eval_jet(f, model.coords, x, 2)
+    df = f_jets.gradient()
+    grad = np.einsum("ij...,j...->i...", met.inverse, df)
+    hess = f_jets.hessian() - np.einsum(
+        "kij...,k...->ij...", geo.christoffel_jets(met.jets).value, df)
     lap = np.einsum("ij...,ij...->...", met.inverse, hess)
     grad_norm2 = np.einsum("i...,ij...,j...->...", grad, met.values, grad)
     res = lap * grad_norm2 + 2.0 * np.einsum("i...,ij...,j...->...",

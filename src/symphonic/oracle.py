@@ -59,14 +59,12 @@ class Deformation:
         coords = spec.source.coords
         order = 1 if energy == ENERGY_SYM else 2
         x = mesh.points.T
-        cj = stack(spec.component_jets(x, order))
+        ctx = mp.along_map(spec, x, order)
         vj = stack(self.v.jets(coords, x, order))
         wj = None if self.w is None else stack(self.w.jets(coords, x, order))
-        src = mp.source_point_data(spec.source, x) if order == 2 else \
-            (None, None, geo.frame_at(spec.source, x).vectors)
 
         def energy_at(s: float, t: float) -> float:
-            jets = cj + t * vj
+            jets = ctx.jets + t * vj
             if wj is not None and s != 0.0:
                 jets = jets + s * wj
             try:
@@ -74,10 +72,10 @@ class Deformation:
                     y = jets.value
                     spec.target.require_inside(y)
                     dens = mp.energy_density(
-                        src[2], geo.metric_values(spec.target, y),
+                        ctx.source[2], geo.metric_values(spec.target, y),
                         jets.gradient())
                 else:
-                    t2 = mp.tables_from_jets(spec, x, jets, source_data=src)
+                    t2 = mp.tables_from_jets(ctx.deformed(jets))
                     tau = mp.tau_s_from_tables(t2)
                     dens = mp.h_inner(tau, t2.h, tau)
             except geo.DomainError as err:

@@ -22,11 +22,11 @@ pullback connection).  Two variants are exposed:
 The bi-tension is this operator applied to the symphonic tension of
 the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
-one formula for floats and jets.  bi_tension_groups and jacobi_operator
-evaluate the source metric at x and the target metric at phi(x) once,
-with jets of the order they need, and pass them down: the tables read
-their floats, and tau_s_jets and field_covariant_data share the target
-jets composed with the map (_along).
+one formula for floats and jets.  Each operator and pairing builds one
+maps.AlongMap at its points, with component jets of order 4 for the
+bi-tension and 2 for the Jacobi operator, and the building blocks
+(_groups_at, the tables, tau_s_jets, field_covariant_data) take only
+that context; a pairing reads h from its operator's context.
 
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
@@ -37,9 +37,9 @@ each.  Every array may carry trailing batch axes.  The pointwise paths
 pass gi = E^T E for their frame E (rows e_i), so a rotated frame is
 still a real input.  The grid flow passes its whole grid at once.
 
-The jet-valued side is batched the same way.  tau_s_jets,
-field_covariant_data, bi_tension and jacobi_operator take points x of
-shape (m, ...) and run their jet algebra once over all of them, on jet
+The jet-valued side is batched the same way.  The context, and so
+bi_tension and jacobi_operator, take points x of shape (m, ...), and
+the jet algebra runs once over all of them, on jet
 arrays whose tensor axes come before the batch axes; a single point
 (m,) is the batch of one through the same code.  The mesh integrals
 (symphonic_energy, bi_energy and the three pairings) therefore make one
@@ -51,13 +51,11 @@ node with the text the pointwise call there raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry as geo
 from . import maps as mp
-from .jet import Jet, compose, einsum, stack
+from .jet import einsum, stack
 from .mesh import Mesh
 
 REDUCED = "reduced"
@@ -70,49 +68,27 @@ def _check_variant(variant):
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-# target data composed along the map ---------------------------------------
-
-
-def _along(target_jets, comp_jets, order):
-    """A jet array of maps.target_point_data truncated to order and
-    composed with the map; a constant metric and None pass through."""
-    if not isinstance(target_jets, Jet):
-        return target_jets
-    return compose(target_jets.truncate(order), comp_jets)
-
-
 # jet-valued symphonic tension ----------------------------------------------
 
 
-def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4,
-               source_data=None, along=None):
+def tau_s_jets(ctx: mp.AlongMap):
     """Symphonic tension as an (n,) jet array in the source variables
-    at points x (m, ...): maps.tau_s on jet arrays.
+    at the context's points: maps.tau_s on jet arrays.
 
     With component jets of order p the result has order p - 2, which
     feeds the bi-tension assembly (p = 4 gives the required order 2).
-    source_data (of order >= p - 1) and along (of order p - 2) are
-    evaluated here when not given, as in bi_tension_groups.
     """
-    x = np.asarray(x, dtype=float)
-    if comp_jets is None:
-        comp_jets = spec.component_jets(x, order)
-    p = comp_jets[0].order
+    p = ctx.jets.order
     if p < 3:
         raise ValueError("tau_s_jets needs component jets of order >= 3")
-    if source_data is None:
-        source_data = mp.source_point_data(spec.source, x, p - 1)
-    if along is None:
-        along = [_along(j, comp_jets, p - 2) for j in mp.target_point_data(
-            spec.target, stack(comp_jets).value, p - 1)]
-    met, gammaM, _ = source_data
-    if geo.constant_metric(spec.source) is None:
+    h, gammaN = ctx.along(ctx.target[0]), ctx.gammaN_along
+    met, gammaM, _ = ctx.source
+    if geo.constant_metric(ctx.spec.source) is None:
         gi = geo.inverse_jets(met.jets.truncate(p - 2))
         gammaM = gammaM.truncate(p - 2)
     else:  # plain arrays: a constant g^-1 and zero Christoffels
         gi, gammaM = met.inverse, gammaM.value
-    h, gammaN = along
-    d1 = stack(comp_jets).partials()             # [i, a], order p - 1
+    d1 = ctx.jets.partials()                     # [i, a], order p - 1
     d2 = d1.partials()                           # [j, i, a], order p - 2
     d1 = d1.truncate(p - 2)
     sff = mp.nabla_dphi(d2, gammaM, d1, gammaN)
@@ -123,37 +99,30 @@ def tau_s_jets(spec: mp.MapSpec, x, comp_jets=None, order: int = 4,
 # covariant derivatives of a field along the map -----------------------------
 
 
-def field_covariant_data(spec: mp.MapSpec, x, v_jets, comp_jets=None,
-                         tables: mp.MapTables = None, gammaN=None):
-    """Values of v, nabla v, nabla^2 v at points x (m, ...) for a field
-    given by jets there.
+def field_covariant_data(ctx: mp.AlongMap, v_jets):
+    """Values of v, nabla v, nabla^2 v at the context's points for a
+    field given by jets there.
 
-    v_jets, the field's n component jets or their (n,) jet array, must
-    have order >= 2.  Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with
-    the batch axes, where DDv[i,j] is the second covariant derivative
-    with outer direction i, using the source connection on the form
-    index and the pullback connection on the bundle index.  gammaN is
-    composed here when not given, as in jacobi_operator.
+    The context needs target jets of order >= 2 (built with curvature
+    or with component jets of order >= 3).  v_jets, the field's n
+    component jets or their (n,) jet array, must have order >= 2.
+    Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with the batch axes,
+    where DDv[i,j] is the second covariant derivative with outer
+    direction i, using the source connection on the form index and the
+    pullback connection on the bundle index.
     """
-    if comp_jets is None:
-        comp_jets = spec.component_jets(x, 2)
-    if tables is None:
-        tables = mp.tables_from_jets(spec, x, comp_jets, curvature=True)
-    if gammaN is None and geo.constant_metric(spec.target) is None:
-        gammaN = _along(mp.target_point_data(spec.target, tables.phi, 2)[1],
-                        comp_jets, 1)
     v_jets = stack(v_jets)
     # first covariant derivative as a jet array [i, a] of order >= 1
     dv_jets = v_jets.partials()
-    if gammaN is not None:
+    if ctx.gammaN_along is not None:
         dv_jets = dv_jets + einsum("abc...,ib...,c...->ia...",
-                                   gammaN.truncate(1),
-                                   stack(comp_jets).partials(), v_jets)
+                                   ctx.gammaN_along.truncate(1),
+                                   ctx.jets.partials(), v_jets)
     v, dv = v_jets.value, dv_jets.value
     ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
-           + np.einsum("abc...,ib...,jc...->ija...", tables.gammaN,
-                       tables.d1, dv)
-           - np.einsum("kij...,ka...->ija...", tables.gammaM, dv))
+           + np.einsum("abc...,ib...,jc...->ija...", ctx.target_values()[1],
+                       ctx.jets.gradient(), dv)
+           - np.einsum("kij...,ka...->ija...", ctx.source[1].value, dv))
     return v, dv, ddv
 
 
@@ -221,13 +190,11 @@ def assemble(groups: dict, variant: str) -> np.ndarray:
     return out
 
 
-def _groups_at(spec: mp.MapSpec, x, comp_jets, v_jets, frame, source,
-               target, gammaN) -> dict:
-    """jacobi_groups for the field given by v_jets at points x, traced
-    over the frame (default: the tables' own)."""
-    t = mp.tables_from_jets(spec, x, comp_jets, curvature=True, frame=frame,
-                            source_data=source, target_data=target)
-    v, dv, ddv = field_covariant_data(spec, x, v_jets, comp_jets, t, gammaN)
+def _groups_at(ctx: mp.AlongMap, v_jets, frame) -> dict:
+    """jacobi_groups for the field given by v_jets at the context's
+    points, traced over the frame (default: the tables' own)."""
+    t = mp.tables_from_jets(ctx, frame)
+    v, dv, ddv = field_covariant_data(ctx, v_jets)
     return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
                          v, dv, ddv, t.riemN)
 
@@ -241,15 +208,10 @@ def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
     order >= 2 at those points (a list or an (n,) jet array).
     """
     _check_variant(variant)
-    spec.source.require_inside(x)
-    comp_jets = spec.component_jets(x, 2)
-    v_jets = (field.jets(spec.source.coords, x, 2)
+    ctx = mp.along_map(spec, x, 2, curvature=True)
+    v_jets = (field.jets(spec.source.coords, ctx.x, 2)
               if isinstance(field, mp.TangentField) else field)
-    source = mp.source_point_data(spec.source, x)
-    target = mp.target_point_data(spec.target, stack(comp_jets).value, 2)
-    return assemble(_groups_at(spec, x, comp_jets, v_jets, frame, source,
-                               target, _along(target[1], comp_jets, 1)),
-                    variant)
+    return assemble(_groups_at(ctx, v_jets, frame), variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
@@ -262,14 +224,8 @@ def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
 
 def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
     """Term-by-term breakdown of the bi-tension at points x (m, ...)."""
-    spec.source.require_inside(x)
-    comp_jets = spec.component_jets(x, 4)
-    source = mp.source_point_data(spec.source, x, 3)
-    target = mp.target_point_data(spec.target, stack(comp_jets).value, 3)
-    along = [_along(j, comp_jets, 2) for j in target]
-    tau = tau_s_jets(spec, x, comp_jets, source_data=source, along=along)
-    return _groups_at(spec, x, comp_jets, tau, frame, source, target,
-                      along[1])
+    ctx = mp.along_map(spec, x, 4, curvature=True)
+    return _groups_at(ctx, tau_s_jets(ctx), frame)
 
 
 def sphere_term_breakdown(m: int, x=None):
@@ -320,11 +276,10 @@ def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
     """-1 int h(v, tau^s_2) dv_g, the classically normalized
     bi-energy pairing."""
     _check_variant(variant)
-    x = mesh.points.T
-    tau2 = bi_tension(spec, x, variant=variant)
-    t = mp.map_tables(spec, x)
-    v = field.values(spec.source.coords, x)
-    return -1.0 * mesh.integrate(mp.h_inner(v, t.h, tau2))
+    ctx = mp.along_map(spec, mesh.points.T, 4, curvature=True)
+    tau2 = assemble(_groups_at(ctx, tau_s_jets(ctx), None), variant)
+    v = field.values(spec.source.coords, ctx.x)
+    return -1.0 * mesh.integrate(mp.h_inner(v, ctx.target_values()[0], tau2))
 
 
 def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
@@ -332,28 +287,8 @@ def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
                        variant: str = FULL) -> float:
     """-4 int h(J v, w) dv_g, the closed-form second variation."""
     _check_variant(variant)
-    x = mesh.points.T
-    jv = jacobi_operator(spec, x, vfield, variant=variant)
-    t = mp.map_tables(spec, x)
-    w = wfield.values(spec.source.coords, x)
-    return -4.0 * mesh.integrate(mp.h_inner(jv, t.h, w))
-
-
-@dataclass
-class VariationReport:
-    """Side-by-side record of a closed-form pairing and its
-    finite-difference oracle value."""
-
-    analytic: float
-    oracle: float
-    mesh_description: str
-    fd_step: float
-
-    @property
-    def abs_discrepancy(self) -> float:
-        return abs(self.analytic - self.oracle)
-
-    @property
-    def rel_discrepancy(self) -> float:
-        scale = max(abs(self.analytic), abs(self.oracle), 1e-300)
-        return self.abs_discrepancy / scale
+    ctx = mp.along_map(spec, mesh.points.T, 2, curvature=True)
+    jv = assemble(_groups_at(ctx, vfield.jets(spec.source.coords, ctx.x, 2),
+                             None), variant)
+    w = wfield.values(spec.source.coords, ctx.x)
+    return -4.0 * mesh.integrate(mp.h_inner(jv, ctx.target_values()[0], w))

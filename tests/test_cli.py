@@ -370,6 +370,9 @@ def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
     # an exponent that overflows to infinity
     pytest.param("t^1e400", "exponent must be finite (line 1, column 3)",
                  id="infinite-exponent"),
+    # a number literal that overflows to infinity
+    pytest.param("t*1e400", "number must be finite (line 1, column 3)",
+                 id="infinite-literal"),
 ])
 def test_eval_malformed_map_component_is_a_usage_error(tmp_path, capsys,
                                                        component, message):

@@ -486,10 +486,18 @@ def test_batched_error_names_first_failing_point(text, order, points):
      "exponent must be finite (line 1, column 3)"),
     ("x^-1e400", ex.SyntaxErrorAt,
      "exponent must be finite (line 1, column 3)"),
+    # pow's exponent is an expression: its overflowing literal fails first
     ("pow(x, 1e400)", ex.SyntaxErrorAt,
-     "exponent must be finite (line 1, column 8)"),
+     "number must be finite (line 1, column 8)"),
     ("pow(x, 1e400-1e400)", ex.SyntaxErrorAt,
-     "exponent must be finite (line 1, column 8)"),
+     "number must be finite (line 1, column 8)"),
+    # a number literal that overflows, at the literal
+    ("x*1e400", ex.SyntaxErrorAt,
+     "number must be finite (line 1, column 3)"),
+    ("x + 1e400", ex.SyntaxErrorAt,
+     "number must be finite (line 1, column 5)"),
+    ("x*(1e400-1e400)", ex.SyntaxErrorAt,
+     "number must be finite (line 1, column 4)"),
     ("sin(x,)", ex.SyntaxErrorAt,
      "expected 'rparen', found ',' (line 1, column 6)"),
     ("pow(x 2)", ex.SyntaxErrorAt,

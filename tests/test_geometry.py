@@ -314,6 +314,6 @@ def test_jet_tension_names_the_first_non_spd_source_point():
                        ex.parse("y", source.coords)])
     pts = np.array([[0.5, -0.5, -0.2], [0.1, 0.2, 0.3]])
     with pytest.raises(geo.NonSPDError, match=r"\[-0\.5, 0\.2\]"):
-        va.tau_s_jets(spec, pts)
+        va.tau_s_jets(mp.along_map(spec, pts, 4))
     with pytest.raises(geo.NonSPDError, match=r"\[-0\.5, 0\.2\]"):
         va.bi_tension(spec, pts)

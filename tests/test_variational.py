@@ -199,13 +199,6 @@ def test_index_form_symmetry_at_linear_map(torus_mesh):
     assert abs(s_vw - s_wv) / max(abs(s_vw), 1e-300) <= 1e-6
 
 
-def test_variation_report_fields():
-    rep = va.VariationReport(analytic=2.0, oracle=2.0002,
-                             mesh_description="m", fd_step=1e-3)
-    assert rep.abs_discrepancy == pytest.approx(2e-4)
-    assert rep.rel_discrepancy == pytest.approx(2e-4 / 2.0002, rel=1e-6)
-
-
 def test_bad_variant_rejected(torus2):
     lin = charts.linear_torus_map()
     with pytest.raises(ValueError):
@@ -224,7 +217,8 @@ def test_kernels_accept_trailing_batch_axes(annulus, curved_target, rng):
     for x in annulus.sample_points(6, rng):
         t = mp.map_tables(spec, x, curvature=True)
         v, dv, ddv = va.field_covariant_data(
-            spec, x, field.jets(annulus.coords, x, 2), tables=t)
+            mp.along_map(spec, x, 2, curvature=True),
+            field.jets(annulus.coords, x, 2))
         gi = t.frame.T @ t.frame
         per_point.append(((gi, t.h, t.d1, t.sff, v, dv, ddv, t.riemN),
                           t.frame))
@@ -392,12 +386,25 @@ def test_batched_operators_match_pointwise(rng):
      {"metric_at": 2, "christoffel_jets": 2, "compose": 1}),
     ("S^2", "bi_tension",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("torus-curved", "bi_variation_pairing",
+     {"metric_at": 2, "christoffel_jets": 2, "compose": 2}),
+    ("torus-curved", "index_form_pairing",
+     {"metric_at": 2, "christoffel_jets": 2, "compose": 1}),
+    ("S^2", "bi_variation_pairing",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("S^2", "index_form_pairing",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("torus-curved", "scalar_symphonic_residual",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("S^2", "scalar_symphonic_residual",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
 ])
 def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
                                                 which, op, expected):
-    """One operator call at one point evaluates the source metric once at
-    x and the target metric once at phi(x), and composes each target jet
-    array with the map at most once."""
+    """One operator call, at one point or over a 6x6 mesh, evaluates the
+    source metric once at x and the target metric once at phi(x), and
+    composes each target jet array with the map at most once; a pairing
+    reads h from its operator's evaluation."""
     if which == "S^2":
         spec = charts.sphere_inclusion(2)
         x = [1.1, 0.7]
@@ -407,6 +414,11 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
             ex.parse("x1 + 0.3*sin(x2)", tor.coords),
             ex.parse("x2 - 0.2*cos(x1)", tor.coords)])
         x = [0.4, 1.3]
+    coords = spec.source.coords
+    field = mp.TangentField(
+        [ex.parse(f"sin({coords[0]})", coords)]
+        + [ex.parse(f"cos({coords[1]})", coords)] * (spec.target.dim - 1))
+    mesh = build_mesh(spec.source, 6)
     counts = dict.fromkeys(expected, 0)
 
     def counted(owner, name):
@@ -419,11 +431,16 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
 
     counted(geo, "metric_at")
     counted(geo, "christoffel_jets")
-    counted(va, "compose")  # the binding variational calls
-    field = mp.TangentField([ex.parse("sin(x1)", ["x1", "x2"]),
-                             ex.parse("cos(x2)", ["x1", "x2"])])
+    counted(mp, "compose")  # the binding the context calls
     if op == "bi_tension":
         va.bi_tension(spec, x)
-    else:
+    elif op == "jacobi_operator":
         va.jacobi_operator(spec, x, field)
+    elif op == "bi_variation_pairing":
+        va.bi_variation_pairing(spec, field, mesh)
+    elif op == "index_form_pairing":
+        va.index_form_pairing(spec, field, field, mesh)
+    else:
+        mp.scalar_symphonic_residual(
+            spec.source, ex.parse(f"sin({coords[0]})*{coords[1]}", coords), x)
     assert counts == expected
