@@ -339,7 +339,8 @@ def energy_density(frame, h, d1):
     pullback metric in the orthonormal frame whose rows are e_i;
     frame (m, m, ...), h (n, n, ...), d1 (m, n, ...)."""
     df = np.einsum("ip...,pa...->ia...", frame, d1)          # dphi(e_i)
-    gram = np.einsum("ia...,ab...,jb...->ij...", df, h, df)
+    hd = np.einsum("ab...,jb...->ja...", h, df)
+    gram = np.einsum("ia...,ja...->ij...", df, hd)
     return np.einsum("ij...,ij...->...", gram, gram)
 
 

@@ -213,6 +213,9 @@ def test_remainder_and_gradient_are_read_only():
             flow.gradient_field(state)[0, 0, 0] = 1.0
         state = flow.flow_step(state)
     assert state.iteration == 2
+    for c in flow._circulants(16):  # shared by every later caller
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
 
 
 def test_huge_step_stalls_after_all_halvings():
@@ -233,6 +236,58 @@ def _roll_d2(f, axis, h):
             + 16 * np.roll(f, 1, axis) - np.roll(f, 2, axis)) / (12 * h * h)
 
 
+def _abs_d1(f, axis, h):
+    """_roll_d1 with |weights| on |f|: the scale of its rounding error."""
+    f = np.abs(f)
+    return (np.roll(f, -2, axis) + 8 * np.roll(f, -1, axis)
+            + 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h)
+
+
+def _abs_d2(f, axis, h):
+    f = np.abs(f)
+    return (np.roll(f, -2, axis) + 16 * np.roll(f, -1, axis) + 30 * f
+            + 16 * np.roll(f, 1, axis) + np.roll(f, 2, axis)) / (12 * h * h)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+# One partial is a five-term dot product and a division, so in any
+# summation order it is within gamma_6 * S of the exact value, S being
+# the same stencil with |weights| on |f|; two such results differ by at
+# most twice that.  A cross partial stacks two of them.
+SINGLE_BOUND = 2 * _gamma(6)
+CROSS_BOUND = 2 * _gamma(6) * (2 + _gamma(6))
+
+
+def _assert_stencils(f, spacings, exact):
+    d1, d2 = flow._stencil_derivatives(f, spacings)
+    m = len(spacings)
+    assert d1.shape == (m,) + f.shape
+    assert d2.shape == (m, m) + f.shape
+
+    def check(got, ref, scale, bound):
+        if exact:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.all(np.abs(got - ref) <= bound * scale)
+
+    for i, hi in enumerate(spacings):
+        check(d1[i], _roll_d1(f, 1 + i, hi), _abs_d1(f, 1 + i, hi),
+              SINGLE_BOUND)
+        check(d2[i, i], _roll_d2(f, 1 + i, hi), _abs_d2(f, 1 + i, hi),
+              SINGLE_BOUND)
+        for j in range(i + 1, m):
+            hj = spacings[j]
+            cross = _roll_d1(_roll_d1(f, 1 + i, hi), 1 + j, hj)
+            scale = _abs_d1(_abs_d1(f, 1 + i, hi), 1 + j, hj)
+            check(d2[i, j], cross, scale, CROSS_BOUND)
+            check(d2[j, i], cross, scale, CROSS_BOUND)
+
+
 @pytest.mark.parametrize("components", [1, 3])
 @pytest.mark.parametrize("grid, spacings", [
     ((16,), [0.3]),
@@ -240,19 +295,14 @@ def _roll_d2(f, axis, h):
     ((8, 12, 10), [0.3, 0.2, 0.7]),
 ])
 def test_stencils_equal_rolled_formulas(rng, components, grid, spacings):
-    f = rng.normal(size=(components,) + grid)
-    d1, d2 = flow._stencil_derivatives(f, spacings)
-    m = len(spacings)
-    assert d1.shape == (m, components) + grid
-    assert d2.shape == (m, m, components) + grid
-    for i in range(m):
-        assert np.array_equal(d1[i], _roll_d1(f, 1 + i, spacings[i]))
-        assert np.array_equal(d2[i, i], _roll_d2(f, 1 + i, spacings[i]))
-        for j in range(i + 1, m):
-            cross = _roll_d1(_roll_d1(f, 1 + i, spacings[i]), 1 + j,
-                             spacings[j])
-            assert np.array_equal(d2[i, j], cross)
-            assert np.array_equal(d2[j, i], cross)
+    """The matrix stencils against the shifted-array formulas: bit for
+    bit where every sum is exact in any order (integer-valued fields,
+    12 h a power of two), to the rounding bound of a five-term sum on
+    real fields."""
+    shape = (components,) + grid
+    ints = rng.integers(-999, 999, size=shape).astype(float)
+    _assert_stencils(ints, [1 / 3, 2 / 3, 1 / 6][:len(grid)], exact=True)
+    _assert_stencils(rng.normal(size=shape), spacings, exact=False)
 
 
 def test_readme_flow_pinned():

@@ -1,10 +1,11 @@
-"""The raised-index kernels against the four-operand forms they replace.
+"""The two-operand kernels against the many-operand forms they replace.
 
 maps.tau_s and variational.jacobi_groups contract over two operands at
 a time.  The references below are the earlier bodies, which wrote each
 frame sum as one four-operand contraction with gi twice; both forms
 must agree to rounding on arbitrary SPD metrics, with and without
-curvature, on floats and on jet arrays.
+curvature, on floats and on jet arrays.  maps.energy_density likewise
+splits the three-operand pullback metric into two contractions.
 """
 
 import numpy as np
@@ -54,6 +55,12 @@ def reference_jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None):
     }
 
 
+def reference_energy_density(frame, h, d1):
+    df = np.einsum("ip...,pa...->ia...", frame, d1)
+    gram = np.einsum("ia...,ab...,jb...->ij...", df, h, df)
+    return np.einsum("ij...,ij...->...", gram, gram)
+
+
 def assert_close(got, ref):
     scale = np.max(np.abs(ref))
     assert scale > 0
@@ -91,6 +98,18 @@ def test_jacobi_groups_match_four_operand_form(rng, curved):
     assert sorted(got) == sorted(ref)
     for key in ref:
         assert_close(got[key], ref[key])
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_energy_density_matches_three_operand_form(rng, batched):
+    """Constant frame and h over a batch, as on the flow grid, or one
+    per point, as on a mesh."""
+    m, n = 3, 4
+    frame, h = rng.normal(size=(m, m, BATCH)), random_spd(rng, n)
+    if not batched:
+        frame, h = frame[..., 0], h[..., 0]
+    args = dict(frame=frame, h=h, d1=rng.normal(size=(m, n, BATCH)))
+    assert_close(mp.energy_density(**args), reference_energy_density(**args))
 
 
 def curved_torus_map(curved_target):
