@@ -8,10 +8,21 @@ Commands:
     flow       run the gradient flow on a periodic chart
 
 Exit codes: 0 success, 1 checks failed, 2 usage error, 3 I/O error,
-4 numerical-domain error.  The default random seed is 0x5EED (24301);
-the SYMPHONIC_SEED environment variable overrides it, --seed overrides
-both.  All numbers are printed in shortest round-trip form, so equal
-seeds give byte-identical reports (timing aside).
+4 numerical-domain error.  A command returns 0 or 1, or 4 for eval's
+NaN rows and a stalled or aborted flow.  Every other failure is raised,
+and ``main`` alone turns it into one ``error:`` line and its code:
+
+    CliError                                 its own code
+    FileNotFoundError (spec file unreadable) 3
+    SpecFileError, FlowSetupError            2
+    StepTooLargeError                        4, as "step too large: ..."
+    GeometryError, ExprError, JetDomainError 4
+
+Any other exception is a bug and keeps its traceback.  The default
+random seed is 0x5EED (24301); the SYMPHONIC_SEED environment variable
+(an integer) overrides it, --seed overrides both.  All numbers are
+printed in shortest round-trip form, so equal seeds give byte-identical
+reports (timing aside).
 """
 
 from __future__ import annotations
@@ -51,34 +62,48 @@ OPS = ("pullback", "energy-density", "tension", "symphonic-tension",
        "bi-tension", "jacobi")
 
 
+class CliError(Exception):
+    """A failure the CLI detects itself; main prints its message and
+    exits with its code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def _default_seed() -> int:
     env = os.environ.get("SYMPHONIC_SEED")
-    return int(env, 0) if env else case_mod.DEFAULT_SEED
+    if not env:
+        return case_mod.DEFAULT_SEED
+    try:
+        return int(env, 0)
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"SYMPHONIC_SEED must be an integer, "
+                                   f"got {env!r}") from None
 
 
-def _write_json(path, payload) -> int:
+def _write(path, text: str):
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+            fh.write(text)
     except OSError as err:
-        print(f"error: cannot write {path!r}: {err}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise CliError(EXIT_IO, f"cannot write {path!r}: {err}") from err
 
 
-def _read_spec(ref):
-    """((spec, fields), EXIT_OK), else the printed error's exit code."""
-    try:
-        return load_spec(ref), EXIT_OK
-    except (FileNotFoundError, SpecFileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        io = isinstance(err, FileNotFoundError)
-        return (None, None), EXIT_IO if io else EXIT_USAGE
+def _write_json(path, payload):
+    _write(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _field(fields, name):
+    """The spec's field of that name; an unknown name is a usage error."""
+    if name not in fields:
+        raise CliError(EXIT_USAGE, f"unknown field '{name}' "
+                                   f"(spec defines: {sorted(fields)})")
+    return fields[name]
 
 
 # verify ---------------------------------------------------------------------
@@ -87,9 +112,8 @@ def _read_spec(ref):
 def cmd_verify(args) -> int:
     if args.case != "all" and args.case not in case_mod.CASES:
         known = ", ".join(sorted(case_mod.CASES))
-        print(f"error: unknown case '{args.case}' (known: {known})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(EXIT_USAGE,
+                       f"unknown case '{args.case}' (known: {known})")
     names = list(case_mod.CASES) if args.case == "all" else [args.case]
     t0 = time.perf_counter()
     results = []
@@ -111,17 +135,14 @@ def cmd_verify(args) -> int:
         for key, value in r.extra.items():
             print(f"    note {key} = {value}")
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "version": __version__,
             "command": "verify --case " + args.case,
             "seed": args.seed,
             "tol_scale": args.tol_scale,
             "cases": [r.to_dict(args.tol_scale) for r in results],
             "timing": {"total_seconds": elapsed, **case_seconds},
-        }
-        code = _write_json(args.json, payload)
-        if code != EXIT_OK:
-            return code
+        })
     return EXIT_OK if all_pass else EXIT_CHECKS_FAILED
 
 
@@ -131,36 +152,32 @@ def cmd_verify(args) -> int:
 def _eval_points(args, spec):
     if args.points:
         try:
-            text = open(args.points).read()
+            with open(args.points) as fh:
+                text = fh.read()
         except OSError as err:
-            print(f"error: cannot read points file: {err}", file=sys.stderr)
-            return None, EXIT_IO
+            raise CliError(EXIT_IO, f"cannot read points file: {err}") from err
         try:
-            pts = [[float(v) for v in line.replace(",", " ").split()]
-                   for line in text.splitlines() if line.strip()]
+            return [[float(v) for v in line.replace(",", " ").split()]
+                    for line in text.splitlines() if line.strip()]
         except ValueError as err:
-            print(f"error: points file {args.points!r}: {err}",
-                  file=sys.stderr)
-            return None, EXIT_USAGE
-        return pts, EXIT_OK
+            raise CliError(EXIT_USAGE,
+                           f"points file {args.points!r}: {err}") from err
     res = args.grid
     m = spec.source.dim
     axes = []
     for k in range(m):
         lo, hi = spec.source.intervals[k]
         if lo is None or hi is None:
-            print("error: --grid needs a bounded source chart",
-                  file=sys.stderr)
-            return None, EXIT_USAGE
+            raise CliError(EXIT_USAGE, "--grid needs a bounded source chart")
         if spec.source.periodic[k]:
             axes.append(lo + (hi - lo) / res * np.arange(res))
         else:
             axes.append(np.linspace(lo, hi, res))
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1).tolist(), EXIT_OK
+    return np.stack([g.ravel() for g in grids], axis=-1).tolist()
 
 
-def _apply_op(args, spec, fields, x):
+def _apply_op(args, spec, field, x):
     if args.op == "pullback":
         return mp.pullback_metric(spec, x).ravel()
     if args.op == "energy-density":
@@ -171,44 +188,34 @@ def _apply_op(args, spec, fields, x):
         return mp.symphonic_tension(spec, x)
     if args.op == "bi-tension":
         return va.bi_tension(spec, x, variant=args.variant)
-    field = fields.get(args.field)
     return va.jacobi_operator(spec, x, field, variant=args.variant)
 
 
 def cmd_eval(args) -> int:
-    (spec, fields), code = _read_spec(args.spec)
-    if code != EXIT_OK:
-        return code
+    spec, fields = load_spec(args.spec)
+    field = None
     if args.op == "jacobi":
         if not args.field:
-            print("error: --op jacobi requires --field", file=sys.stderr)
-            return EXIT_USAGE
-        if args.field not in fields:
-            print(f"error: unknown field '{args.field}' "
-                  f"(spec defines: {sorted(fields)})", file=sys.stderr)
-            return EXIT_USAGE
-    pts, code = _eval_points(args, spec)
-    if code != EXIT_OK:
-        return code
+            raise CliError(EXIT_USAGE, "--op jacobi requires --field")
+        field = _field(fields, args.field)
+    pts = _eval_points(args, spec)
     m = spec.source.dim
     rows = []
     bad = 0
     width = None
     for x in pts:
         if len(x) != m:
-            print(f"error: point {x} has {len(x)} coordinates, chart "
-                  f"has {m}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, f"point {x} has {len(x)} coordinates, "
+                                       f"chart has {m}")
         try:
-            out = np.asarray(_apply_op(args, spec, fields, x), dtype=float)
+            out = np.asarray(_apply_op(args, spec, field, x), dtype=float)
             width = len(out)
             rows.append((x, out))
         except (geo.GeometryError, ExprError, JetDomainError):
             bad += 1
             rows.append((x, None))
     if width is None:
-        print("error: every point failed its domain checks", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise CliError(EXIT_NUMERICAL, "every point failed its domain checks")
     header = spec.source.coords + [f"{args.op}_{k + 1}" for k in range(width)]
     lines = [",".join(header)]
     for x, out in rows:
@@ -217,11 +224,7 @@ def cmd_eval(args) -> int:
         lines.append(",".join(vals))
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            open(args.out, "w").write(text)
-        except OSError as err:
-            print(f"error: cannot write {args.out!r}: {err}", file=sys.stderr)
-            return EXIT_IO
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if bad:
@@ -237,61 +240,38 @@ def cmd_eval(args) -> int:
 def cmd_variation(args) -> int:
     t0 = time.perf_counter()
     if args.second and args.energy == "bisym":
-        print("error: the second variation of the bi-energy is not "
-              "implemented (--second needs --energy sym)", file=sys.stderr)
-        return EXIT_USAGE
-    (spec, fields), code = _read_spec(args.spec)
-    if code != EXIT_OK:
-        return code
-    if args.field not in fields:
-        print(f"error: unknown field '{args.field}' "
-              f"(spec defines: {sorted(fields)})", file=sys.stderr)
-        return EXIT_USAGE
-    v = fields[args.field]
+        raise CliError(EXIT_USAGE, "the second variation of the bi-energy is "
+                                   "not implemented (--second needs --energy "
+                                   "sym)")
+    spec, fields = load_spec(args.spec)
+    v = _field(fields, args.field)
     if args.second:
         if not args.field2:
-            print("error: --second requires --field2", file=sys.stderr)
-            return EXIT_USAGE
-        if args.field2 not in fields:
-            print(f"error: unknown field '{args.field2}'", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(EXIT_USAGE, "--second requires --field2")
+        w = _field(fields, args.field2)
     try:
         mesh = build_mesh(spec.source, args.grid)
     except geo.GeometryError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ExprError, JetDomainError) as err:
-        # the source metric is evaluated at the mesh nodes
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise CliError(EXIT_USAGE, str(err)) from err
     step = args.fd_step
-    try:
-        t1 = time.perf_counter()
-        if args.second:
-            w = fields[args.field2]
-            analytic = va.index_form_pairing(spec, v, w, mesh, variant=va.FULL)
-            fd_at = functools.partial(orc.fd_second_variation, spec, v, w,
-                                      mesh)
-            tolerance, label = 1e-3, "mixed second variation"
-        elif args.energy == "bisym":
-            pairing = va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
-            analytic = -2.0 * pairing
-            fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh,
-                                      energy=orc.ENERGY_BISYM)
-            tolerance, label = 1e-3, "bi-energy first variation"
-        else:
-            analytic = va.first_variation_pairing(spec, v, mesh)
-            fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh)
-            tolerance, label = 1e-4, "first variation"
-        t2 = time.perf_counter()
-        fd, fd_half, fd_quarter = [fd_at(step / k) for k in (1, 2, 4)]
-        t3 = time.perf_counter()
-    except orc.StepTooLargeError as err:
-        print(f"error: step too large: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (geo.GeometryError, ExprError, JetDomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    t1 = time.perf_counter()
+    if args.second:
+        analytic = va.index_form_pairing(spec, v, w, mesh, variant=va.FULL)
+        fd_at = functools.partial(orc.fd_second_variation, spec, v, w, mesh)
+        tolerance, label = 1e-3, "mixed second variation"
+    elif args.energy == "bisym":
+        pairing = va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
+        analytic = -2.0 * pairing
+        fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh,
+                                  energy=orc.ENERGY_BISYM)
+        tolerance, label = 1e-3, "bi-energy first variation"
+    else:
+        analytic = va.first_variation_pairing(spec, v, mesh)
+        fd_at = functools.partial(orc.fd_first_variation, spec, v, mesh)
+        tolerance, label = 1e-4, "first variation"
+    t2 = time.perf_counter()
+    fd, fd_half, fd_quarter = [fd_at(step / k) for k in (1, 2, 4)]
+    t3 = time.perf_counter()
     order = orc.richardson_order(fd, fd_half, fd_quarter)
     # +1 in the denominator keeps the check meaningful at critical
     # points where both sides vanish
@@ -307,7 +287,7 @@ def cmd_variation(args) -> int:
         measured = fd / pairing if pairing else float("nan")
         print(f"  measured constant vs the -1-normalized pairing: {_fmt(measured)}")
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "version": __version__,
             "command": "variation",
             "seed": args.seed,
@@ -323,10 +303,7 @@ def cmd_variation(args) -> int:
             "timing": {"total_seconds": time.perf_counter() - t0,
                        "analytic_seconds": t2 - t1,
                        "fd_seconds": t3 - t2},
-        }
-        code = _write_json(args.json, payload)
-        if code != EXIT_OK:
-            return code
+        })
     return EXIT_OK if rel <= tolerance else EXIT_CHECKS_FAILED
 
 
@@ -334,19 +311,9 @@ def cmd_variation(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    (spec, _), code = _read_spec(args.spec)
-    if code != EXIT_OK:
-        return code
-    try:
-        state = flow_mod.flow_init(spec, args.grid, epsilon=args.dt,
-                                   energy=args.energy)
-    except flow_mod.FlowSetupError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (geo.GeometryError, ExprError, JetDomainError) as err:
-        # the map is sampled on the grid
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    spec, _ = load_spec(args.spec)
+    state = flow_mod.flow_init(spec, args.grid, epsilon=args.dt,
+                               energy=args.energy)
     trace_rows = []
 
     def on_step(st, gnorm):
@@ -360,12 +327,7 @@ def cmd_flow(args) -> int:
         lines = [header]
         for row in trace_rows:
             lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
-        try:
-            open(args.trace, "w").write("\n".join(lines) + "\n")
-        except OSError as err:
-            print(f"error: cannot write {args.trace!r}: {err}",
-                  file=sys.stderr)
-            return EXIT_IO
+        _write(args.trace, "\n".join(lines) + "\n")
     print(f"status     : {state.status}")
     print(f"iterations : {state.iteration}")
     print(f"energy     : {_fmt(state.energy_history[-1])}")
@@ -446,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _check_options(args):
+    """Fill in the seed and FD step defaults; reject bad numbers."""
     if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
     if getattr(args, "fd_step", None) is None and args.command == "variation":
@@ -456,13 +418,31 @@ def main(argv=None) -> int:
     for name in POSITIVE_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
-            print(f"error: --{name.replace('_', '-')} must be positive, "
-                  f"got {value!r}", file=sys.stderr)
-            return EXIT_USAGE
-    # overflow and NaN surface as domain errors (exit 4), so numpy's
-    # floating-point warnings would only repeat them on stderr
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return args.func(args)
+            raise CliError(EXIT_USAGE, f"--{name.replace('_', '-')} must be "
+                                       f"positive, got {value!r}")
+
+
+def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        _check_options(args)
+        # overflow and NaN surface as domain errors (exit 4), so numpy's
+        # floating-point warnings would only repeat them on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except CliError as err:
+        code, message = err.code, str(err)
+    except FileNotFoundError as err:  # load_spec cannot read the file
+        code, message = EXIT_IO, str(err)
+    except (SpecFileError, flow_mod.FlowSetupError) as err:
+        code, message = EXIT_USAGE, str(err)
+    except orc.StepTooLargeError as err:
+        code, message = EXIT_NUMERICAL, f"step too large: {err}"
+    except (geo.GeometryError, ExprError, JetDomainError) as err:
+        code, message = EXIT_NUMERICAL, str(err)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

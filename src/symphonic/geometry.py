@@ -97,6 +97,7 @@ class ManifoldModel:
                                 for (_, hi), per in zip(self.intervals,
                                                         self.periodic)])
         self._check_symmetry()
+        constant_metric(self)
 
     @property
     def dim(self):
@@ -264,11 +265,17 @@ def metric_values(model: ManifoldModel, x) -> np.ndarray:
 def constant_metric(model: ManifoldModel):
     """The metric matrix of a chart whose coefficients are all
     constant, else None.  Memoized on the model, and read-only because
-    it is shared."""
+    it is shared.  A constant matrix that is not positive definite is a
+    NonSPDError on the first call, which ManifoldModel makes."""
     if "_constant_metric" not in vars(model):
         values = None
         if all(ex.is_constant(e) for row in model.metric for e in row):
             values = metric_values(model, [0.0] * model.dim)
+            lowest = np.linalg.eigvalsh(values).min()
+            if not lowest > SPD_EIGENVALUE_FLOOR:
+                raise NonSPDError(
+                    f"metric of chart '{model.name}' is not positive "
+                    f"definite (min eigenvalue {lowest:.3e})")
             values.flags.writeable = False
         model._constant_metric = values
     return model._constant_metric

@@ -4,8 +4,9 @@ Built-in specs make every verification runnable without authoring
 files:
 
     builtin:sphere-2 / sphere-3 / sphere-4   canonical sphere inclusion
-    builtin:power-curve:A                    curve t -> t^A, A decimal
-                                             or fraction like 4/3
+    builtin:power-curve:A                    curve t -> t^A, A a finite
+                                             decimal or a fraction like
+                                             4/3
     builtin:torus-test                       linear-plus-trig torus map
                                              with fields 'v' and 'w'
     builtin:linear-torus                     plain linear torus map
@@ -18,6 +19,8 @@ failures report JSON-pointer paths.
 from __future__ import annotations
 
 import json
+import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -125,11 +128,20 @@ def _builtin_fields(spec: mp.MapSpec):
     return {"v": v, "w": w}
 
 
+_DECIMAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_EXPONENT = re.compile(f"({_DECIMAL})(?:/({_DECIMAL}))?")
+
+
 def _parse_exponent(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """A finite decimal, or a fraction of two with a non-zero
+    denominator; anything else is a SpecFileError."""
+    match = _EXPONENT.fullmatch(text)
+    if match:
+        num, den = (float(g) for g in match.groups("1"))
+        value = num / den if den else math.nan
+        if all(map(math.isfinite, (num, den, value))):
+            return value
+    raise SpecFileError(f"invalid power-curve exponent '{text}'")
 
 
 def load_builtin(name: str):

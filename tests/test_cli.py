@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -316,6 +317,108 @@ def test_seed_env_override(capsys, monkeypatch, tmp_path):
                       "--json", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["seed"] == 99
+
+
+def test_seed_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("SYMPHONIC_SEED", "abc")
+    code, out, err = run(["verify", "--case", "power-curves"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: SYMPHONIC_SEED must be an integer, got 'abc'\n"
+
+
+def test_verify_failure_goes_through_the_exit_code_rule(capsys, monkeypatch):
+    from symphonic import cases
+    from symphonic.geometry import GeometryError
+
+    def boom(name, seed):
+        raise GeometryError("boom")
+
+    monkeypatch.setattr(cases, "run_case", boom)
+    code, _, err = run(["verify", "--case", "power-curves"], capsys)
+    assert code == 4
+    assert err == "error: boom\n"
+
+
+@pytest.mark.parametrize("exponent", ["abc", "1/0", "1e400", "inf", "nan", ""])
+def test_malformed_power_curve_exponent_is_a_usage_error(capsys, exponent):
+    code, out, err = run(["eval", "--spec", f"builtin:power-curve:{exponent}",
+                          "--op", "tension", "--grid", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid power-curve exponent '{exponent}'\n"
+
+
+@pytest.mark.parametrize("exponent,value", [
+    ("4/3", 4 / 3), ("15/11", 15 / 11), ("2", 2.0), ("-1", -1.0),
+])
+def test_power_curve_exponent_forms(capsys, exponent, value):
+    code, out, _ = run(["eval", "--spec", f"builtin:power-curve:{exponent}",
+                        "--op", "pullback", "--grid", "2"], capsys)
+    assert code == 0
+    # the pullback metric of t -> t^a at t = 4 is (a t^(a-1))^2
+    last = out.strip().splitlines()[-1].split(",")
+    assert float(last[1]) == pytest.approx((value * 4.0 ** (value - 1)) ** 2,
+                                           rel=1e-12)
+
+
+def test_unknown_second_field_names_the_spec_fields(capsys):
+    code, _, err = run(["variation", "--spec", "builtin:torus-test",
+                        "--field", "v", "--second", "--field2", "u"], capsys)
+    assert code == 2
+    assert err == "error: unknown field 'u' (spec defines: ['v', 'w'])\n"
+
+
+_INDEFINITE = [["1", "0"], ["0", "-1"]]
+_INDEFINITE_ERROR = ("metric of chart '{side}' is not positive definite "
+                     "(min eigenvalue -1.000e+00)")
+
+
+def _torus_spec(source_metric, target_metric):
+    period = [0.0, 6.283185307179586]
+    return {
+        "source": {"dim": 2, "coords": ["x1", "x2"], "metric": source_metric,
+                   "domain": {"intervals": [period, period],
+                              "periodic": [True, True]}},
+        "target": {"dim": 2, "coords": ["y1", "y2"], "metric": target_metric,
+                   "domain": {"intervals": [[None, None], [None, None]]}},
+        "map": {"components": ["x1 + 0.1*sin(x2)", "x2"]},
+    }
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--op", "symphonic-tension", "--grid", "2"],
+    ["flow", "--grid", "8", "--steps", "2"],
+], ids=["eval", "flow"])
+def test_constant_metric_not_positive_definite_is_a_usage_error(
+        tmp_path, capsys, side, command):
+    euclid = [["1", "0"], ["0", "1"]]
+    doc = _torus_spec(*((_INDEFINITE, euclid) if side == "source"
+                        else (euclid, _INDEFINITE)))
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(command[:1] + ["--spec", str(path)] + command[1:],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: /{side}: {_INDEFINITE_ERROR.format(side=side)}\n"
+
+
+def test_cli_closes_the_files_it_opens(tmp_path, capsys):
+    points = tmp_path / "points.txt"
+    points.write_text("0.5 1.0\n")
+    out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run(["eval", "--spec", "builtin:sphere-2", "--op", "tension",
+             "--points", str(points), "--out", str(out)], capsys)
+        run(["flow", "--spec", "builtin:linear-torus", "--grid", "8",
+             "--steps", "2", "--trace", str(trace)], capsys)
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]
+    assert out.read_text().count("\n") == 2
+    assert trace.read_text().startswith("step,epsilon,E_sym,")
 
 
 def test_docs_schemas_match_shipped_schemas():

@@ -22,7 +22,9 @@ _EXPRS_2D = ["1", "0", "x1", "x2", "x1 + 0.3*x2", "sin(x1)*cos(x2)",
              "1 + 0.2*cos(x2)", "x1^2", "log(x1)", "1/x2", "exp(x1*x2)",
              "0.1*sin(x1 + x2)", "-x1", "sqrt(x1)", "cos(", "x3"]
 _BUILTINS = ["builtin:torus-test", "builtin:linear-torus", "builtin:sphere-2",
-             "builtin:power-curve:2", "builtin:nope"]
+             "builtin:power-curve:2", "builtin:power-curve:abc",
+             "builtin:power-curve:1/0", "builtin:power-curve:1e400",
+             "builtin:nope"]
 _NUMBER = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 6.283185307179586]),
                     st.floats(-3.0, 3.0), st.just(None))
 

@@ -43,6 +43,19 @@ def test_metric_not_spd():
         geo.metric_at(bad, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("rows,lowest", [
+    ([["1", "0"], ["0", "-1"]], "-1.000e+00"),
+    ([["1", "2"], ["2", "1"]], "-1.000e+00"),
+    ([["0"]], "0.000e+00"),
+], ids=["diagonal", "off-diagonal", "zero"])
+def test_constant_metric_not_spd_rejected_at_construction(rows, lowest):
+    coords = ["x", "y"][:len(rows)]
+    with pytest.raises(geo.NonSPDError) as err:
+        chart("flat", coords, rows, [(0.0, 1.0)] * len(rows))
+    assert str(err.value) == (f"metric of chart 'flat' is not positive "
+                              f"definite (min eigenvalue {lowest})")
+
+
 def test_asymmetric_metric_rejected():
     with pytest.raises(geo.GeometryError):
         chart("asym", ["x", "y"], [["1", "x"], ["0", "1"]],
