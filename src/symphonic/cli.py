@@ -152,10 +152,13 @@ def cmd_verify(args) -> int:
 def _eval_points(args, spec):
     if args.points:
         try:
-            with open(args.points) as fh:
+            with open(args.points, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as err:
             raise CliError(EXIT_IO, f"cannot read points file: {err}") from err
+        except UnicodeDecodeError as err:
+            raise CliError(EXIT_USAGE, f"points file {args.points!r} is not "
+                                       f"UTF-8 text: {err}") from err
         try:
             return [[float(v) for v in line.replace(",", " ").split()]
                     for line in text.splitlines() if line.strip()]
@@ -203,6 +206,7 @@ def cmd_eval(args) -> int:
     rows = []
     bad = 0
     width = None
+    first_error = None
     for x in pts:
         if len(x) != m:
             raise CliError(EXIT_USAGE, f"point {x} has {len(x)} coordinates, "
@@ -211,11 +215,14 @@ def cmd_eval(args) -> int:
             out = np.asarray(_apply_op(args, spec, field, x), dtype=float)
             width = len(out)
             rows.append((x, out))
-        except (geo.GeometryError, ExprError, JetDomainError):
+        except (geo.GeometryError, ExprError, JetDomainError) as err:
             bad += 1
             rows.append((x, None))
+            if first_error is None:
+                first_error = f"point {x}: {err}"
     if width is None:
-        raise CliError(EXIT_NUMERICAL, "every point failed its domain checks")
+        raise CliError(EXIT_NUMERICAL, "every point failed its domain "
+                                       f"checks; first {first_error}")
     header = spec.source.coords + [f"{args.op}_{k + 1}" for k in range(width)]
     lines = [",".join(header)]
     for x, out in rows:

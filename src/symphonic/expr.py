@@ -66,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jet import (Jet, JetDomainError, first_failure, s_cos, s_exp, s_log,
-                  s_pow, s_sin, s_sqrt)
+from .jet import (Jet, JetDomainError, divide, first_failure, s_cos, s_exp,
+                  s_log, s_pow, s_sin, s_sqrt)
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "pow")
 
@@ -544,14 +544,6 @@ def _fold(root, combine):
     return out[-1]
 
 
-def _divide(a, b):
-    if isinstance(b, Jet):
-        return a * (1.0 / b) if not isinstance(a, Jet) else a / b
-    if np.any(abs(b) < 1e-300):
-        raise JetDomainError("division by zero")
-    return a / b
-
-
 def evaluate(node: Expr, env: dict):
     """Evaluate an expression in an environment mapping names to floats,
     arrays of floats over batch axes, or Jets, by one pass over its
@@ -582,7 +574,7 @@ def evaluate(node: Expr, env: dict):
             elif code == _CALL:
                 push(j(vals[i]))
             else:
-                push(_divide(vals[i], vals[j]))
+                push(divide(vals[i], vals[j]))
         except JetDomainError as err:
             raise EvalDomainError(str(err),
                                   node if at is None else at) from None

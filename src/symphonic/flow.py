@@ -40,6 +40,12 @@ every memoized array: an in-place write raises instead of leaving the
 memo stale.  A caller who assigns state.rem itself must not write into
 that array afterwards.
 
+The grid image stays in the target's domain, excluded balls included:
+flow_init raises geometry's DomainError when a node's image lies
+outside, and a step whose candidate image leaves the domain ends the run
+as aborted.  A target that rejects no point (no bounded side, no
+excluded ball) is not tested.
+
 Restrictions in this version: the source chart must be fully periodic
 with a constant metric, and the target metric must be constant.
 """
@@ -110,8 +116,12 @@ class FlowState:
     @property
     def phi(self):
         """Map values on the grid, linear part included."""
-        return self.rem + np.einsum("ak,k...->a...", self.linear,
-                                    self.coord_grids)
+        return _image(self, self.rem)
+
+
+def _image(state: FlowState, rem) -> np.ndarray:
+    """Map values on the grid of the remainder rem."""
+    return rem + np.einsum("ak,k...->a...", state.linear, state.coord_grids)
 
 
 def _winding_matrix(spec: mp.MapSpec) -> np.ndarray:
@@ -161,8 +171,8 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
         spacings.append((hi - lo) / resolution[k])
     grids = np.meshgrid(*axes, indexing="ij")
     coord_grids = np.stack(grids)
-    n = target.dim
     phi = spec.value(coord_grids)
+    target.require_inside(phi)
     linear = _winding_matrix(spec)
     rem = phi - np.einsum("ak,k...->a...", linear, coord_grids)
     rem.flags.writeable = False
@@ -310,22 +320,6 @@ def max_gradient_norm(state: FlowState, rem=None) -> float:
     return float(np.sqrt(norms.max()))
 
 
-def _image_in_domain(state: FlowState, rem) -> bool:
-    target = state.target
-    bounded = [(a, lo, hi) for a, ((lo, hi), per)
-               in enumerate(zip(target.intervals, target.periodic))
-               if not per and (lo is not None or hi is not None)]
-    if not bounded:
-        return True
-    phi = rem + np.einsum("ak,k...->a...", state.linear, state.coord_grids)
-    for a, lo, hi in bounded:
-        if lo is not None and phi[a].min() < lo:
-            return False
-        if hi is not None and phi[a].max() > hi:
-            return False
-    return True
-
-
 def flow_step(state: FlowState) -> FlowState:
     """One energy-monotone explicit Euler step (in place)."""
     if state.status not in (STATUS_RUNNING,):
@@ -335,7 +329,8 @@ def flow_step(state: FlowState) -> FlowState:
     for _ in range(MAX_HALVINGS + 1):
         candidate = state.rem + state.epsilon * direction
         candidate.flags.writeable = False
-        if not _image_in_domain(state, candidate):
+        if (state.target.restricted
+                and not state.target.contains(_image(state, candidate)).all()):
             state.status = STATUS_ABORTED
             return state
         e_new = flow_energy(state, candidate)

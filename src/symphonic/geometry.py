@@ -96,6 +96,11 @@ class ManifoldModel:
         self._upper = np.array([np.inf if per or hi is None else hi + 1e-12
                                 for (_, hi), per in zip(self.intervals,
                                                         self.periodic)])
+        # whether contains() can reject a point at all: a chart without
+        # a bounded non-periodic side or an excluded ball cannot
+        self.restricted = bool(self.exclusions
+                               or np.isfinite(self._lower).any()
+                               or np.isfinite(self._upper).any())
         self._check_symmetry()
         constant_metric(self)
 
@@ -406,28 +411,48 @@ def frame_at(model: ManifoldModel, x) -> Frame:
 # scalar fields -------------------------------------------------------------
 
 
+@dataclass
+class ScalarFieldData:
+    """A scalar field f at points x (m, ...): the metric there (with
+    order-1 jets), the contravariant gradient g^{ij} d_j f (m, ...), the
+    covariant Hessian d_i d_j f - Gamma^k_{ij} d_k f (m, m, ...) and the
+    Laplacian g^{ij} Hess_f(e_i, e_j) (an array over the batch)."""
+
+    metric: MetricAtPoint
+    gradient: np.ndarray
+    hessian: np.ndarray
+    laplacian: np.ndarray
+
+
+def scalar_field_data(model: ManifoldModel, f: ex.Expr, x) -> ScalarFieldData:
+    """Gradient, Hessian and Laplacian of f at points x (m, ...), from
+    one evaluation of the metric at order 1 and of f's order-2 jets."""
+    met = metric_at(model, x, 1)
+    jet = ex.eval_jet(f, model.coords, x, 2)
+    df = jet.gradient()
+    grad = np.einsum("ij...,j...->i...", met.inverse, df)
+    hess = jet.hessian() - np.einsum(
+        "kij...,k...->ij...", christoffel_jets(met.jets).value, df)
+    lap = np.einsum("ij...,ij...->...", met.inverse, hess)
+    return ScalarFieldData(met, grad, hess, lap)
+
+
 def gradient(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
     """Contravariant gradient components g^{ij} d_j f, (m, ...) at
     points x (m, ...)."""
-    met = metric_at(model, x)
-    df = ex.eval_jet(f, model.coords, x, 1).gradient()
-    return np.einsum("ij...,j...->i...", met.inverse, df)
+    return scalar_field_data(model, f, x).gradient
 
 
 def hessian(model: ManifoldModel, f: ex.Expr, x) -> np.ndarray:
     """Covariant Hessian components d_i d_j f - Gamma^k_{ij} d_k f,
     (m, m, ...) at points x (m, ...)."""
-    jet = ex.eval_jet(f, model.coords, x, 2)
-    gamma = christoffel(model, x).gamma
-    return jet.hessian() - np.einsum("kij...,k...->ij...", gamma,
-                                     jet.gradient())
+    return scalar_field_data(model, f, x).hessian
 
 
 def laplacian(model: ManifoldModel, f: ex.Expr, x):
     """g^{ij} Hess_f(e_i, e_j) at points x (m, ...): a float at one
     point, an array over a batch."""
-    met = metric_at(model, x)
-    lap = np.einsum("ij...,ij...->...", met.inverse, hessian(model, f, x))
+    lap = scalar_field_data(model, f, x).laplacian
     return float(lap) if lap.ndim == 0 else lap
 
 

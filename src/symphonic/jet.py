@@ -26,11 +26,17 @@ table (Taylor-mode arithmetic on whole tensors).  A kernel written once
 with einsum thus runs on floats, where einsum is np.einsum, and on
 jets.
 
-Domain checks (log of a non-positive value, overflow, a NaN or
-infinite argument of an analytic function, ...) look at every point of
-the batch.  The JetDomainError names the first point, in C order of the
-batch axes, at which a check fails, with the text that point's own
-pointwise evaluation raises.
+The elementary functions (s_sin, s_cos, s_exp, s_log, s_sqrt, s_pow
+and divide) are written once for floats, arrays of floats over batch
+axes and jets.  Each checks its domain (log of a non-positive value,
+overflow, a NaN or infinite argument, division by a near-zero value,
+...) on the value, a jet's constant term, and then returns the value or
+the jet's series.  Values and jets thus fail at the same inputs with
+the same message; a jet fails besides where a derivative leaves the
+float range.  An integer exponent takes any finite base on both.  The
+checks look at every point of the batch, and the JetDomainError names
+the first point, in C order of the batch axes, at which a check fails,
+with the text that point's own pointwise evaluation raises.
 
 Orders up to 4 are supported, which is what the fourth-order operators
 downstream require.  Jets of different orders combine at the minimum of
@@ -382,20 +388,21 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * _reciprocal(other)
-        if isinstance(other, (int, float, np.floating)):
-            return Jet(self.space, self.coeffs / float(other))
+        if isinstance(other, (Jet, int, float, np.floating)):
+            return divide(self, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return _reciprocal(self) * other
+        return divide(other, self)
 
     def __pow__(self, exponent):
-        return jet_pow(self, exponent)
+        return s_pow(self, exponent)
 
 
-# analytic functions ----------------------------------------------------
+# elementary functions, one definition each for values and jets ---------
+#
+# A jet's derivative checks join its value checks in one _reject, so that
+# a batch names its first failing point whichever check fails there.
 
 
 def _series(jet: Jet, derivs: list) -> Jet:
@@ -418,52 +425,75 @@ def _series(jet: Jet, derivs: list) -> Jet:
     return Jet(sp, out)
 
 
-def _reciprocal(jet: Jet) -> Jet:
+def _value(x):
+    """The value of x: a jet's constant term, else x itself."""
+    return x.coeffs[0] if isinstance(x, Jet) else x
+
+
+def _reciprocal(jet: Jet, checks) -> Jet:
+    """The jet 1/jet, once the checks on its value (a caller's) and on
+    the float range of the derivatives pass."""
     c = jet.coeffs[0]
-    message = "division by a quantity vanishing at the base point"
     with _quiet():
         derivs = [(-1.0) ** k * math.factorial(k) / c ** (k + 1)
                   for k in range(jet.order + 1)]
         # the highest power is the first to overflow or underflow
         top = c ** (jet.order + 1)
-    _reject(c, (_not_finite(c), "reciprocal of non-finite value {!r}"),
-            (abs(c) < 1e-300, message),
+    _reject(c, *checks,
             (_is_inf(top), "reciprocal derivatives out of float range at {!r}"),
-            (_not_finite(derivs[-1]), message))
+            (_not_finite(derivs[-1]),
+             "reciprocal derivatives overflow at tiny value {!r}"))
     return _series(jet, derivs)
 
 
-def _sin_cos(c):
-    _reject(c, (_not_finite(c), "sin and cos of non-finite value {!r}"))
-    return np.sin(c), np.cos(c)
+def divide(a, b):
+    """a / b for floats, arrays and jets; b must be finite and at least
+    1e-300 in magnitude."""
+    c = _value(b)
+    checks = ((_not_finite(c), "division by non-finite value {!r}"),
+              (abs(c) < 1e-300, "division by near-zero value {!r}"))
+    if isinstance(b, Jet):
+        return a * _reciprocal(b, checks)
+    _reject(c, *checks)
+    if isinstance(a, Jet):
+        return Jet(a.space, a.coeffs / float(b))
+    return a / b
 
 
-def jet_sin(jet: Jet) -> Jet:
-    s, c = _sin_cos(jet.coeffs[0])
-    table = [s, c, -s, -c]
-    return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
+def _cycle(f, df, order):
+    """The derivatives f, f', -f, -f', f, ... up to order (sin, cos)."""
+    table = [f, df, -f, -df]
+    return [table[k % 4] for k in range(order + 1)]
 
 
-def jet_cos(jet: Jet) -> Jet:
-    s, c = _sin_cos(jet.coeffs[0])
-    table = [c, -s, -c, s]
-    return _series(jet, [table[k % 4] for k in range(jet.order + 1)])
+def s_sin(x):
+    c = _value(x)
+    _reject(c, (_not_finite(c), "sin of non-finite value {!r}"))
+    if not isinstance(x, Jet):
+        return np.sin(c)
+    return _series(x, _cycle(np.sin(c), np.cos(c), x.order))
 
 
-def _exp(c):
+def s_cos(x):
+    c = _value(x)
+    _reject(c, (_not_finite(c), "cos of non-finite value {!r}"))
+    if not isinstance(x, Jet):
+        return np.cos(c)
+    return _series(x, _cycle(np.cos(c), -np.sin(c), x.order))
+
+
+def s_exp(x):
+    c = _value(x)
     with _quiet():
         e = np.exp(c)
     _reject(c, (_not_finite(c), "exp of non-finite value {!r}"),
             (_is_inf(e), "exp overflows at {!r}"))
-    return e
+    return _series(x, [e] * (x.order + 1)) if isinstance(x, Jet) else e
 
 
-def jet_exp(jet: Jet) -> Jet:
-    e = _exp(jet.coeffs[0])
-    return _series(jet, [e] * (jet.order + 1))
-
-
-def jet_log(jet: Jet) -> Jet:
+def _log(jet: Jet, checks) -> Jet:
+    """The jet log(jet), once the checks on its value (a caller's) and
+    on the float range of the derivatives pass."""
     c = jet.coeffs[0]
     with _quiet():
         derivs = [np.log(c)]
@@ -471,50 +501,77 @@ def jet_log(jet: Jet) -> Jet:
                    for k in range(1, jet.order + 1)]
         # the highest power is the first to overflow or underflow
         top = c ** jet.order
-    _reject(c, (_not_finite(c), "log of non-finite value {!r}"),
-            (c <= 0.0, "log of non-positive value {!r}"),
+    _reject(c, *checks,
             (_is_inf(top), "log derivatives out of float range at {!r}"),
             (_not_finite(derivs[-1]),
              "log derivatives overflow at tiny value {!r}"))
     return _series(jet, derivs)
 
 
-def jet_sqrt(jet: Jet) -> Jet:
-    c = jet.coeffs[0]
-    _reject(c, (_not_finite(c), "sqrt of non-finite value {!r}"),
-            (c <= 0.0, "sqrt of non-positive value {!r}"))
-    return jet_pow(jet, 0.5)
+def s_log(x):
+    c = _value(x)
+    checks = ((_not_finite(c), "log of non-finite value {!r}"),
+              (c <= 0.0, "log of non-positive value {!r}"))
+    if isinstance(x, Jet):
+        return _log(x, checks)
+    _reject(c, *checks)
+    return np.log(c)
 
 
-def jet_pow(jet: Jet, exponent: float) -> Jet:
-    """jet ** exponent with a constant real exponent.
+def s_sqrt(x):
+    c = _value(x)
+    checks = ((_not_finite(c), "sqrt of non-finite value {!r}"),
+              (c <= 0.0, "sqrt of non-positive value {!r}"))
+    if isinstance(x, Jet):
+        return s_exp(_log(x, checks) * 0.5)
+    _reject(c, *checks)
+    return np.sqrt(c)
 
-    Integer exponents use repeated multiplication (exact for
-    polynomials); fractional exponents require a positive base and go
-    through exp(e * log(u)).
+
+def s_pow(x, exponent):
+    """x ** exponent with a constant real exponent.
+
+    An integer exponent takes any finite base, of magnitude at least
+    1e-300 when the exponent is negative; on a jet it is repeated
+    multiplication of x, or of 1/x, exact for polynomials.  A
+    fractional exponent needs a positive base, and on a jet goes
+    through exp(exponent * log(x)).  The value must not overflow.
     """
     if isinstance(exponent, Jet):
         raise JetDomainError("exponent must be a real constant")
     e = float(exponent)
-    if float(e).is_integer() and abs(e) <= 64:
-        n = int(e)
-        if n == 0:
-            return Jet.constant(1.0, jet.nvars, jet.order, jet.batch)
-        base = jet if n > 0 else _reciprocal(jet)
-        n = abs(n)
-        out = None
-        acc = base
-        while n:
-            if n & 1:
-                out = acc if out is None else out * acc
-            n >>= 1
-            if n:
-                acc = acc * acc
-        return out
-    c = jet.coeffs[0]
-    _reject(c, (_not_finite(c), "fractional power of non-finite base {!r}"),
-            (c <= 0.0, "fractional power of non-positive base {!r}"))
-    return jet_exp(jet_log(jet) * e)
+    c = _value(x)
+    with _quiet():
+        power = np.power(c, e)
+    checks = [(_not_finite(c), "power of non-finite base {!r}")]
+    if not e.is_integer():
+        checks.append((c <= 0.0, "fractional power of non-positive base {!r}"))
+    elif e < 0:
+        checks.append((abs(c) < 1e-300,
+                       "negative power of near-zero base {!r}"))
+    checks.append((_is_inf(power),
+                   "{!r} to the power " + repr(e) + " overflows"))
+    if not isinstance(x, Jet):
+        _reject(c, *checks)
+        return power
+    if not e.is_integer():
+        return s_exp(_log(x, checks) * e)
+    if e < 0:
+        acc = _reciprocal(x, checks)
+    else:
+        _reject(c, *checks)
+        acc = x
+    n = abs(int(e))
+    if n == 0:
+        return Jet.constant(1.0, x.nvars, x.order, x.batch)
+    out = None
+    while n:
+        if n & 1:
+            out = acc if out is None else out * acc
+        n >>= 1
+        if n:
+            acc = acc * acc
+    return out
 
 
 def compose(outer: Jet, inner: list[Jet]) -> Jet:
@@ -647,56 +704,3 @@ def _einsum_plan(subscripts, shapes, jets):
             out = coeff + out
         steps.append((picked, ",".join(ins) + "->" + out, kind))
     return tuple(steps)
-
-
-# scalar dispatch helpers (accept jets, floats or arrays of floats) ------
-
-
-def s_sin(x):
-    if isinstance(x, Jet):
-        return jet_sin(x)
-    _reject(x, (_not_finite(x), "sin of non-finite value {!r}"))
-    return np.sin(x)
-
-
-def s_cos(x):
-    if isinstance(x, Jet):
-        return jet_cos(x)
-    _reject(x, (_not_finite(x), "cos of non-finite value {!r}"))
-    return np.cos(x)
-
-
-def s_exp(x):
-    return jet_exp(x) if isinstance(x, Jet) else _exp(x)
-
-
-def s_log(x):
-    if isinstance(x, Jet):
-        return jet_log(x)
-    _reject(x, (_not_finite(x), "log of non-finite value {!r}"),
-            (x <= 0.0, "log of non-positive value {!r}"))
-    return np.log(x)
-
-
-def s_sqrt(x):
-    if isinstance(x, Jet):
-        return jet_sqrt(x)
-    _reject(x, (_not_finite(x), "sqrt of non-finite value {!r}"),
-            (x <= 0.0, "sqrt of non-positive value {!r}"))
-    return np.sqrt(x)
-
-
-def s_pow(x, e):
-    if isinstance(x, Jet):
-        return jet_pow(x, e)
-    e = float(e)
-    if e.is_integer():
-        domain = [((x == 0.0) & (e < 0), "zero raised to a negative power")]
-    else:
-        domain = [(_not_finite(x), "fractional power of non-finite base {!r}"),
-                  (x <= 0.0, "fractional power of non-positive base {!r}")]
-    with _quiet():
-        out = np.power(x, e)
-    _reject(x, *domain, (_is_inf(out) & np.isfinite(x),
-                         "{!r} to the power " + repr(e) + " overflows"))
-    return out

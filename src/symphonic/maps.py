@@ -407,16 +407,12 @@ def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:
 def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x):
     """(Delta f) |grad f|^2 + 2 Hess_f(grad f, grad f) at points x
     (m, ...): a float at one point, an array over a batch."""
-    met = geo.metric_at(model, x, 1)
-    f_jets = ex.eval_jet(f, model.coords, x, 2)
-    df = f_jets.gradient()
-    grad = np.einsum("ij...,j...->i...", met.inverse, df)
-    hess = f_jets.hessian() - np.einsum(
-        "kij...,k...->ij...", geo.christoffel_jets(met.jets).value, df)
-    lap = np.einsum("ij...,ij...->...", met.inverse, hess)
-    grad_norm2 = np.einsum("i...,ij...,j...->...", grad, met.values, grad)
-    res = lap * grad_norm2 + 2.0 * np.einsum("i...,ij...,j...->...",
-                                             grad, hess, grad)
+    f_data = geo.scalar_field_data(model, f, x)
+    grad, hess = f_data.gradient, f_data.hessian
+    grad_norm2 = np.einsum("i...,ij...,j...->...", grad,
+                           f_data.metric.values, grad)
+    res = f_data.laplacian * grad_norm2 + 2.0 * np.einsum(
+        "i...,ij...,j...->...", grad, hess, grad)
     return float(res) if res.ndim == 0 else res
 
 

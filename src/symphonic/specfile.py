@@ -172,9 +172,12 @@ def load_spec(ref: str):
         return load_builtin(ref)
     path = Path(ref)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise FileNotFoundError(f"cannot read spec file {ref!r}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SpecFileError(f"spec file {ref!r} is not UTF-8 text: "
+                            f"{err}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

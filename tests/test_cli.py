@@ -611,3 +611,58 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("option", ["--spec", "--points"])
+def test_non_utf8_input_file_is_a_usage_error(tmp_path, capsys, option):
+    path = tmp_path / "not-utf8.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    args = {"--spec": "builtin:power-curve:2", "--points": None}
+    args[option] = str(path)
+    argv = ["eval", "--spec", args["--spec"], "--op", "tension"]
+    if args["--points"]:
+        argv += ["--points", args["--points"]]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and "UTF-8" in lines[0]
+
+
+def test_eval_every_point_failing_names_the_first_cause(tmp_path, capsys):
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps(_one_dim_spec("sqrt(t - 5)")))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: every point failed its domain checks")
+    assert "point [0.5]: sqrt of non-positive value -4.5" in lines[0]
+
+
+def test_flow_initial_image_in_an_excluded_ball_is_a_domain_error(tmp_path,
+                                                                  capsys):
+    doc = {
+        "source": {"dim": 2, "coords": ["x1", "x2"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[0, 6.283185307179586]] * 2,
+                              "periodic": [True, True]}},
+        "target": {"dim": 2, "coords": ["y1", "y2"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[-3, 3], [-3, 3]],
+                              "exclusions": [{"center": [0, 0],
+                                              "radius": 0.5}]}},
+        "map": {"components": ["0.1*sin(x1)", "0.1*cos(x2)"]},
+    }
+    path = tmp_path / "hole.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["flow", "--spec", str(path), "--grid", "16",
+                          "--steps", "50"], capsys)
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "outside the domain" in lines[0]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symphonic import expr as ex
-from symphonic.jet import (Jet, JetDomainError, s_cos, s_exp, s_log, s_pow,
-                           s_sin, s_sqrt)
+from symphonic.jet import (Jet, JetDomainError, divide, s_cos, s_exp, s_log,
+                           s_pow, s_sin, s_sqrt)
 
 
 def test_basic_tree():
@@ -230,11 +230,7 @@ def _reference(node, env):
                 return a - b
             if node.op == "*":
                 return a * b
-            if isinstance(b, Jet):
-                return a * (1.0 / b) if not isinstance(a, Jet) else a / b
-            if b == 0.0 or abs(b) < 1e-300:
-                raise JetDomainError("division by zero")
-            return a / b
+            return divide(a, b)
         except JetDomainError as err:
             raise ex.EvalDomainError(str(err), node) from None
     if isinstance(node, ex.PowC):
@@ -585,3 +581,57 @@ def test_parse_interns_a_large_repetitive_expression():
     assert len(text) == 212178
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4d1b1e7c1b971ca989a4ed73fe28abd3f536690ccade7329e03a158b8f9a136e")
+
+
+@pytest.mark.parametrize("text,point", [
+    pytest.param("1/x", 0.0, id="reciprocal-at-zero"),
+    pytest.param("x^-1", 0.0, id="negative-power-at-zero"),
+    pytest.param("pow(x, -2)", 0.0, id="pow-negative-at-zero"),
+    pytest.param("cos(x*1e300*1e300)", 1.0, id="cos-of-inf"),
+    pytest.param("x^65", -1.0, id="integer-power-65-of-negative"),
+])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_values_and_jets_fail_alike(text, point, order):
+    # each elementary function is one definition: its domain checks run
+    # on the value, so both evaluators raise one message or both return
+    tree = ex.parse(text, ["x"])
+    outcomes = []
+    for evaluate in (lambda: ex.eval_value(tree, ["x"], [point]),
+                     lambda: ex.eval_jet(tree, ["x"], [point], order).value):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(("value", evaluate()))
+        except ex.EvalDomainError as err:
+            outcomes.append(("error", str(err)))
+    assert outcomes[0] == outcomes[1]
+    if text == "x^65":
+        assert outcomes[0] == ("value", -1.0)
+
+
+def test_integer_powers_take_any_base_as_repeated_products():
+    tree = ex.parse("x^65 + pow(x, -70)", ["x"])
+    jet = ex.eval_jet(tree, ["x"], [-1.5], 3)
+    assert jet.value == pytest.approx(ex.eval_value(tree, ["x"], [-1.5]),
+                                      rel=1e-14)
+    for k, expected in enumerate([
+            (-1.5) ** 65 + (-1.5) ** -70,
+            65 * (-1.5) ** 64 - 70 * (-1.5) ** -71,
+            65 * 64 * (-1.5) ** 63 + 70 * 71 * (-1.5) ** -72]):
+        assert jet.derivative((k,)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("text,tiny,outside", [
+    ("log(x)", 1e-320, -1.0), ("sqrt(x)", 1e-320, -1.0),
+    ("pow(x, 1.5)", 1e-320, -1.0), ("1/x", 1e-299, 0.0),
+    ("x^-2", 1e-100, 0.0)])
+def test_jet_batch_names_its_first_point_whichever_check_fails(text, tiny,
+                                                               outside):
+    # point 0 fails only a derivative's float range, point 1 the domain
+    tree = ex.parse(text, ["x"])
+    errors = []
+    for points in ([[tiny, outside]], [tiny], [outside]):
+        with pytest.raises(ex.EvalDomainError) as err:
+            ex.eval_jet(tree, ["x"], np.array(points), 4)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] != errors[2]
+    assert "derivatives" in errors[0]

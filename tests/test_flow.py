@@ -316,3 +316,45 @@ def test_readme_flow_pinned():
     hist = state.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     assert hist[-1] == pytest.approx(109.92370597903712, rel=1e-10)
+
+
+def test_initial_image_inside_the_hole_is_refused():
+    chart = charts.torus_chart(2)
+    spec = mp.MapSpec(chart, charts.punctured_plane_chart(hole=0.5),
+                      [ex.parse("0.1*sin(x1)", chart.coords),
+                       ex.parse("0.1*cos(x2)", chart.coords)])
+    with pytest.raises(geo.DomainError, match="plane-minus-origin"):
+        flow.flow_init(spec, 16)
+
+
+def test_candidate_entering_an_excluded_ball_aborts():
+    chart = charts.torus_chart(2)
+    # an unbounded plane minus one ball, which the initial image
+    # (y1 = x1 + 0.4 sin x1 >= 0) misses; the first candidate, a step of
+    # 10 along the tension, spreads y1 over about [-13, 19] and lands
+    # two nodes in the ball
+    plane = geo.ManifoldModel("plane-minus-ball", ["y1", "y2"],
+                              [[ex.Const(1.0), ex.Const(0.0)],
+                               [ex.Const(0.0), ex.Const(1.0)]],
+                              [(None, None), (None, None)],
+                              exclusions=[((-2.0, 3.0), 0.5)])
+    spec = mp.MapSpec(chart, plane,
+                      [ex.parse("x1 + 0.4*sin(x1)", chart.coords),
+                       ex.parse("x2", chart.coords)])
+    state = flow.flow_init(spec, 16, epsilon=10.0)
+    state = flow.flow_step(state)
+    assert state.status == flow.STATUS_ABORTED
+    assert state.iteration == 0
+
+
+def test_a_target_that_rejects_no_point_is_not_tested(monkeypatch):
+    assert not geo.euclidean_space(2).restricted
+    assert charts.punctured_plane_chart().restricted
+    assert geo.euclidean_space(2, bounds=[(0.0, None), (None, None)]).restricted
+    state = flow.flow_init(perturbed_map(), 16)
+
+    def refuse(self, x):
+        raise AssertionError("contains called on an unrestricted target")
+    monkeypatch.setattr(geo.ManifoldModel, "contains", refuse)
+    state = flow.flow_run(state, 5, 1e-12)
+    assert state.status == flow.STATUS_BUDGET

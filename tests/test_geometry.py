@@ -330,3 +330,19 @@ def test_jet_tension_names_the_first_non_spd_source_point():
         va.tau_s_jets(mp.along_map(spec, pts, 4))
     with pytest.raises(geo.NonSPDError, match=r"\[-0\.5, 0\.2\]"):
         va.bi_tension(spec, pts)
+
+
+@pytest.mark.parametrize("name", ["gradient", "hessian", "laplacian"])
+def test_scalar_calculus_evaluates_the_metric_once(monkeypatch, sphere2,
+                                                   name):
+    calls = []
+    inner = geo.metric_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:] + tuple(kwargs.values()))
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(geo, "metric_at", counted)
+    f = ex.parse("sin(t1)*cos(t2)", sphere2.coords)
+    pts = np.array([[1.1, 0.7, 2.0], [0.3, 0.9, 1.4]])
+    getattr(geo, name)(sphere2, f, pts)
+    assert calls == [(1,)]
