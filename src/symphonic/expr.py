@@ -47,6 +47,29 @@ so results are bit-identical to it.  Printing and free-variable lookup
 walk iteratively too, so a parsed expression of any depth can be
 evaluated and printed.
 
+A pointwise jet (``eval_jet`` at one base point) is evaluated by a
+level schedule of the tape instead, built on the first such evaluation
+and cached on the root next to the tape.  A node's level is one more
+than its operands' highest; the nodes of one level that share an
+operation (and the kinds of their operands, the exponent or the
+function) are one group, evaluated by one call of the jet arithmetic
+with the nodes on the jet's batch axis.  A left-deep chain of + and -
+is one node whose terms are summed by ``np.cumsum``, a sequential left
+fold like the chain's own adds.  Constant subexpressions are evaluated
+once and stay floats, so every operation takes the float or jet path
+the tape loop takes, and the coefficients are bit-identical to it.  A
+sympy-derived field of 3,568 nodes and depth 474 runs as 42 groups
+instead of 3,148 Python-dispatched jet operations.  When a domain check
+fails, the tape loop runs instead, so the error names the subexpression
+it reaches first, whatever level fails.
+
+The tape loop stays where the schedule cannot pay: for points in a
+batch and for plain values, where each step is already one numpy call
+for every point and gathering the nodes would only add copies, and for
+an expression with fewer than four jet operations per group (a small
+one), where a group's gather and scatter cost more than the operations
+it saves.
+
 Points carry trailing batch axes: ``eval_value`` and ``eval_jet`` take
 points of shape (m, ...) (coordinate first), and one pass over the tape
 gives the values or jets at every point (see ``jet``).  A single point,
@@ -63,11 +86,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .jet import (Jet, JetDomainError, divide, first_failure, s_cos, s_exp,
-                  s_log, s_pow, s_sin, s_sqrt)
+from .jet import (Jet, JetDomainError, _quiet, divide, first_failure, s_cos,
+                  s_exp, s_log, s_pow, s_sin, s_sqrt)
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "pow")
 
@@ -106,9 +130,11 @@ class Expr:
     agrees with it, and both run over the tape, so at any depth; repr
     is iterative too."""
 
-    # the compiled tape of this node as a root, set on first evaluation;
-    # not a dataclass field, so equality, hashing and repr ignore it
+    # the compiled tape of this node as a root, set on first evaluation,
+    # and its level schedule, set on first pointwise jet evaluation; not
+    # dataclass fields, so equality, hashing and repr ignore them
     _tape = None
+    _schedule = None
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -548,9 +574,15 @@ def evaluate(node: Expr, env: dict):
     """Evaluate an expression in an environment mapping names to floats,
     arrays of floats over batch axes, or Jets, by one pass over its
     tape."""
+    return _run(_tape(node), env, node)[-1]
+
+
+def _run(tape, env, node):
+    """The value of every step of tape, in order; an error at a step
+    without a node (the root's) names node."""
     vals = []
     push = vals.append
-    for code, at, i, j in _tape(node):
+    for code, at, i, j in tape:
         if code == _VAR:
             try:
                 push(env[i])
@@ -578,7 +610,7 @@ def evaluate(node: Expr, env: dict):
         except JetDomainError as err:
             raise EvalDomainError(str(err),
                                   node if at is None else at) from None
-    return vals[-1]
+    return vals
 
 
 def _require_finite(values, node):
@@ -596,15 +628,20 @@ def _require_finite(values, node):
 
 def eval_jet(node: Expr, coords, base, order: int) -> Jet:
     """Jets of the expression at base points (m, ...), truncated at
-    order; one base point (m,) gives a pointwise jet."""
+    order; one base point (m,) gives a pointwise jet, by the level
+    schedule when the expression has one."""
     base = np.asarray(base, dtype=float)
     nvars = len(coords)
     env = {name: Jet.variable(k, base[k], nvars, order)
            for k, name in enumerate(coords)}
-    result = evaluate(node, env)
-    if not isinstance(result, Jet):
-        result = Jet.constant(result, nvars, order, base.shape[1:])
-    _require_finite(result.coeffs, node)
+    with _quiet():
+        schedule = _schedule(node) if base.ndim == 1 else None
+        result = _run_schedule(schedule, env) if schedule else None
+        if result is None:
+            result = evaluate(node, env)
+        if not isinstance(result, Jet):
+            result = Jet.constant(result, nvars, order, base.shape[1:])
+        _require_finite(result.coeffs, node)
     return result
 
 
@@ -615,7 +652,8 @@ def eval_value(node: Expr, coords, point):
     batch = point.shape[1:]
     # floats for one point (the fastest scalars), arrays for a batch
     env = dict(zip(coords, point if batch else point.tolist()))
-    result = evaluate(node, env)
+    with _quiet():
+        result = evaluate(node, env)
     if not batch:
         result = float(result)
         if not math.isfinite(result):
@@ -624,6 +662,200 @@ def eval_value(node: Expr, coords, point):
     result = np.broadcast_to(result, batch)  # a constant expression
     _require_finite(result[None], node)
     return np.array(result, dtype=float)
+
+
+# the level schedule --------------------------------------------------------
+#
+# A schedule runs on one coefficient array (size, columns): a column per
+# tape step and a last, padding column.  The column of a constant
+# subexpression holds (value, -0.0, ...), and the padding column is all
+# -0.0, so that adding either to a jet changes its constant term alone
+# (x + -0.0 == x, bit for bit, also for x = 0.0 and -0.0).
+#
+# A group (code, arg, out, i, j) evaluates the nodes of columns out,
+# whose operands are in columns i and j, by one call of the jet
+# arithmetic with the nodes on the batch axis.  arg is the exponent
+# (_POW), the scalar function (_CALL) or, for _MUL and _DIV, whether
+# each operand is a jet; a constant operand is read as a float array of
+# its values, so it takes the float path the tape loop takes.  A _CHAIN
+# group sums left-deep +/- chains: i are their terms (length, chains),
+# padded with the padding column, j the terms' signs, and arg the flat
+# positions in i of negated constants, whose -0.0 entries the sign must
+# not flip.
+_CHAIN = 9
+
+# A group costs a gather, an operation and a scatter on the batch of its
+# nodes, about what three to four of the tape loop's operations cost on
+# one node (2-variable order-4 jets: break-even near 3 operations per
+# group); with fewer operations per group the tape loop is faster.
+_MIN_OPS_PER_GROUP = 4
+
+
+class _Schedule(NamedTuple):
+    columns: int
+    consts: np.ndarray     # the constant subexpressions' columns
+    values: np.ndarray     # and their values
+    variables: tuple       # (name, column) pairs
+    groups: tuple          # in order of level
+    root: int              # the root's column
+    ops: int               # the tape loop's jet operations
+
+
+def _schedule(root):
+    """The level schedule of root, built on first use and cached on the
+    root; None when the tape loop evaluates root: a constant, one with a
+    constant subexpression that fails, or one with too few operations
+    per group."""
+    schedule = root._schedule
+    if schedule is None:
+        schedule = _build_schedule(_tape(root), root)
+        if (schedule and schedule.ops
+                < _MIN_OPS_PER_GROUP * len(schedule.groups)):
+            schedule = False
+        object.__setattr__(root, "_schedule", schedule)
+    return schedule or None
+
+
+def _build_schedule(tape, root):
+    """The schedule of a tape, or False when there is none."""
+    n = len(tape)
+    jet = [False] * n   # does the step depend on a variable?
+    uses = [0] * n
+    consts, sub, variables = [], [], []
+    for k, (code, at, i, j) in enumerate(tape):
+        if code == _VAR:
+            jet[k] = True
+            variables.append((i, k))
+            continue
+        if code in (_NEG, _POW, _CALL):
+            jet[k] = jet[i]
+            uses[i] += 1
+        elif code != _CONST:
+            jet[k] = jet[i] or jet[j]
+            uses[i] += 1
+            uses[j] += 1
+        if not jet[k]:
+            consts.append(k)
+            sub.append((code, at, i, j))
+    if not jet[-1]:
+        return False
+    # the constant subexpressions, evaluated once: they make a tape of
+    # their own, and one that fails fails at every evaluation
+    renumber = {k: m for m, k in enumerate(consts)}
+    for m, (code, at, i, j) in enumerate(sub):
+        if code in (_NEG, _POW, _CALL):
+            sub[m] = (code, at, renumber[i], j)
+        elif code != _CONST:
+            sub[m] = (code, at, renumber[i], renumber[j])
+    try:
+        values = _run(sub, {}, root)
+    except EvalDomainError:
+        return False
+    # A node's level is one more than its operands' highest (variables
+    # and constants are level 0), and the nodes of one level and
+    # operation (with their kinds of operand, exponent or function) make
+    # a group.  A jet +/- node whose left operand is a jet +/- node used
+    # nowhere else takes over that node's chain of terms.
+    level = [0] * n
+    chains = {}
+    groups = {}
+    for k, (code, _, i, j) in enumerate(tape):
+        if not jet[k] or code == _VAR:
+            continue
+        if code == _ADD or code == _SUB:
+            if i in chains and uses[i] == 1:
+                terms, signs = chains.pop(i)
+                level[k] = max(level[i], 1 + level[j])
+            else:
+                terms, signs = [i], [1.0]
+                level[k] = 1 + max(level[i], level[j])
+            terms.append(j)
+            signs.append(1.0 if code == _ADD else -1.0)
+            chains[k] = (terms, signs)
+            continue
+        if code == _MUL or code == _DIV:
+            level[k] = 1 + max(level[i], level[j])
+            if code == _MUL and not jet[i]:
+                i, j = j, i  # c * jet is jet * c, bit for bit
+            arg = (jet[i], jet[j])
+            key = (level[k], code, arg)
+        else:
+            level[k] = 1 + level[i]
+            arg, j = j, 0
+            # repr keeps the exponents 0.0 and -0.0 apart
+            key = (level[k], code, repr(arg) if code == _POW else arg)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (arg, [], [], [])
+        group[1].append(k)
+        group[2].append(i)
+        group[3].append(j)
+    for k, (terms, signs) in chains.items():
+        key = (level[k], _CHAIN, None)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (None, [], [], [])
+        group[1].append(k)
+        group[2].append(terms)
+        group[3].append(signs)
+    constant = np.append(np.logical_not(jet), False)
+    steps = []
+    for key in sorted(groups, key=lambda key: key[0]):
+        code = key[1]
+        arg, out, i, j = groups[key]
+        if code == _CHAIN:  # terms (length, chains), padded
+            length = max(map(len, i))
+            i = np.array([t + [n] * (length - len(t)) for t in i],
+                         dtype=np.intp).T
+            j = np.array([sign + [1.0] * (length - len(sign))
+                          for sign in j]).T
+            negated = np.flatnonzero(constant[i] & (j < 0))
+            arg = negated if negated.size else None
+        else:
+            i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
+        steps.append((code, arg, np.array(out, dtype=np.intp), i, j))
+    return _Schedule(n + 1, np.array(consts, dtype=np.intp),
+                     np.array(values, dtype=float), tuple(variables),
+                     tuple(steps), n - 1, n - len(consts) - len(variables))
+
+
+def _run_schedule(schedule, env):
+    """The pointwise jet of a schedule in env (variables bound to
+    pointwise jets of one space), or None when the tape loop must
+    evaluate it: it reads a variable env does not bind, or a domain
+    check fails (the tape loop then raises the failure it reaches first,
+    as it does without a schedule)."""
+    columns, consts, values, variables, groups, root, _ = schedule
+    if any(name not in env for name, _ in variables):
+        return None
+    space = env[variables[0][0]].space
+    c = np.full((space.size, columns), -0.0)
+    c[0, consts] = values
+    for name, k in variables:
+        c[:, k] = env[name].coeffs
+    try:
+        for code, arg, out, i, j in groups:
+            if code == _CHAIN:
+                # np.cumsum is a sequential left fold: the chain's adds
+                terms = c[:, i] * j
+                if arg is not None:
+                    terms[1:].reshape(space.size - 1, -1)[:, arg] = -0.0
+                c[:, out] = np.cumsum(terms, axis=1)[:, -1]
+                continue
+            if code in (_MUL, _DIV):
+                x = Jet(space, c[:, i]) if arg[0] else c[0, i]
+                y = Jet(space, c[:, j]) if arg[1] else c[0, j]
+                result = x * y if code == _MUL else divide(x, y)
+            elif code == _NEG:
+                result = -Jet(space, c[:, i])
+            elif code == _POW:
+                result = s_pow(Jet(space, c[:, i]), arg)
+            else:
+                result = arg(Jet(space, c[:, i]))
+            c[:, out] = result.coeffs
+    except JetDomainError:
+        return None
+    return Jet(space, c[:, root].copy())
 
 
 def is_constant(node: Expr) -> bool:

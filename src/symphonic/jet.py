@@ -18,13 +18,14 @@ batch axes otherwise.
 A jet array is a jet of a tensor: its coefficients are
 (size, *tensor_axes, *batch), the tensor axes before the batch axes
 (stack builds one from a list of jets).  No other class is needed: +,
--, scalar *, value, gradient, hessian and partials act entrywise, and
-einsum(subscripts, *operands) is np.einsum over jet arrays and plain
-arrays alike: a product of two jet arrays contracts their tensor axes
-with np.einsum coefficient by coefficient, through the space's product
-table (Taylor-mode arithmetic on whole tensors).  A kernel written once
-with einsum thus runs on floats, where einsum is np.einsum, and on
-jets.
+-, value, gradient, hessian and partials act entrywise, * by a float
+or by a plain array (broadcast against the trailing axes) scales every
+coefficient, and einsum(subscripts, *operands) is np.einsum over
+jet arrays and plain arrays alike: a product of two jet arrays
+contracts their tensor axes with np.einsum coefficient by coefficient,
+through the space's product table (Taylor-mode arithmetic on whole
+tensors).  A kernel written once with einsum thus runs on floats, where
+einsum is np.einsum, and on jets.
 
 The elementary functions (s_sin, s_cos, s_exp, s_log, s_sqrt, s_pow
 and divide) are written once for floats, arrays of floats over batch
@@ -381,8 +382,8 @@ class Jet:
         if isinstance(other, Jet):
             sp, a, b = self._coerce(other)
             return Jet(sp, sp.mul(a, b))
-        if isinstance(other, (int, float, np.floating)):
-            return Jet(self.space, self.coeffs * float(other))
+        if isinstance(other, (int, float, np.floating, np.ndarray)):
+            return Jet(self.space, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -434,11 +435,13 @@ def _reciprocal(jet: Jet, checks) -> Jet:
     """The jet 1/jet, once the checks on its value (a caller's) and on
     the float range of the derivatives pass."""
     c = jet.coeffs[0]
+    # np.power, not **: on a float64 scalar ** is C pow, which rounds
+    # unlike numpy's loop, and a pointwise jet must be its batch column
     with _quiet():
-        derivs = [(-1.0) ** k * math.factorial(k) / c ** (k + 1)
+        derivs = [(-1.0) ** k * math.factorial(k) / np.power(c, k + 1)
                   for k in range(jet.order + 1)]
         # the highest power is the first to overflow or underflow
-        top = c ** (jet.order + 1)
+        top = np.power(c, jet.order + 1)
     _reject(c, *checks,
             (_is_inf(top), "reciprocal derivatives out of float range at {!r}"),
             (_not_finite(derivs[-1]),
@@ -448,15 +451,18 @@ def _reciprocal(jet: Jet, checks) -> Jet:
 
 def divide(a, b):
     """a / b for floats, arrays and jets; b must be finite and at least
-    1e-300 in magnitude."""
+    1e-300 in magnitude.  A jet quotient is a * (1/b), with the value
+    a / b as its constant term, so that it agrees with the value."""
     c = _value(b)
     checks = ((_not_finite(c), "division by non-finite value {!r}"),
               (abs(c) < 1e-300, "division by near-zero value {!r}"))
     if isinstance(b, Jet):
-        return a * _reciprocal(b, checks)
+        quotient = a * _reciprocal(b, checks)
+        quotient.coeffs[0] = _value(a) / c
+        return quotient
     _reject(c, *checks)
     if isinstance(a, Jet):
-        return Jet(a.space, a.coeffs / float(b))
+        return Jet(a.space, a.coeffs / b)
     return a / b
 
 
@@ -497,10 +503,10 @@ def _log(jet: Jet, checks) -> Jet:
     c = jet.coeffs[0]
     with _quiet():
         derivs = [np.log(c)]
-        derivs += [(-1.0) ** (k - 1) * math.factorial(k - 1) / c ** k
-                   for k in range(1, jet.order + 1)]
+        derivs += [(-1.0) ** (k - 1) * math.factorial(k - 1)
+                   / np.power(c, k) for k in range(1, jet.order + 1)]
         # the highest power is the first to overflow or underflow
-        top = c ** jet.order
+        top = np.power(c, jet.order)
     _reject(c, *checks,
             (_is_inf(top), "log derivatives out of float range at {!r}"),
             (_not_finite(derivs[-1]),

@@ -635,3 +635,31 @@ def test_jet_batch_names_its_first_point_whichever_check_fails(text, tiny,
         errors.append(str(err.value))
     assert errors[0] == errors[1] != errors[2]
     assert "derivatives" in errors[0]
+
+
+# pointwise jets and values, bit for bit ----------------------------------
+
+
+@pytest.mark.parametrize("text", ["1/x", "log(x)", "sqrt(x)", "x^-3",
+                                  "pow(x, 4/3)", "sin(x)/(x + 1)"])
+def test_pointwise_jet_is_its_batch_column_bit_for_bit(text):
+    tree = ex.parse(text, ["x"])
+    pts = np.linspace(0.2, 3.0, 400)[None]
+    batch = ex.eval_jet(tree, ["x"], pts, 4).coeffs
+    for k in range(pts.shape[1]):
+        point = ex.eval_jet(tree, ["x"], pts[:, k], 4).coeffs
+        assert point.tobytes() == batch[:, k].tobytes(), pts[0, k]
+
+
+@pytest.mark.parametrize("text", ["sin(x)/(x + 1)", "2/x", "x/(x^2 + 3)"])
+def test_quotient_jet_value_is_the_quotient(text):
+    tree = ex.parse(text, ["x"])
+    pts = np.linspace(0.1, 3.0, 200)[None]
+    values = ex.eval_value(tree, ["x"], pts)
+    assert ex.eval_jet(tree, ["x"], pts, 2).value.tobytes() == values.tobytes()
+    for k in range(pts.shape[1]):
+        assert ex.eval_jet(tree, ["x"], pts[:, k], 1).value == values[k]
+    a = Jet.variable(0, 0.7, 1, 3)
+    b = s_sin(a) + 1.0
+    assert divide(a, b).value == 0.7 / b.value
+    assert divide(2.0, b).value == 2.0 / b.value
