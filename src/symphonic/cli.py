@@ -336,6 +336,8 @@ def cmd_flow(args) -> int:
             lines.append(",".join([str(row[0])] + [_fmt(v) for v in row[1:]]))
         _write(args.trace, "\n".join(lines) + "\n")
     print(f"status     : {state.status}")
+    if state.status == flow_mod.STATUS_ABORTED:
+        print(f"reason     : {state.reason}")
     print(f"iterations : {state.iteration}")
     print(f"energy     : {_fmt(state.energy_history[-1])}")
     print(f"max grad   : {_fmt(flow_mod.max_gradient_norm(state))}")

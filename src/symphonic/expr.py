@@ -14,29 +14,39 @@ Grammar (EBNF):
 Number literals and exponents are finite: a literal that overflows,
 such as 1e400, is a syntax error at its column.  ``pow(base, e)``
 accepts any constant subexpression as e (it is folded at parse time),
-which is how the fractional powers such as pow(t, 4/3) are written.
+which is how the fractional powers such as pow(t, 4/3) are written; a
+constant e whose evaluation fails, such as 1/0, is a syntax error that
+names the failure at e's column.
 A minus sign directly before a number that takes no '^' is part of the
 number: "-1.5" is the constant -1.5, while "-2^2" is -(2^2) = -4.  The
 printer writes a negated constant as "-(c)", so
 parse(to_source(e)) == e holds for negative constants and -0.0 too.
 
-The tokenizer is one pass of a compiled regular expression, and tokens
-are plain strings: a name (a word character that is not a decimal
-digit, then word characters), a number or one operator or punctuation
-mark.  Numbers take decimal digits only (``str.isdecimal``: '٣' is a
-digit, while '²' is a name character).  Blanks are ' ', tab, '\r' and
-'\n'; any other character that no token takes is reported before
-anything else.  Lines and columns (only '\n' ends a line, and every
-character is one column) exist only in error messages: they are worked
-out when an error is raised, by scanning the source up to the failing
-token, so a parse that succeeds never computes one.
+Tokens are scanned on demand: one compiled regular expression skips
+the blanks at an offset and matches the token after them, a name (a
+word character that is not a decimal digit, then word characters), a
+number or one operator or punctuation mark.  Numbers take decimal
+digits only (``str.isdecimal``: '٣' is a digit, while '²' is a name
+character).  Blanks are ' ', tab, '\r' and '\n'.  A character that no
+token takes is reported before any other error: a parse that succeeds
+has scanned every character (a repeated group's in its first reading),
+so only a parse that fails looks for one, over the whole source.  Each token keeps its offset, and lines and
+columns (only '\n' ends a line, and every character is one column) are
+worked out from it when an error is raised, so a parse that succeeds
+never computes one.
 
 The parser hash-conses: within one parse every node is built once per
 class and fields, with children keyed by identity and floats by
 ``repr`` (so 0.0 and -0.0 stay distinct), and a repeated subexpression
 comes back as one shared object.  ``parse`` therefore returns a DAG,
 which matters for machine-generated input: a sympy-derived field of
-131k tree nodes has under 7k distinct ones.
+131k tree nodes has under 7k distinct ones.  It also reads each
+distinct group, a parenthesized expression or a call with its
+function name, once per parse: a group whose exact text it has parsed
+before is its node then, and the scan resumes after its ')'.  The text
+alone decides a group's parse, since no lookahead reaches past its
+')', so the DAG is the one a full reading gives.  On the benchmark's
+two curved-target specs (315k tokens) this scans 28k tokens.
 
 Evaluation runs on a tape.  The first evaluation of a root compiles it
 by an iterative post-order walk that lists each distinct node once,
@@ -82,7 +92,6 @@ the failing subexpression.  A result that is not finite at some point
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -238,23 +247,21 @@ def _post_order(root) -> list:
 
 # tokenizer ---------------------------------------------------------------
 
-# one match per token: a name, a number, or an operator or punctuation
-# mark; blanks and stray characters match nothing
-_TOKEN = re.compile(r"[^\W\d]\w*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[-+*/^(),]")
+# one match per token: an operator or punctuation mark, a name or a
+# number; blanks and stray characters match nothing
+_TOKEN = re.compile(r"[-+*/^(),]|[^\W\d]\w*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# the blanks at an offset and the token after them, or "" there at the
+# end of input and at a stray character
+_NEXT = re.compile(r"[ \t\r\n]*(" + _TOKEN.pattern + "|)")
 _BLANKS = " \t\r\n"
 
 
-def _tokenize(source: str) -> list[str]:
-    """The tokens of source as strings, in order."""
-    tokens = _TOKEN.findall(source)
-    # the tokens and blanks cover the source unless a character is stray
-    if (sum(map(len, tokens)) + sum(map(source.count, _BLANKS))
-            != len(source)):
-        rest = _TOKEN.sub(lambda m: " " * len(m[0]), source)
-        at = len(rest) - len(rest.lstrip(_BLANKS))
-        raise SyntaxErrorAt(f"unexpected character {source[at]!r}",
-                            *_line_column(source, at))
-    return tokens
+def _stray(source):
+    """The offset of the first character of source that no token takes,
+    or None."""
+    rest = _TOKEN.sub(lambda m: " " * len(m[0]), source)
+    at = len(rest) - len(rest.lstrip(_BLANKS))
+    return at if at < len(source) else None
 
 
 def _line_column(source, offset):
@@ -274,16 +281,27 @@ _EXPECTED = {")": "rparen", ",": "comma"}
 
 
 class _Parser:
-    """Recursive descent over the token strings, which end with "" for
-    the end of input."""
+    """Recursive descent over tokens scanned on demand.  tok is the
+    current token and m its match: m.start(1) is the token's offset and
+    m.end() the offset after it.  tok is "" at the end of input, and at a
+    stray character, which the first error reports instead of itself."""
 
     def __init__(self, source, coords):
         self.source = source
-        self.tokens = _tokenize(source)
-        self.tokens.append("")
-        self.pos = 0
+        self.scan = _NEXT.match
+        self.read(0)
         self.coords = set(coords)
-        self.nodes = {}  # intern table: key -> the one node with that key
+        self.nodes = {}   # intern table: key -> the one node with that key
+        self.groups = {}  # group memo: key -> [(start, end, node)]
+
+    def read(self, offset):
+        """Make the token after offset the current one."""
+        m = self.m = self.scan(self.source, offset)
+        self.tok = m[1]
+
+    def advance(self):
+        m = self.m = self.scan(self.source, self.m.end())
+        self.tok = m[1]
 
     def node(self, key, cls, *fields):
         """The interned node for key, built from fields on first use.
@@ -300,150 +318,186 @@ class _Parser:
     def binop(self, op, left, right):
         return self.node((BinOp, op, id(left), id(right)), BinOp, op, left, right)
 
-    def const(self, value):
-        """The constant of the number token just read; a literal that
+    def const(self, value, m):
+        """The constant of the number token of match m; a literal that
         overflows to infinity is a syntax error there."""
         if not math.isfinite(value):
-            raise self.error("number must be finite", self.pos - 1)
+            raise self.error("number must be finite", m.start(1))
         return self.node((Const, repr(value)), Const, value)
 
     def powc(self, base, exponent):
         return self.node((PowC, id(base), repr(exponent)), PowC, base, exponent)
 
-    def where(self, index):
-        """Line and column of token index, or of the end of input, found
-        by scanning the source up to it: only an error message needs
-        them."""
-        if index >= len(self.tokens) - 1:
-            offset = len(self.source)
-        else:
-            match = next(itertools.islice(_TOKEN.finditer(self.source),
-                                          index, None))
-            offset = match.start()
-        return _line_column(self.source, offset)
+    def recall(self, start):
+        """(key, node) for the group (a parenthesized expression or a
+        call) at offset start: key is the hash of its text up to its
+        first ')', and node is its parse when the same text was parsed
+        before, with the token after the group made current, else None.
 
-    def error(self, message, index=None):
-        """SyntaxErrorAt token index, by default the current one."""
+        A group's text is balanced, so wherever it starts the source, it
+        is the whole group there; and the text alone decides its parse,
+        since no lookahead reaches past its ')'.
+        """
+        source = self.source
+        key = hash(source[start:source.find(")", start) + 1])
+        for first, end, node in self.groups.get(key, ()):
+            if source.startswith(source[first:end], start):
+                self.read(start + end - first)
+                return key, node
+        return key, None
+
+    def remember(self, key, start, end, node):
+        """Store node as the parse of the group source[start:end], under
+        the key recall gave; by offsets, so the memo holds no text."""
+        self.groups.setdefault(key, []).append((start, end, node))
+        return node
+
+    def where(self, at):
+        """Line and column of offset at, for an error raised there.  Only
+        an error needs them, and a stray character anywhere in the
+        source is the error to report first: it raises that instead."""
+        stray = _stray(self.source)
+        if stray is not None:
+            raise SyntaxErrorAt(f"unexpected character {self.source[stray]!r}",
+                                *_line_column(self.source, stray)) from None
+        return _line_column(self.source, at)
+
+    def error(self, message, at=None):
+        """SyntaxErrorAt offset at, by default the current token's."""
         return SyntaxErrorAt(message,
-                             *self.where(self.pos if index is None else index))
+                             *self.where(self.m.start(1) if at is None else at))
 
     def expect(self, token):
-        found = self.tokens[self.pos]
-        if found != token:
+        """Read token; returns the offset after it."""
+        if self.tok != token:
             raise self.error(f"expected {_EXPECTED[token]!r}, "
-                             f"found {found or 'end of input'!r}")
-        self.pos += 1
+                             f"found {self.tok or 'end of input'!r}")
+        end = self.m.end()
+        self.advance()
+        return end
 
     def parse(self):
         e = self.expr()
-        tok = self.tokens[self.pos]
-        if tok:
-            raise self.error(f"unexpected trailing input {tok!r}")
+        # "" short of the end is a stray character, which error() reports
+        if self.tok or self.m.end() < len(self.source):
+            raise self.error(f"unexpected trailing input {self.tok!r}")
         return e
 
     def expr(self):
-        tokens = self.tokens
         left = self.term()
-        while tokens[self.pos] in ("+", "-"):
-            op = tokens[self.pos]
-            self.pos += 1
+        while self.tok in ("+", "-"):
+            op = self.tok
+            self.advance()
             left = self.binop(op, left, self.term())
         return left
 
     def term(self):
-        tokens = self.tokens
         left = self.factor()
-        while tokens[self.pos] in ("*", "/"):
-            op = tokens[self.pos]
-            self.pos += 1
+        while self.tok in ("*", "/"):
+            op = self.tok
+            self.advance()
             left = self.binop(op, left, self.factor())
         return left
 
     def factor(self):
-        tokens = self.tokens
-        if tokens[self.pos] == "-":
-            self.pos += 1
-            num = tokens[self.pos]
-            if _is_number(num) and tokens[self.pos + 1] != "^":
-                # a negative literal: one constant, not Neg(Const)
-                self.pos += 1
-                return self.const(-float(num))
+        if self.tok == "-":
+            self.advance()
+            m = self.m
+            if _is_number(m[1]):
+                after = self.scan(self.source, m.end())
+                if after[1] != "^":
+                    # a negative literal: one constant, not Neg(Const)
+                    self.m, self.tok = after, after[1]
+                    return self.const(-float(m[1]), m)
             arg = self.factor()
             return self.node((Neg, id(arg)), Neg, arg)
         base = self.atom()
-        if tokens[self.pos] == "^":
-            self.pos += 1
+        if self.tok == "^":
+            self.advance()
             base = self.powc(base, self.exponent_number())
-            if tokens[self.pos] == "^":
+            if self.tok == "^":
                 raise self.error("chained '^' is not allowed, use pow()")
         return base
 
     def exponent_number(self):
-        tokens = self.tokens
-        at = self.pos  # the exponent's first token
+        at = self.m.start(1)  # the exponent's first token
         sign = 1.0
-        tok = tokens[self.pos]
+        tok = self.tok
         if tok in ("+", "-"):
-            self.pos += 1
+            self.advance()
             if tok == "-":
                 sign = -1.0
-            tok = tokens[self.pos]
+            tok = self.tok
         if not _is_number(tok):
             raise self.error("exponent must be a numeric constant")
-        self.pos += 1
+        self.advance()
         value = float(tok)
         # integer fraction exponent: a/b binds to the exponent
-        if (tokens[self.pos] == "/" and tok.isdecimal()
-                and tokens[self.pos + 1].isdecimal()):
-            den = float(tokens[self.pos + 1])
-            if den == 0.0:
-                raise self.error("exponent fraction has a zero denominator",
-                                 self.pos + 1)
-            self.pos += 2
-            value = value / den
+        if self.tok == "/" and tok.isdecimal():
+            den = self.scan(self.source, self.m.end())
+            if den[1].isdecimal():
+                if float(den[1]) == 0.0:
+                    raise self.error("exponent fraction has a zero denominator",
+                                     den.start(1))
+                self.read(den.end())
+                value = value / float(den[1])
         if not math.isfinite(value):
             raise self.error("exponent must be finite", at)
         return sign * value
 
     def atom(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok, m = self.tok, self.m
         if tok == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            at = m.start(1)
+            key, node = self.recall(at)
+            if node is None:
+                self.advance()
+                node = self.expr()
+                self.remember(key, at, self.expect(")"), node)
+            return node
+        self.advance()
         if _is_number(tok):
-            return self.const(float(tok))
+            return self.const(float(tok), m)
         if tok[:1].isalnum() or tok[:1] == "_":
-            if self.tokens[self.pos] == "(":
-                return self.call(tok)
+            if self.tok == "(":
+                return self.call(tok, m.start(1))
             if tok not in self.coords:
-                raise UndeclaredVariable(tok, *self.where(self.pos - 1))
+                raise UndeclaredVariable(tok, *self.where(m.start(1)))
             return self.node((Var, tok), Var, tok)
         raise self.error(f"unexpected token {tok or 'end of input'!r}",
-                         self.pos - 1)
+                         m.start(1))
 
-    def call(self, name):
-        at = self.pos - 1  # the name's token
+    def call(self, name, at):
+        """The call of name, whose token is at offset at; the current
+        token is its '('."""
+        key, node = self.recall(at)
+        if node is not None:
+            return node
         if name not in FUNCTIONS:
             raise self.error(f"unknown function '{name}'", at)
-        self.pos += 1  # its '('
+        self.advance()  # its '('
         first = self.expr()
-        if name == "pow":
+        if name != "pow":
+            end = self.expect(")")
+            node = self.node((Call, name, id(first)), Call, name, first)
+        else:
             self.expect(",")
-            at_exponent = self.pos
+            at_exponent = self.m.start(1)
             second = self.expr()
-            self.expect(")")
+            end = self.expect(")")
             try:
                 exponent = float(evaluate(second, {}))
-            except ExprError:
-                raise self.error("pow() exponent must be a constant "
-                                 "expression", at) from None
+            except EvalDomainError as err:
+                if free_variables(second):
+                    raise self.error("pow() exponent must be a constant "
+                                     "expression", at) from None
+                # a constant exponent that fails names its failure
+                raise self.error(f"pow() exponent: {err}",
+                                 at_exponent) from None
             if not math.isfinite(exponent):
                 raise self.error("exponent must be finite", at_exponent)
-            return self.powc(first, exponent)
-        self.expect(")")
-        return self.node((Call, name, id(first)), Call, name, first)
+            node = self.powc(first, exponent)
+        return self.remember(key, at, end, node)
 
 
 def parse(source: str, coords) -> Expr:

@@ -43,7 +43,8 @@ that array afterwards.
 The grid image stays in the target's domain, excluded balls included:
 flow_init raises geometry's DomainError when a node's image lies
 outside, and a step whose candidate image leaves the domain ends the run
-as aborted.  A target that rejects no point (no bounded side, no
+as aborted, with the first node outside, its image point and the chart
+in state.reason.  A target that rejects no point (no bounded side, no
 excluded ball) is not tested.
 
 Restrictions in this version: the source chart must be fully periodic
@@ -108,6 +109,9 @@ class FlowState:
     energy: str = ENERGY_SYM
     iteration: int = 0
     status: str = STATUS_RUNNING
+    # why an aborted run stopped: the grid node, its image point and the
+    # target chart, worded as flow_init's DomainError
+    reason: str = ""
     energy_history: list = field(default_factory=list)
     # the single memo slot, see _at
     _memo: dict = field(default_factory=dict, init=False, repr=False,
@@ -329,10 +333,14 @@ def flow_step(state: FlowState) -> FlowState:
     for _ in range(MAX_HALVINGS + 1):
         candidate = state.rem + state.epsilon * direction
         candidate.flags.writeable = False
-        if (state.target.restricted
-                and not state.target.contains(_image(state, candidate)).all()):
-            state.status = STATUS_ABORTED
-            return state
+        if state.target.restricted:
+            try:
+                state.target.require_inside(_image(state, candidate))
+            except geo.DomainError as err:
+                node = np.unravel_index(err.index, candidate.shape[1:])
+                state.status = STATUS_ABORTED
+                state.reason = f"grid node {tuple(map(int, node))}: {err}"
+                return state
         e_new = flow_energy(state, candidate)
         if e_new <= e_old:
             state.rem = candidate

@@ -666,3 +666,33 @@ def test_flow_initial_image_in_an_excluded_ball_is_a_domain_error(tmp_path,
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "outside the domain" in lines[0]
+
+
+def test_flow_domain_abort_prints_its_reason(tmp_path, capsys):
+    # the initial image misses the ball; the first candidate, a step of
+    # 10 along the tension, lands grid nodes in it
+    doc = {
+        "source": {"dim": 2, "coords": ["x1", "x2"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[0, 6.283185307179586]] * 2,
+                              "periodic": [True, True]}},
+        "target": {"name": "plane-minus-ball", "dim": 2,
+                   "coords": ["y1", "y2"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[None, None]] * 2,
+                              "exclusions": [{"center": [-2, 3],
+                                              "radius": 0.5}]}},
+        "map": {"components": ["x1 + 0.4*sin(x1)", "x2"]},
+    }
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["flow", "--spec", str(path), "--grid", "16",
+                          "--dt", "10", "--steps", "5"], capsys)
+    assert code == 4
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "status     : aborted-domain"
+    assert lines[1].startswith("reason     : grid node (")
+    assert lines[1].endswith("is outside the domain of chart "
+                             "'plane-minus-ball'")
+    assert lines[2] == "iterations : 0"

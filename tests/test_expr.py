@@ -663,3 +663,25 @@ def test_quotient_jet_value_is_the_quotient(text):
     b = s_sin(a) + 1.0
     assert divide(a, b).value == 0.7 / b.value
     assert divide(2.0, b).value == 2.0 / b.value
+
+
+@pytest.mark.parametrize("source,message", [
+    ("pow(x, 1/0)", "pow() exponent: division by near-zero value 0.0 in "
+                    "subexpression '1.0 / 0.0' (line 1, column 8)"),
+    ("pow(x, log(0-1))", "pow() exponent: log of non-positive value -1.0 in "
+                         "subexpression 'log(0.0 - 1.0)' (line 1, column 8)"),
+    ("pow(x, sqrt(-1))", "pow() exponent: sqrt of non-positive value -1.0 "
+                         "in subexpression 'sqrt((-1.0))' (line 1, column 8)"),
+    ("pow(x, exp(1000))", "pow() exponent: exp overflows at 1000.0 in "
+                          "subexpression 'exp(1000.0)' (line 1, column 8)"),
+    ("pow(x,\n  1/0)", "pow() exponent: division by near-zero value 0.0 in "
+                       "subexpression '1.0 / 0.0' (line 2, column 3)"),
+    # an exponent with a free variable is not constant, whatever else fails
+    ("pow(x, 1/0 + y)",
+     "pow() exponent must be a constant expression (line 1, column 1)"),
+])
+def test_a_constant_pow_exponent_that_fails_names_its_failure(source,
+                                                              message):
+    with pytest.raises(ex.SyntaxErrorAt) as err:
+        ex.parse(source, ["x", "y"])
+    assert str(err.value) == message

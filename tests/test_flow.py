@@ -358,3 +358,40 @@ def test_a_target_that_rejects_no_point_is_not_tested(monkeypatch):
     monkeypatch.setattr(geo.ManifoldModel, "contains", refuse)
     state = flow.flow_run(state, 5, 1e-12)
     assert state.status == flow.STATUS_BUDGET
+
+
+def test_domain_abort_names_the_node_its_image_and_the_chart():
+    chart = charts.torus_chart(2)
+    plane = geo.ManifoldModel("plane-minus-ball", ["y1", "y2"],
+                              [[ex.Const(1.0), ex.Const(0.0)],
+                               [ex.Const(0.0), ex.Const(1.0)]],
+                              [(None, None), (None, None)],
+                              exclusions=[((-2.0, 3.0), 0.5)])
+    spec = mp.MapSpec(chart, plane,
+                      [ex.parse("x1 + 0.4*sin(x1)", chart.coords),
+                       ex.parse("x2", chart.coords)])
+    state = flow.flow_init(spec, 16, epsilon=10.0)
+    assert state.reason == ""
+    candidate = state.rem + state.epsilon * flow.gradient_field(state)
+    image = flow._image(state, candidate)
+    # the first node in C order whose candidate image is in the ball
+    node = tuple(map(int, np.argwhere(~plane.contains(image))[0]))
+    state = flow.flow_step(state)
+    assert state.status == flow.STATUS_ABORTED
+    point = [float(y) for y in image[(slice(None),) + node]]
+    assert state.reason == (f"grid node {node}: point {point} is outside "
+                            "the domain of chart 'plane-minus-ball'")
+    # the running state is left as it was
+    assert state.iteration == 0 and len(state.energy_history) == 1
+
+
+def test_a_target_that_rejects_no_point_builds_no_image(monkeypatch):
+    state = flow.flow_init(perturbed_map(), 16)
+
+    def refuse(*args):
+        raise AssertionError("image checked on an unrestricted target")
+    monkeypatch.setattr(geo.ManifoldModel, "require_inside", refuse)
+    monkeypatch.setattr(flow, "_image", refuse)
+    state = flow.flow_run(state, 5, 1e-12)
+    assert state.status == flow.STATUS_BUDGET
+    assert state.reason == ""
