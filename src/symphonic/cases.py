@@ -224,8 +224,8 @@ def case_sphere_inclusion(m: int, seed: int = DEFAULT_SEED) -> CaseResult:
         return float(np.linalg.norm(vectors, axis=0).max())
 
     P = inc.value(x)
-    t = mp.map_tables(inc, x)
-    groups = va.bi_tension_groups(inc, x)
+    ctx, groups = va.bi_tension_at(inc, x)
+    t = mp.tables_from_jets(ctx)
     reduced = va.assemble(groups, va.REDUCED)
     full = va.assemble(groups, va.FULL)
     expected_groups = np.array([2.0 * m * m, 0.0, 0.0, m * m])
@@ -236,9 +236,9 @@ def case_sphere_inclusion(m: int, seed: int = DEFAULT_SEED) -> CaseResult:
                              + np.linalg.norm(groups["F"], axis=0)).max())
     X = np.einsum("i...,ij...->j...", a, t.frame)
     Y = np.einsum("i...,ij...->j...", b, t.frame)
-    sff = mp.second_fundamental_form(t, None, X, Y)
+    sff = np.einsum("i...,j...,ija...->a...", X, Y, t.sff)
     inner = np.einsum("i...,i...->...", a, b)  # <X, Y> in the round metric
-    tau_err = max_norm(mp.symphonic_tension(t) + m * P)
+    tau_err = max_norm(mp.tau_s_from_tables(t) + m * P)
     bt_err = max_norm(reduced - 3 * m * m * P)
     bt_err_full = max_norm(full - 3 * m * m * P)
     sff_err = max_norm(sff + inner * P)

@@ -18,11 +18,12 @@ and ``main`` alone turns it into one ``error:`` line and its code:
     StepTooLargeError                        4, as "step too large: ..."
     GeometryError, ExprError, JetDomainError 4
 
-Any other exception is a bug and keeps its traceback.  The default
-random seed is 0x5EED (24301); the SYMPHONIC_SEED environment variable
-(an integer) overrides it, --seed overrides both.  All numbers are
-printed in shortest round-trip form, so equal seeds give byte-identical
-reports (timing aside).
+Any other exception is a bug and keeps its traceback.  verify and
+variation take a random seed: 0x5EED (24301) by default; the
+SYMPHONIC_SEED environment variable (an integer) overrides it, --seed
+overrides both.  eval and flow draw nothing at random and read no seed.
+All numbers are printed in shortest round-trip form, so equal seeds
+give byte-identical reports (timing aside).
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symphonic",
         description="Numerical toolkit for symphonic and bi-symphonic maps.",
-        epilog="Default seed 0x5EED; SYMPHONIC_SEED and --seed override.")
+        epilog="verify and variation: default seed 0x5EED; "
+               "SYMPHONIC_SEED and --seed override.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -386,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10,
                    help="per-axis grid resolution when no --points")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("variation",
@@ -412,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--energy", choices=("sym", "bisym"), default="sym")
     p.add_argument("--trace", help="per-step CSV trace path")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
     p.set_defaults(func=cmd_flow)
     return parser
 
 
 def _check_options(args):
-    """Fill in the seed and FD step defaults; reject bad numbers."""
-    if getattr(args, "seed", None) is None:
+    """Fill in the seed (of the commands that take one) and FD step
+    defaults; reject bad numbers."""
+    if "seed" in vars(args) and args.seed is None:
         args.seed = _default_seed()
     if getattr(args, "fd_step", None) is None and args.command == "variation":
         args.fd_step = (orc.DEFAULT_SECOND_STEP if args.second

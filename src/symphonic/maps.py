@@ -1,9 +1,10 @@
 """First- and second-order data of a smooth map between charts.
 
-The central objects are coefficient tables (values of the map
-partials, both metrics, both Christoffel families) from which the
-differential, pullback metric, second fundamental form, tension field,
-symphonic stress and symphonic tension are assembled.  The second
+The central objects are the data along the map (AlongMap) and the
+float tables read from it (map partials, target metric, second
+fundamental form, frame), from which the differential, pullback
+metric, second fundamental form, tension field, symphonic stress and
+symphonic tension are assembled.  The second
 fundamental form, the symphonic tension and the energy density are
 written once, as the kernels nabla_dphi, tau_s and energy_density over
 trailing batch axes; the pointwise functions, the mesh integrals and
@@ -13,11 +14,11 @@ feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
 raises its frame indices once and then contracts two operands at a
 time, which keeps every einsum call cheap on grids and on jets.
 
-An operator call builds one AlongMap (along_map) at its points: the
-component jets of the order it needs, the source metric and
-Christoffel jets at x with the frame (source_point_data), and, on
-first use, the target ones at phi(x) and those composed with the map.
-The tables, the jet tension and the covariant derivatives of a field
+An operator call builds one AlongMap (along_map) at its points, with
+named parts: the component jets of the order it needs, the source
+metric, frame and Christoffel jets at x (source_point_data), and the
+target h and gammaN at phi(x) and gammaN composed with the map.  The
+tables, the jet tension and the covariant derivatives of a field
 (``variational``) all read from it, so each metric is evaluated once
 per call.  The finite-difference oracle swaps deformed component jets
 into one context (AlongMap.deformed) and keeps its source side.
@@ -33,7 +34,7 @@ second_fundamental_form and scalar_symphonic_residual take batches of
 points the same way, so a catalog case evaluates its sample points in
 one call each.
 
-Index conventions for tables at a point x:
+Index conventions at a point x:
 
     d1[i, a]      = d phi^a / d x^i
     d2[i, j, a]   = second partials
@@ -54,7 +55,7 @@ from . import geometry as geo
 from .jet import Jet, compose, einsum, stack
 
 __all__ = [
-    "MapSpec", "TangentField", "MapTables",
+    "MapSpec", "TangentField", "MapTables", "SourceData",
     "differential", "pullback_metric", "symphonic_energy_density",
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
@@ -148,28 +149,32 @@ class MapTables:
     below, plus the trailing batch axes), enough for all first-order
     operators and, with curvature=True, for the Jacobi-type ones."""
 
-    spec: MapSpec
-    x: np.ndarray              # (m,)
-    phi: np.ndarray            # (n,)
     d1: np.ndarray             # (m, n)
-    d2: np.ndarray             # (m, m, n)
-    g: np.ndarray              # (m, m)
-    ginv: np.ndarray
-    gammaM: np.ndarray         # (m, m, m) [k, i, j]
     h: np.ndarray              # (n, n)
-    gammaN: np.ndarray         # (n, n, n) [a, b, c]
     sff: np.ndarray            # (m, m, n)
     frame: np.ndarray          # (m, m) rows are frame vectors
     riemN: np.ndarray = None   # (n, n, n, n) R^a_{bcd} at phi(x)
 
 
-def source_point_data(source: geo.ManifoldModel, x, order: int):
-    """(met, gammaM, frame) at points x (m, ...): geometry.metric_at
-    with jets of order >= 1 and its Christoffel jets, one order lower."""
+@dataclass(frozen=True, eq=False)
+class SourceData:
+    """The source metric at points x (m, ...), with jets, and its
+    Gram-Schmidt frame; its Christoffel jets on first read."""
+
+    metric: geo.MetricAtPoint
+    frame: np.ndarray
+
+    @cached_property
+    def gammaM(self) -> Jet:
+        return geo.christoffel_jets(self.metric.jets)
+
+
+def source_point_data(source: geo.ManifoldModel, x, order: int) -> SourceData:
+    """SourceData at points x (m, ...), metric jets of order >= 1."""
     if geo.constant_metric(source) is not None:
         order = 1  # its higher jets vanish; the jet tension reads values
     met = geo.metric_at(source, x, order)
-    return met, geo.christoffel_jets(met.jets), geo.gram_schmidt(met.values)
+    return SourceData(met, geo.gram_schmidt(met.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,39 +184,43 @@ class AlongMap:
 
     jets is the (n,) component jet array of order p, source the
     source_point_data at x with metric jets of order max(p - 1, 1).
-    target (the target metric jets at phi(x), of order
-    max(p - 1, 1 + curvature), and their Christoffel jets) and
+    h (the target metric jets at phi(x), of order
+    max(p - 1, 1 + curvature)), gammaN (their Christoffel jets) and
     gammaN_along (those composed with the map) are evaluated on first
-    use; a constant target metric gives its matrix and None.
+    use; a constant target metric gives its matrix and None.  h_value
+    and gammaN_value are the float values of h and gammaN at phi(x).
     """
 
     spec: MapSpec
     x: np.ndarray
     jets: Jet
-    source: tuple
+    source: SourceData
     curvature: bool = False
 
     @cached_property
-    def target(self):
-        """(h, gammaN) jet arrays at phi(x), or (matrix, None)."""
+    def h(self):
         model = self.spec.target
         y = self.jets.value
         model.require_inside(y)
         h = geo.constant_metric(model)
         if h is not None:
-            return h, None
-        met = geo.metric_at(model, y,
-                            max(self.jets.order - 1, 1 + self.curvature))
-        return met.jets, geo.christoffel_jets(met.jets)
+            return h
+        return geo.metric_at(model, y,
+                             max(self.jets.order - 1, 1 + self.curvature)).jets
 
-    def target_values(self):
-        """(h, gammaN) floats at phi(x); a constant metric has zero
-        Christoffel symbols."""
-        h, gammaN = self.target
-        if gammaN is None:
-            n = self.spec.target.dim
-            return h, np.zeros((n, n, n))
-        return h.value, gammaN.value
+    @cached_property
+    def gammaN(self):
+        return geo.christoffel_jets(self.h) if isinstance(self.h, Jet) else None
+
+    @property
+    def h_value(self) -> np.ndarray:
+        return self.h.value if isinstance(self.h, Jet) else self.h
+
+    @property
+    def gammaN_value(self) -> np.ndarray:
+        """Floats; a constant metric has zero Christoffel symbols."""
+        n = self.spec.target.dim
+        return np.zeros((n, n, n)) if self.gammaN is None else self.gammaN.value
 
     def along(self, target_jets):
         """A jet array of target truncated to the Christoffel order and
@@ -220,11 +229,11 @@ class AlongMap:
             return target_jets
         comps = [Jet(self.jets.space, c)
                  for c in np.moveaxis(self.jets.coeffs, 1, 0)]
-        return compose(target_jets.truncate(self.target[1].order), comps)
+        return compose(target_jets.truncate(self.gammaN.order), comps)
 
     @cached_property
     def gammaN_along(self):
-        return self.along(self.target[1])
+        return self.along(self.gammaN)
 
     def deformed(self, jets) -> "AlongMap":
         """The context of a map with other component jets (an (n,) jet
@@ -251,24 +260,20 @@ def tables_from_jets(ctx: AlongMap, frame: np.ndarray = None) -> MapTables:
     given frame (default: the source's Gram-Schmidt frame)."""
     jets = ctx.jets
     d1, d2 = jets.gradient(), jets.hessian()
-    met, gammaM, default_frame = ctx.source
-    h, gammaN = ctx.target_values()
+    h, gammaN = ctx.h_value, ctx.gammaN_value
     riemN = None
     if ctx.curvature:
         n = ctx.spec.target.dim
-        gj = ctx.target[1]
+        gj = ctx.gammaN
         riemN = (np.zeros((n, n, n, n)) if gj is None else
                  geo.riemann_from_christoffel(gj.value, gj.gradient()))
-    sff = nabla_dphi(d2, gammaM.value, d1, gammaN)
-    if frame is None:
-        frame = default_frame
-    return MapTables(ctx.spec, ctx.x, jets.value, d1, d2, met.values,
-                     met.inverse, gammaM.value, h, gammaN, sff, frame, riemN)
+    sff = nabla_dphi(d2, ctx.source.gammaM.value, d1, gammaN)
+    return MapTables(d1, h, sff,
+                     ctx.source.frame if frame is None else frame, riemN)
 
 
-def map_tables(spec: MapSpec, x, curvature: bool = False,
-               frame: np.ndarray = None) -> MapTables:
-    return tables_from_jets(along_map(spec, x, 2, curvature), frame)
+def map_tables(spec: MapSpec, x, curvature: bool = False) -> MapTables:
+    return tables_from_jets(along_map(spec, x, 2, curvature))
 
 
 # operator kernels ----------------------------------------------------------
@@ -359,49 +364,49 @@ def pullback_metric(spec: MapSpec, x) -> np.ndarray:
     return np.einsum("ia,ab,jb->ij", t.d1, t.h, t.d1)
 
 
-def symphonic_energy_density(spec_or_tables, x=None, frame=None):
-    """Squared norm of the pullback metric in an orthonormal frame: a
-    float at one point, an array over a batch."""
-    t = _as_tables(spec_or_tables, x, frame=frame)
+def symphonic_energy_density(spec: MapSpec, x, frame=None):
+    """Squared norm of the pullback metric in an orthonormal frame
+    (default: the source's): a float at one point, an array over a
+    batch."""
+    t = tables_from_jets(along_map(spec, x, 2), frame)
     density = energy_density(t.frame, t.h, t.d1)
     return float(density) if density.ndim == 0 else density
 
 
-def second_fundamental_form(spec_or_tables, x, X, Y) -> np.ndarray:
+def second_fundamental_form(spec: MapSpec, x, X, Y) -> np.ndarray:
     """(nabla dphi)(X, Y), (n, ...) at points x (m, ...) for tangent
-    vectors X, Y (m, ...) in coordinate components.  Given tables, x is
-    unused and X, Y take their batch axes."""
-    t = _as_tables(spec_or_tables, x)
+    vectors X, Y (m, ...) in coordinate components."""
+    t = map_tables(spec, x)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return np.einsum("i...,j...,ija...->a...", X, Y, t.sff)
 
 
-def tension_field(spec_or_tables, x=None, frame=None) -> np.ndarray:
-    """Trace of the second fundamental form (harmonic tension)."""
-    t = _as_tables(spec_or_tables, x, frame=frame)
+def tension_field(spec: MapSpec, x, frame=None) -> np.ndarray:
+    """Trace of the second fundamental form (harmonic tension) over an
+    orthonormal frame (default: the source's)."""
+    t = tables_from_jets(along_map(spec, x, 2), frame)
     sf = np.einsum("ip,jq,pqa->ija", t.frame, t.frame, t.sff)
     return np.einsum("iia->a", sf)
 
 
-def symphonic_stress(spec: MapSpec, x, X, frame=None) -> np.ndarray:
+def symphonic_stress(spec: MapSpec, x, X) -> np.ndarray:
     """sigma_phi(X) = sum_j h(dphi X, dphi e_j) dphi e_j."""
-    t = map_tables(spec, x, frame=frame)
+    t = map_tables(spec, x)
     df = t.frame @ t.d1
     dX = np.asarray(X, dtype=float) @ t.d1
     return np.einsum("a,ab,jb,jc->c", dX, t.h, df, df)
 
 
-def tau_s_from_tables(t: MapTables, frame: np.ndarray = None) -> np.ndarray:
-    """Symphonic tension from tables, traced over the given
-    orthonormal frame (default: the tables' frame)."""
-    E = t.frame if frame is None else frame
-    return tau_s(frame_metric(E), t.h, t.d1, t.sff)
+def tau_s_from_tables(t: MapTables) -> np.ndarray:
+    """Symphonic tension from tables, traced over their frame."""
+    return tau_s(frame_metric(t.frame), t.h, t.d1, t.sff)
 
 
-def symphonic_tension(spec_or_tables, x=None, frame=None) -> np.ndarray:
-    t = _as_tables(spec_or_tables, x, frame=frame)
-    return tau_s_from_tables(t)
+def symphonic_tension(spec: MapSpec, x, frame=None) -> np.ndarray:
+    """Symphonic tension (n, ...) at points x (m, ...), traced over an
+    orthonormal frame (default: the source's)."""
+    return tau_s_from_tables(tables_from_jets(along_map(spec, x, 2), frame))
 
 
 def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x):
@@ -414,12 +419,3 @@ def scalar_symphonic_residual(model: geo.ManifoldModel, f: ex.Expr, x):
     res = f_data.laplacian * grad_norm2 + 2.0 * np.einsum(
         "i...,ij...,j...->...", grad, hess, grad)
     return float(res) if res.ndim == 0 else res
-
-
-def _as_tables(spec_or_tables, x, frame=None) -> MapTables:
-    if isinstance(spec_or_tables, MapTables):
-        t = spec_or_tables
-        if frame is not None:
-            t = MapTables(**{**t.__dict__, "frame": frame})
-        return t
-    return map_tables(spec_or_tables, x, frame=frame)

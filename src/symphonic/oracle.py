@@ -72,7 +72,7 @@ class Deformation:
                     y = jets.value
                     spec.target.require_inside(y)
                     dens = mp.energy_density(
-                        ctx.source[2], geo.metric_values(spec.target, y),
+                        ctx.source.frame, geo.metric_values(spec.target, y),
                         jets.gradient())
                 else:
                     t2 = mp.tables_from_jets(ctx.deformed(jets))

@@ -22,11 +22,12 @@ pullback connection).  Two variants are exposed:
 The bi-tension is this operator applied to the symphonic tension of
 the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
-one formula for floats and jets.  Each operator and pairing builds one
-maps.AlongMap at its points, with component jets of order 4 for the
-bi-tension and 2 for the Jacobi operator, and the building blocks
-(_groups_at, the tables, tau_s_jets, field_covariant_data) take only
-that context; a pairing reads h from its operator's context.
+one formula for floats and jets.  Each operator builds one
+maps.AlongMap at its points (bi_tension_at: component jets of order 4;
+_jacobi_at: order 2, for a TangentField), and the building blocks
+(_groups_at, the tables, tau_s_jets, field_covariant_data) read only
+that context; a pairing calls its operator's helper and reads h from
+the same context.
 
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
@@ -63,11 +64,6 @@ FULL = "full"
 _VARIANTS = (REDUCED, FULL)
 
 
-def _check_variant(variant):
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
 # jet-valued symphonic tension ----------------------------------------------
 
 
@@ -81,8 +77,8 @@ def tau_s_jets(ctx: mp.AlongMap):
     p = ctx.jets.order
     if p < 3:
         raise ValueError("tau_s_jets needs component jets of order >= 3")
-    h, gammaN = ctx.along(ctx.target[0]), ctx.gammaN_along
-    met, gammaM, _ = ctx.source
+    h, gammaN = ctx.along(ctx.h), ctx.gammaN_along
+    met, gammaM = ctx.source.metric, ctx.source.gammaM
     if geo.constant_metric(ctx.spec.source) is None:
         gi = geo.inverse_jets(met.jets.truncate(p - 2))
         gammaM = gammaM.truncate(p - 2)
@@ -120,9 +116,9 @@ def field_covariant_data(ctx: mp.AlongMap, v_jets):
                                    ctx.jets.partials(), v_jets)
     v, dv = v_jets.value, dv_jets.value
     ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
-           + np.einsum("abc...,ib...,jc...->ija...", ctx.target_values()[1],
+           + np.einsum("abc...,ib...,jc...->ija...", ctx.gammaN_value,
                        ctx.jets.gradient(), dv)
-           - np.einsum("kij...,ka...->ija...", ctx.source[1].value, dv))
+           - np.einsum("kij...,ka...->ija...", ctx.source.gammaM.value, dv))
     return v, dv, ddv
 
 
@@ -184,48 +180,54 @@ def jacobi_groups(gi, h, d1, sff, v, dv, ddv, riem=None) -> dict:
 
 def assemble(groups: dict, variant: str) -> np.ndarray:
     """The operator of a variant from its term groups."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     out = groups["A"] + groups["B"] + groups["C"] + groups["D"]
     if variant == FULL:
         out = out + groups["E"] + groups["F"]
     return out
 
 
-def _groups_at(ctx: mp.AlongMap, v_jets, frame) -> dict:
+def _groups_at(ctx: mp.AlongMap, v_jets, frame=None) -> dict:
     """jacobi_groups for the field given by v_jets at the context's
-    points, traced over the frame (default: the tables' own)."""
+    points, traced over the frame (default: the source's)."""
     t = mp.tables_from_jets(ctx, frame)
     v, dv, ddv = field_covariant_data(ctx, v_jets)
     return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
                          v, dv, ddv, t.riemN)
 
 
-def jacobi_operator(spec: mp.MapSpec, x, field, variant: str = REDUCED,
-                    frame=None) -> np.ndarray:
-    """Apply the Jacobi-type operator to a tangent field at points x
-    (m, ...); the result is (n, ...).
-
-    field is a TangentField or its already-evaluated component jets of
-    order >= 2 at those points (a list or an (n,) jet array).
-    """
-    _check_variant(variant)
+def _jacobi_at(spec: mp.MapSpec, x, field: mp.TangentField, frame=None):
+    """(context, term groups) of the Jacobi operator on the field at
+    points x (m, ...)."""
     ctx = mp.along_map(spec, x, 2, curvature=True)
-    v_jets = (field.jets(spec.source.coords, ctx.x, 2)
-              if isinstance(field, mp.TangentField) else field)
-    return assemble(_groups_at(ctx, v_jets, frame), variant)
+    v_jets = field.jets(spec.source.coords, ctx.x, 2)
+    return ctx, _groups_at(ctx, v_jets, frame)
+
+
+def bi_tension_at(spec: mp.MapSpec, x, frame=None):
+    """(context, term groups) of the bi-tension at points x (m, ...)."""
+    ctx = mp.along_map(spec, x, 4, curvature=True)
+    return ctx, _groups_at(ctx, tau_s_jets(ctx), frame)
+
+
+def jacobi_operator(spec: mp.MapSpec, x, field: mp.TangentField,
+                    variant: str = REDUCED, frame=None) -> np.ndarray:
+    """Apply the Jacobi-type operator to a tangent field at points x
+    (m, ...); the result is (n, ...)."""
+    return assemble(_jacobi_at(spec, x, field, frame)[1], variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
                frame=None) -> np.ndarray:
     """The Jacobi-type operator applied to the symphonic tension, at
     points x (m, ...)."""
-    _check_variant(variant)
     return assemble(bi_tension_groups(spec, x, frame=frame), variant)
 
 
 def bi_tension_groups(spec: mp.MapSpec, x, frame=None) -> dict:
     """Term-by-term breakdown of the bi-tension at points x (m, ...)."""
-    ctx = mp.along_map(spec, x, 4, curvature=True)
-    return _groups_at(ctx, tau_s_jets(ctx), frame)
+    return bi_tension_at(spec, x, frame)[1]
 
 
 def sphere_term_breakdown(m: int, x=None):
@@ -275,20 +277,17 @@ def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
                          mesh: Mesh, variant: str = FULL) -> float:
     """-1 int h(v, tau^s_2) dv_g, the classically normalized
     bi-energy pairing."""
-    _check_variant(variant)
-    ctx = mp.along_map(spec, mesh.points.T, 4, curvature=True)
-    tau2 = assemble(_groups_at(ctx, tau_s_jets(ctx), None), variant)
+    ctx, groups = bi_tension_at(spec, mesh.points.T)
     v = field.values(spec.source.coords, ctx.x)
-    return -1.0 * mesh.integrate(mp.h_inner(v, ctx.target_values()[0], tau2))
+    return -1.0 * mesh.integrate(
+        mp.h_inner(v, ctx.h_value, assemble(groups, variant)))
 
 
 def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
                        wfield: mp.TangentField, mesh: Mesh,
                        variant: str = FULL) -> float:
     """-4 int h(J v, w) dv_g, the closed-form second variation."""
-    _check_variant(variant)
-    ctx = mp.along_map(spec, mesh.points.T, 2, curvature=True)
-    jv = assemble(_groups_at(ctx, vfield.jets(spec.source.coords, ctx.x, 2),
-                             None), variant)
+    ctx, groups = _jacobi_at(spec, mesh.points.T, vfield)
     w = wfield.values(spec.source.coords, ctx.x)
-    return -4.0 * mesh.integrate(mp.h_inner(jv, ctx.target_values()[0], w))
+    return -4.0 * mesh.integrate(
+        mp.h_inner(assemble(groups, variant), ctx.h_value, w))

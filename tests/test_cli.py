@@ -327,6 +327,32 @@ def test_seed_env_must_be_an_integer(capsys, monkeypatch):
     assert err == "error: SYMPHONIC_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["flow", "--spec", "builtin:torus-test", "--grid", "8", "--steps", "1"],
+     1),  # the step budget runs out
+    (["eval", "--spec", "builtin:torus-test", "--op", "tension", "--grid",
+      "2"], 0),
+])
+def test_commands_without_a_seed_ignore_symphonic_seed(capsys, monkeypatch,
+                                                       argv, expected):
+    monkeypatch.setenv("SYMPHONIC_SEED", "abc")
+    code, out, err = run(argv, capsys)
+    assert code == expected
+    assert err == ""
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--spec", "builtin:torus-test", "--grid", "8", "--steps", "1"],
+    ["eval", "--spec", "builtin:torus-test", "--op", "tension", "--grid", "2"],
+])
+def test_commands_without_a_seed_reject_seed_option(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--seed", "3"], capsys)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_verify_failure_goes_through_the_exit_code_rule(capsys, monkeypatch):
     from symphonic import cases
     from symphonic.geometry import GeometryError
@@ -458,6 +484,25 @@ def test_eval_deep_expression_exits_cleanly(tmp_path, capsys, component,
         # tension of t -> 3000 t^2 with flat metrics is 6000
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[1]) == pytest.approx(6000.0)
+
+
+@pytest.mark.parametrize("component", [
+    pytest.param("(" * 5000 + "t" + ")" * 5000, id="parens-5000"),
+    pytest.param("-" * 3000 + "t", id="minus-3000"),
+])
+def test_eval_over_nested_component_is_one_error_line(tmp_path, capsys,
+                                                      component):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_one_dim_spec(component)))
+    code, out, err = run(["eval", "--spec", str(path), "--op", "tension",
+                          "--grid", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "expression nested too deeply (line 1, column " in lines[0]
 
 
 @pytest.mark.parametrize("component,message", [

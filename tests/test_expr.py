@@ -397,6 +397,17 @@ def test_over_nested_parentheses_is_a_syntax_error():
         ex.parse("sin(" * depth + "x" + ")" * depth, ["x"])
 
 
+@pytest.mark.parametrize("source", [
+    pytest.param("(" * 5000 + "x" + ")" * 5000, id="parens-5000"),
+    pytest.param("-" * 3000 + "x", id="minus-3000"),
+])
+def test_over_nesting_says_so(source):
+    # the column depends on the caller's stack depth, so it is not pinned
+    with pytest.raises(ex.ExprError, match=r"^expression nested too deeply "
+                                           r"\(line 1, column \d+\)$"):
+        ex.parse(source, ["x"])
+
+
 def test_tiny_base_surfaces_as_eval_domain_error():
     with pytest.raises(ex.EvalDomainError) as err:
         ex.eval_jet(ex.parse("log(x)", ["x"]), ["x"], [1e-320], 4)

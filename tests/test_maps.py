@@ -331,20 +331,33 @@ def test_batched_tangent_field_matches_pointwise():
 
 
 def test_batched_tables_match_pointwise(annulus, curved_target, rng):
+    """The tables' fields, and the context's map values, second partials
+    and target Christoffel symbols, over a batch against one call per
+    point; the source metric, its inverse and Christoffel symbols are
+    checked so in test_batched_metric_and_frame_match_pointwise."""
     spec = mp.MapSpec(annulus, curved_target,
                       [ex.parse("r*cos(th) + 0.1*sin(2*th)", annulus.coords),
                        ex.parse("r*sin(th)", annulus.coords)])
     pts = np.array(annulus.sample_points(4, rng, shrink=0.05)).T
     batch = mp.map_tables(spec, pts, curvature=True)
     tau = mp.tau_s_from_tables(batch)
+
+    def context_values(x):
+        ctx = mp.along_map(spec, x, 2, curvature=True)
+        return {"phi": ctx.jets.value, "d2": ctx.jets.hessian(),
+                "gammaN": ctx.gammaN_value}
+
+    def close(got, ref, name):
+        assert np.allclose(got, ref, rtol=1e-13,
+                           atol=1e-13 * np.abs(ref).max()), name
+
+    batch_values = context_values(pts)
     for k in range(pts.shape[1]):
         one = mp.map_tables(spec, pts[:, k], curvature=True)
-        for name in ("phi", "d1", "d2", "g", "ginv", "gammaM", "h", "gammaN",
-                     "sff", "frame", "riemN"):
-            ref = getattr(one, name)
-            got = getattr(batch, name)[..., k]
-            assert np.allclose(got, ref, rtol=1e-13,
-                               atol=1e-13 * np.abs(ref).max()), name
+        for name in ("d1", "h", "sff", "frame", "riemN"):
+            close(getattr(batch, name)[..., k], getattr(one, name), name)
+        for name, ref in context_values(pts[:, k]).items():
+            close(batch_values[name][..., k], ref, name)
         ref = mp.tau_s_from_tables(one)
         assert np.allclose(tau[:, k], ref, rtol=1e-13,
                            atol=1e-13 * np.abs(ref).max())

@@ -151,3 +151,23 @@ def test_step_halving_monotonicity(curved_target, torus2, torus_fields):
     errs = [abs(orc.fd_first_variation(spec, v, mesh, 0.4 / 2 ** k) - exact)
             for k in range(4)]
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("energy,expected", [(orc.ENERGY_SYM, 0),
+                                             (orc.ENERGY_BISYM, 1)])
+def test_energy_fn_builds_source_christoffels_once_if_read(
+        monkeypatch, torus_fields, energy, expected):
+    """The sym energy reads only the frame and the component jets, so it
+    builds no Christoffel jets; the bi-energy's stencil values share the
+    source's one set (the target of the torus test map is flat)."""
+    spec = charts.torus_test_map()
+    mesh = build_mesh(spec.source, 6)
+    v, w = torus_fields
+    calls = []
+    inner = geo.christoffel_jets
+    monkeypatch.setattr(geo, "christoffel_jets",
+                        lambda jets: calls.append(1) or inner(jets))
+    fn = orc.Deformation(spec, v, w).energy_fn(mesh, energy)
+    for s, t in ((0.0, 0.0), (1e-3, 0.0), (0.0, -1e-3), (1e-3, 1e-3)):
+        fn(s, t)
+    assert len(calls) == expected
