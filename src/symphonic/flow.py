@@ -14,9 +14,9 @@ behind the same interface but is experimental; its operator is degree
 seven in derivative data and needs looser tolerances.
 
 The operators are not written here.  The grid feeds the one float
-kernel of each operator (maps.tau_s, maps.energy_density and
-variational.jacobi_groups), which work in coordinate form over trailing
-batch axes: the grid axes are the batch, gi is the constant inverse
+kernel of each operator (maps.tau_s, maps.energy_density, maps.h_inner
+and variational.jacobi_groups), which work in coordinate form over
+trailing batch axes: the grid axes are the batch, gi is the constant inverse
 source metric, which equals sum_i e_i e_i^T for any orthonormal frame,
 and the partials come from one stencil routine that serves both the map
 and its tension field.  Per grid size N it builds two integer circulant
@@ -59,17 +59,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from . import maps as mp
 from . import variational as va
 from .mesh import pairwise_sum
+from .variational import ENERGY_BISYM, ENERGY_SYM
 
 MIN_RESOLUTION = 8
 MAX_HALVINGS = 20
-
-ENERGY_SYM = "sym"
-ENERGY_BISYM = "bisym"
 
 STATUS_RUNNING = "running"
 STATUS_CONVERGED = "converged-symphonic"
@@ -99,10 +96,7 @@ class FlowState:
     rem: np.ndarray              # (n, N1, ..., Nm) periodic remainder
     coord_grids: np.ndarray      # (m, N1, ..., Nm) node coordinates
     spacings: list
-    g: np.ndarray                # constant source metric
-    ginv: np.ndarray
-    sqrtg: float
-    frame: np.ndarray            # constant orthonormal frame, rows e_i
+    metric: geo.MetricAtPoint    # constant source metric, with its frame
     h: np.ndarray                # constant target metric
     epsilon: float
     epsilon0: float
@@ -134,18 +128,14 @@ def _winding_matrix(spec: mp.MapSpec) -> np.ndarray:
     A[a, i] = (phi^a(x0 + L_i e_i) - phi^a(x0)) / L_i, exact whenever
     the map is linear plus periodic.
     """
-    source = spec.source
-    m, n = source.dim, spec.target.dim
-    x0 = [0.5 * (lo + hi) for lo, hi in source.intervals]
+    x0 = [0.5 * (lo + hi) for lo, hi in spec.source.intervals]
     base = spec.value(x0)
-    a = np.empty((n, m))
-    for i in range(m):
-        lo, hi = source.intervals[i]
+    columns = []
+    for i, (lo, hi) in enumerate(spec.source.intervals):
         shifted = list(x0)
         shifted[i] += hi - lo
-        a[:, i] = (np.array([ex.eval_value(c, source.coords, shifted)
-                             for c in spec.components]) - base) / (hi - lo)
-    return a
+        columns.append((spec.value(shifted) - base) / (hi - lo))
+    return np.stack(columns, axis=1)
 
 
 def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
@@ -160,8 +150,8 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
     if any(r < MIN_RESOLUTION for r in resolution):
         raise FlowSetupError(
             f"grid resolution below {MIN_RESOLUTION} per axis is too coarse")
-    g = geo.constant_metric(source)
-    if g is None:
+    metric = geo.constant_metric(source)
+    if metric is None:
         raise FlowSetupError("flow requires a constant source metric")
     h = geo.constant_metric(target)
     if h is None:
@@ -180,12 +170,9 @@ def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
     linear = _winding_matrix(spec)
     rem = phi - np.einsum("ak,k...->a...", linear, coord_grids)
     rem.flags.writeable = False
-    ginv = np.linalg.inv(g)
-    sqrtg = float(np.sqrt(np.linalg.det(g)))
-    frame = geo.gram_schmidt(g)
     state = FlowState(source, target, linear, rem, coord_grids, spacings,
-                      g, ginv, sqrtg, frame, h, float(epsilon),
-                      float(epsilon), energy)
+                      metric, h.values, float(epsilon), float(epsilon),
+                      energy)
     state.energy_history.append(flow_energy(state))
     return state
 
@@ -281,11 +268,11 @@ def flow_energy(state: FlowState, rem=None) -> float:
     """Grid quadrature of the flow's own energy density."""
     if state.energy == ENERGY_BISYM:
         tau = _at(state, rem, "tau", grid_tau_s)
-        dens = np.einsum("a...,ab,b...->...", tau, state.h, tau)
+        dens = mp.h_inner(tau, state.h, tau)
     else:
         d1, _ = _at(state, rem, "partials", _grid_derivatives)
-        dens = mp.energy_density(state.frame, state.h, d1)
-    cell = np.prod(state.spacings) * state.sqrtg
+        dens = mp.energy_density(state.metric.frame, state.h, d1)
+    cell = np.prod(state.spacings) * state.metric.sqrt_det
     return pairwise_sum(dens.ravel()) * cell
 
 
@@ -294,7 +281,7 @@ def grid_tau_s(state: FlowState, rem=None) -> np.ndarray:
     constant target metric, so the second fundamental form is the bare
     second derivative)."""
     d1, d2 = _at(state, rem, "partials", _grid_derivatives)
-    return mp.tau_s(state.ginv, state.h, d1, d2)
+    return mp.tau_s(state.metric.inverse, state.h, d1, d2)
 
 
 def grid_bi_tension(state: FlowState, rem=None) -> np.ndarray:
@@ -303,7 +290,8 @@ def grid_bi_tension(state: FlowState, rem=None) -> np.ndarray:
     d1, d2 = _at(state, rem, "partials", _grid_derivatives)
     v = _at(state, rem, "tau", grid_tau_s)
     dv, ddv = _stencil_derivatives(v, state.spacings)
-    groups = va.jacobi_groups(state.ginv, state.h, d1, d2, v, dv, ddv)
+    groups = va.jacobi_groups(state.metric.inverse, state.h, d1, d2, v, dv,
+                              ddv)
     return va.assemble(groups, va.FULL)
 
 
@@ -320,7 +308,7 @@ def gradient_field(state: FlowState, rem=None) -> np.ndarray:
 
 def max_gradient_norm(state: FlowState, rem=None) -> float:
     grad = _at(state, rem, "grad", _descent)
-    norms = np.einsum("a...,ab,b...->...", grad, state.h, grad)
+    norms = mp.h_inner(grad, state.h, grad)
     return float(np.sqrt(norms.max()))
 
 

@@ -26,6 +26,7 @@ raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -213,16 +214,37 @@ def _batch_point(x, k) -> np.ndarray:
     return x.reshape(len(x), -1)[:, k]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricAtPoint:
-    """Metric data at a point or at a batch of points: values and
-    inverse (m, m, ...), volume density (a float or an array over the
-    batch)."""
+    """A metric at a point or at a batch of points: values and inverse
+    (m, m, ...), volume density (a float or an array over the batch),
+    coefficient jets when requested, and on first read its Gram-Schmidt
+    frame, Christoffel jets and Riemann tensor.  A chart's constant
+    metric (constant_metric) has no batch axes, no jets, and None for
+    its vanishing Christoffel symbols and curvature."""
 
     values: np.ndarray
     inverse: np.ndarray
     sqrt_det: float
     jets: Jet = None  # (m, m) jet array when requested
+    constant: bool = False
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Rows orthonormal in the metric (m, m, ...), by gram_schmidt."""
+        return gram_schmidt(self.values)
+
+    @cached_property
+    def christoffel(self):
+        """Christoffel jets [k, i, j] one order below the metric jets."""
+        return None if self.constant else christoffel_jets(self.jets)
+
+    @cached_property
+    def riemann(self):
+        """R^l_{kij} (m, m, m, m, ...) from metric jets of order >= 2."""
+        gam = self.christoffel
+        return None if gam is None else riemann_from_christoffel(
+            gam.value, gam.gradient())
 
 
 @dataclass
@@ -268,12 +290,12 @@ def metric_values(model: ManifoldModel, x) -> np.ndarray:
 
 
 def constant_metric(model: ManifoldModel):
-    """The metric matrix of a chart whose coefficients are all
+    """The MetricAtPoint of a chart whose coefficients are all
     constant, else None.  Memoized on the model, and read-only because
     it is shared.  A constant matrix that is not positive definite is a
     NonSPDError on the first call, which ManifoldModel makes."""
     if "_constant_metric" not in vars(model):
-        values = None
+        met = None
         if all(ex.is_constant(e) for row in model.metric for e in row):
             values = metric_values(model, [0.0] * model.dim)
             lowest = np.linalg.eigvalsh(values).min()
@@ -281,8 +303,12 @@ def constant_metric(model: ManifoldModel):
                 raise NonSPDError(
                     f"metric of chart '{model.name}' is not positive "
                     f"definite (min eigenvalue {lowest:.3e})")
-            values.flags.writeable = False
-        model._constant_metric = values
+            met = MetricAtPoint(values, np.linalg.inv(values),
+                                float(np.sqrt(np.linalg.det(values))),
+                                constant=True)
+            for arr in (met.values, met.inverse, met.frame):
+                arr.flags.writeable = False
+        model._constant_metric = met
     return model._constant_metric
 
 
@@ -353,7 +379,7 @@ def christoffel_jets(g_jets: Jet) -> Jet:
 
 def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
     """Levi-Civita coefficients at a point; derivs adds d_l Gamma."""
-    gam = christoffel_jets(metric_at(model, x, order=2 if derivs else 1).jets)
+    gam = metric_at(model, x, order=2 if derivs else 1).christoffel
     return Christoffel(gam.value, gam.gradient() if derivs else None)
 
 
@@ -367,8 +393,7 @@ def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
 
 def riemann_tensor(model: ManifoldModel, x) -> np.ndarray:
     """Coordinate components R^l_{kij} at a point."""
-    ch = christoffel(model, x, derivs=True)
-    return riemann_from_christoffel(ch.gamma, ch.dgamma)
+    return metric_at(model, x, order=2).riemann
 
 
 def riemann(model: ManifoldModel, x, X, Y, Z) -> np.ndarray:
@@ -405,7 +430,7 @@ def gram_schmidt(g) -> np.ndarray:
 
 def frame_at(model: ManifoldModel, x) -> Frame:
     """Orthonormal frame at points x (m, ...), by Gram-Schmidt."""
-    return Frame(gram_schmidt(metric_at(model, x).values))
+    return Frame(metric_at(model, x).frame)
 
 
 # scalar fields -------------------------------------------------------------
@@ -432,7 +457,7 @@ def scalar_field_data(model: ManifoldModel, f: ex.Expr, x) -> ScalarFieldData:
     df = jet.gradient()
     grad = np.einsum("ij...,j...->i...", met.inverse, df)
     hess = jet.hessian() - np.einsum(
-        "kij...,k...->ij...", christoffel_jets(met.jets).value, df)
+        "kij...,k...->ij...", met.christoffel.value, df)
     lap = np.einsum("ij...,ij...->...", met.inverse, hess)
     return ScalarFieldData(met, grad, hess, lap)
 

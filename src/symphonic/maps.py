@@ -14,14 +14,15 @@ feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
 raises its frame indices once and then contracts two operands at a
 time, which keeps every einsum call cheap on grids and on jets.
 
-An operator call builds one AlongMap (along_map) at its points, with
-named parts: the component jets of the order it needs, the source
-metric, frame and Christoffel jets at x (source_point_data), and the
-target h and gammaN at phi(x) and gammaN composed with the map.  The
-tables, the jet tension and the covariant derivatives of a field
-(``variational``) all read from it, so each metric is evaluated once
-per call.  The finite-difference oracle swaps deformed component jets
-into one context (AlongMap.deformed) and keeps its source side.
+An operator call builds one AlongMap (along_map) at its points: the
+component jets of the order it needs, and the source metric at x
+(source_point_data) and target metric at phi(x) as MetricAtPoint
+objects, which give their frame, Christoffel jets and curvature on
+first read.  The tables, the jet tension, the energy densities and the
+covariant derivatives of a field (``variational``) all read from it,
+so each metric is evaluated once per call.  The finite-difference
+oracle swaps deformed component jets into one context
+(AlongMap.deformed) and keeps its source side.
 
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
@@ -29,10 +30,8 @@ axes (a flat target's constant metric and vanishing Christoffels carry
 none and broadcast).  component_jets, TangentField.jets and .values,
 along_map and tables_from_jets each take one pass over all points, so
 a whole quadrature mesh is one call; a single point (m,) is the batch
-of one.  symphonic_tension, symphonic_energy_density,
-second_fundamental_form and scalar_symphonic_residual take batches of
-points the same way, so a catalog case evaluates its sample points in
-one call each.
+of one.  The pointwise operators take batches of points the same way,
+so a catalog case evaluates its sample points in one call each.
 
 Index conventions at a point x:
 
@@ -55,7 +54,7 @@ from . import geometry as geo
 from .jet import Jet, compose, einsum, stack
 
 __all__ = [
-    "MapSpec", "TangentField", "MapTables", "SourceData",
+    "MapSpec", "TangentField", "MapTables",
     "differential", "pullback_metric", "symphonic_energy_density",
     "second_fundamental_form", "tension_field", "symphonic_stress",
     "symphonic_tension", "scalar_symphonic_residual",
@@ -147,34 +146,20 @@ class TangentField:
 class MapTables:
     """Float data of a map at a point or at a batch of points (shapes
     below, plus the trailing batch axes), enough for all first-order
-    operators and, with curvature=True, for the Jacobi-type ones."""
+    operators."""
 
     d1: np.ndarray             # (m, n)
     h: np.ndarray              # (n, n)
     sff: np.ndarray            # (m, m, n)
     frame: np.ndarray          # (m, m) rows are frame vectors
-    riemN: np.ndarray = None   # (n, n, n, n) R^a_{bcd} at phi(x)
 
 
-@dataclass(frozen=True, eq=False)
-class SourceData:
-    """The source metric at points x (m, ...), with jets, and its
-    Gram-Schmidt frame; its Christoffel jets on first read."""
-
-    metric: geo.MetricAtPoint
-    frame: np.ndarray
-
-    @cached_property
-    def gammaM(self) -> Jet:
-        return geo.christoffel_jets(self.metric.jets)
-
-
-def source_point_data(source: geo.ManifoldModel, x, order: int) -> SourceData:
-    """SourceData at points x (m, ...), metric jets of order >= 1."""
+def source_point_data(source: geo.ManifoldModel, x, order: int):
+    """The source MetricAtPoint at points x (m, ...), with jets of
+    order >= 1."""
     if geo.constant_metric(source) is not None:
         order = 1  # its higher jets vanish; the jet tension reads values
-    met = geo.metric_at(source, x, order)
-    return SourceData(met, geo.gram_schmidt(met.values))
+    return geo.metric_at(source, x, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,58 +167,46 @@ class AlongMap:
     """What the operators read about a map at points x (m, ...), as
     jets in the source variables: built once per call by along_map.
 
-    jets is the (n,) component jet array of order p, source the
-    source_point_data at x with metric jets of order max(p - 1, 1).
-    h (the target metric jets at phi(x), of order
-    max(p - 1, 1 + curvature)), gammaN (their Christoffel jets) and
-    gammaN_along (those composed with the map) are evaluated on first
-    use; a constant target metric gives its matrix and None.  h_value
-    and gammaN_value are the float values of h and gammaN at phi(x).
+    jets is the (n,) component jet array of order p, source the source
+    metric at x with jets of order max(p - 1, 1).  target, the target
+    metric at phi(x) with jets of order max(p - 1, 1) (a constant
+    metric's shared one), and gammaN_along, its Christoffel jets
+    composed with the map, are evaluated on first use.  gammaN_value is
+    the float value of the target Christoffel symbols at phi(x).
     """
 
     spec: MapSpec
     x: np.ndarray
     jets: Jet
-    source: SourceData
-    curvature: bool = False
+    source: geo.MetricAtPoint
 
     @cached_property
-    def h(self):
-        model = self.spec.target
-        y = self.jets.value
+    def target(self) -> geo.MetricAtPoint:
+        model, y = self.spec.target, self.jets.value
         model.require_inside(y)
-        h = geo.constant_metric(model)
-        if h is not None:
-            return h
-        return geo.metric_at(model, y,
-                             max(self.jets.order - 1, 1 + self.curvature)).jets
-
-    @cached_property
-    def gammaN(self):
-        return geo.christoffel_jets(self.h) if isinstance(self.h, Jet) else None
-
-    @property
-    def h_value(self) -> np.ndarray:
-        return self.h.value if isinstance(self.h, Jet) else self.h
+        return (geo.constant_metric(model)
+                or geo.metric_at(model, y, max(self.jets.order - 1, 1)))
 
     @property
     def gammaN_value(self) -> np.ndarray:
         """Floats; a constant metric has zero Christoffel symbols."""
         n = self.spec.target.dim
-        return np.zeros((n, n, n)) if self.gammaN is None else self.gammaN.value
+        gam = self.target.christoffel
+        return np.zeros((n, n, n)) if gam is None else gam.value
 
     def along(self, target_jets):
         """A jet array of target truncated to the Christoffel order and
-        composed with the map; a constant metric and None pass through."""
-        if not isinstance(target_jets, Jet):
-            return target_jets
+        composed with the map; None passes through."""
+        if target_jets is None:
+            return None
         comps = [Jet(self.jets.space, c)
                  for c in np.moveaxis(self.jets.coeffs, 1, 0)]
-        return compose(target_jets.truncate(self.gammaN.order), comps)
+        return compose(target_jets.truncate(self.target.christoffel.order),
+                       comps)
 
     @cached_property
     def gammaN_along(self):
-        return self.along(self.gammaN)
+        return self.along(self.target.christoffel)
 
     def deformed(self, jets) -> "AlongMap":
         """The context of a map with other component jets (an (n,) jet
@@ -242,38 +215,27 @@ class AlongMap:
         return replace(self, jets=jets)
 
 
-def along_map(spec: MapSpec, x, order: int,
-              curvature: bool = False) -> AlongMap:
+def along_map(spec: MapSpec, x, order: int) -> AlongMap:
     """The AlongMap of spec at points x (m, ...) with component jets of
-    the given order; curvature asks for target jets of order >= 2,
-    which R^N and the covariant derivatives of a field need."""
+    the given order."""
     spec.source.require_inside(x)
     x = np.asarray(x, dtype=float)
     return AlongMap(spec, x, stack(spec.component_jets(x, order)),
-                    source_point_data(spec.source, x, max(order - 1, 1)),
-                    curvature)
+                    source_point_data(spec.source, x, max(order - 1, 1)))
 
 
 def tables_from_jets(ctx: AlongMap, frame: np.ndarray = None) -> MapTables:
     """Assemble tables from a context whose component jets have order
-    >= 2, with R^N when it was built with curvature, traced over the
-    given frame (default: the source's Gram-Schmidt frame)."""
-    jets = ctx.jets
-    d1, d2 = jets.gradient(), jets.hessian()
-    h, gammaN = ctx.h_value, ctx.gammaN_value
-    riemN = None
-    if ctx.curvature:
-        n = ctx.spec.target.dim
-        gj = ctx.gammaN
-        riemN = (np.zeros((n, n, n, n)) if gj is None else
-                 geo.riemann_from_christoffel(gj.value, gj.gradient()))
-    sff = nabla_dphi(d2, ctx.source.gammaM.value, d1, gammaN)
-    return MapTables(d1, h, sff,
-                     ctx.source.frame if frame is None else frame, riemN)
+    >= 2, traced over the given frame (default: the source's
+    Gram-Schmidt frame)."""
+    d1, d2 = ctx.jets.gradient(), ctx.jets.hessian()
+    sff = nabla_dphi(d2, ctx.source.christoffel.value, d1, ctx.gammaN_value)
+    return MapTables(d1, ctx.target.values, sff,
+                     ctx.source.frame if frame is None else frame)
 
 
-def map_tables(spec: MapSpec, x, curvature: bool = False) -> MapTables:
-    return tables_from_jets(along_map(spec, x, 2, curvature))
+def map_tables(spec: MapSpec, x) -> MapTables:
+    return tables_from_jets(along_map(spec, x, 2))
 
 
 # operator kernels ----------------------------------------------------------
@@ -361,7 +323,7 @@ def differential(spec: MapSpec, x) -> np.ndarray:
 def pullback_metric(spec: MapSpec, x) -> np.ndarray:
     """(phi^* h)_{ij} = h_{ab} d_i phi^a d_j phi^b."""
     t = map_tables(spec, x)
-    return np.einsum("ia,ab,jb->ij", t.d1, t.h, t.d1)
+    return np.einsum("ia...,ab...,jb...->ij...", t.d1, t.h, t.d1)
 
 
 def symphonic_energy_density(spec: MapSpec, x, frame=None):
@@ -386,16 +348,16 @@ def tension_field(spec: MapSpec, x, frame=None) -> np.ndarray:
     """Trace of the second fundamental form (harmonic tension) over an
     orthonormal frame (default: the source's)."""
     t = tables_from_jets(along_map(spec, x, 2), frame)
-    sf = np.einsum("ip,jq,pqa->ija", t.frame, t.frame, t.sff)
-    return np.einsum("iia->a", sf)
+    sf = np.einsum("ip...,jq...,pqa...->ija...", t.frame, t.frame, t.sff)
+    return np.einsum("iia...->a...", sf)
 
 
 def symphonic_stress(spec: MapSpec, x, X) -> np.ndarray:
     """sigma_phi(X) = sum_j h(dphi X, dphi e_j) dphi e_j."""
     t = map_tables(spec, x)
-    df = t.frame @ t.d1
-    dX = np.asarray(X, dtype=float) @ t.d1
-    return np.einsum("a,ab,jb,jc->c", dX, t.h, df, df)
+    df = np.einsum("ip...,pa...->ia...", t.frame, t.d1)
+    dX = np.einsum("p...,pa...->a...", np.asarray(X, dtype=float), t.d1)
+    return np.einsum("a...,ab...,jb...,jc...->c...", dX, t.h, df, df)
 
 
 def tau_s_from_tables(t: MapTables) -> np.ndarray:

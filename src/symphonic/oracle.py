@@ -9,10 +9,13 @@ summation.
 
 An energy evaluation is one batched pass over all mesh nodes: the jets
 of the map and the fields at every node are built once per deformation
-(see ``jet``), each stencil value adds them and runs the energy kernel
-over the whole batch, and mesh.pairwise_sum reduces the node densities
-in node order.  A deformed image that leaves the target chart raises
-StepTooLargeError naming the first such mesh node.
+(see ``jet``), and each stencil value adds them, evaluates the energy's
+density (variational.symphonic_density or bi_density) on the deformed
+context over the whole batch, and integrates it with mesh.integrate in
+node order.  The deformed image goes through the same target checks as
+any map: one that leaves the target chart raises StepTooLargeError
+naming the first such mesh node, and a target metric that is not
+positive definite there raises geometry.NonSPDError.
 """
 
 from __future__ import annotations
@@ -20,18 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry as geo
 from . import maps as mp
+from . import variational as va
 from .jet import stack
-from .mesh import Mesh, pairwise_sum
+from .mesh import Mesh
+from .variational import ENERGY_BISYM, ENERGY_SYM  # noqa: F401 (re-export)
 
 DEFAULT_FIRST_STEP = 1e-3
 DEFAULT_SECOND_STEP = 1e-2
-
-ENERGY_SYM = "sym"
-ENERGY_BISYM = "bisym"
 
 
 class StepTooLargeError(RuntimeError):
@@ -53,13 +53,12 @@ class Deformation:
         The returned callable evaluates the chosen energy of the
         deformed map; pass s=0 for one-parameter families.
         """
-        if energy not in (ENERGY_SYM, ENERGY_BISYM):
+        if energy not in va.DENSITIES:
             raise ValueError(f"unknown energy {energy!r}")
-        spec = self.spec
-        coords = spec.source.coords
-        order = 1 if energy == ENERGY_SYM else 2
+        density, order = va.DENSITIES[energy]
+        coords = self.spec.source.coords
         x = mesh.points.T
-        ctx = mp.along_map(spec, x, order)
+        ctx = mp.along_map(self.spec, x, order)
         vj = stack(self.v.jets(coords, x, order))
         wj = None if self.w is None else stack(self.w.jets(coords, x, order))
 
@@ -68,22 +67,12 @@ class Deformation:
             if wj is not None and s != 0.0:
                 jets = jets + s * wj
             try:
-                if energy == ENERGY_SYM:
-                    y = jets.value
-                    spec.target.require_inside(y)
-                    dens = mp.energy_density(
-                        ctx.source.frame, geo.metric_values(spec.target, y),
-                        jets.gradient())
-                else:
-                    t2 = mp.tables_from_jets(ctx.deformed(jets))
-                    tau = mp.tau_s_from_tables(t2)
-                    dens = mp.h_inner(tau, t2.h, tau)
+                return mesh.integrate(density(ctx.deformed(jets)))
             except geo.DomainError as err:
                 p = mesh.points[err.index]
                 raise StepTooLargeError(
                     f"deformation step left the target domain at "
                     f"source point {list(map(float, p))}: {err}") from err
-            return pairwise_sum(mesh.weights * mesh.sqrtg * dens)
 
         return energy_at
 

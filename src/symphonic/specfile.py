@@ -46,6 +46,17 @@ def _schema():
     return load_schema("spec.schema.json")
 
 
+def _parse_each(texts, coords, pointer: str) -> list:
+    """texts parsed in coords; a parse error names its element, pointer/k."""
+    out = []
+    for k, text in enumerate(texts):
+        try:
+            out.append(ex.parse(text, coords))
+        except ex.ExprError as err:
+            raise SpecFileError(f"{pointer}/{k}: {err}") from err
+    return out
+
+
 def _chart_from_dict(doc: dict, label: str) -> geo.ManifoldModel:
     dim = doc["dim"]
     coords = doc["coords"]
@@ -55,10 +66,8 @@ def _chart_from_dict(doc: dict, label: str) -> geo.ManifoldModel:
     metric = doc["metric"]
     if len(metric) != dim or any(len(row) != dim for row in metric):
         raise SpecFileError(f"/{label}/metric: expected a {dim}x{dim} array")
-    try:
-        metric_exprs = [[ex.parse(s, coords) for s in row] for row in metric]
-    except ex.ExprError as err:
-        raise SpecFileError(f"/{label}/metric: {err}") from err
+    metric_exprs = [_parse_each(row, coords, f"/{label}/metric/{i}")
+                    for i, row in enumerate(metric)]
     domain = doc["domain"]
     intervals = [tuple(pair) for pair in domain["intervals"]]
     if len(intervals) != dim:
@@ -94,10 +103,7 @@ def parse_spec_document(doc: dict):
     if len(comps_raw) != target.dim:
         raise SpecFileError(f"/map/components: expected {target.dim} "
                             f"expressions, got {len(comps_raw)}")
-    try:
-        comps = [ex.parse(s, source.coords) for s in comps_raw]
-    except ex.ExprError as err:
-        raise SpecFileError(f"/map/components: {err}") from err
+    comps = _parse_each(comps_raw, source.coords, "/map/components")
     try:
         spec = mp.MapSpec(source, target, comps)
     except geo.GeometryError as err:
@@ -107,10 +113,8 @@ def parse_spec_document(doc: dict):
         if len(fdoc["components"]) != target.dim:
             raise SpecFileError(f"/fields/{k}/components: expected "
                                 f"{target.dim} expressions")
-        try:
-            fcomps = [ex.parse(s, source.coords) for s in fdoc["components"]]
-        except ex.ExprError as err:
-            raise SpecFileError(f"/fields/{k}/components: {err}") from err
+        fcomps = _parse_each(fdoc["components"], source.coords,
+                             f"/fields/{k}/components")
         bump = fdoc.get("bump")
         fields[fdoc["name"]] = mp.TangentField(
             fcomps,

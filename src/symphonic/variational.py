@@ -24,10 +24,11 @@ the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
 one formula for floats and jets.  Each operator builds one
 maps.AlongMap at its points (bi_tension_at: component jets of order 4;
-_jacobi_at: order 2, for a TangentField), and the building blocks
+_jacobi_at: order 3, for a TangentField), and the building blocks
 (_groups_at, the tables, tau_s_jets, field_covariant_data) read only
-that context; a pairing calls its operator's helper and reads h from
-the same context.
+that context, R^N included; a pairing calls its operator's helper and
+reads h from the same context.  Each energy has one density on a
+context, which the mesh integrals and the FD oracle both integrate.
 
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
@@ -63,6 +64,9 @@ REDUCED = "reduced"
 FULL = "full"
 _VARIANTS = (REDUCED, FULL)
 
+ENERGY_SYM = "sym"
+ENERGY_BISYM = "bisym"
+
 
 # jet-valued symphonic tension ----------------------------------------------
 
@@ -77,8 +81,9 @@ def tau_s_jets(ctx: mp.AlongMap):
     p = ctx.jets.order
     if p < 3:
         raise ValueError("tau_s_jets needs component jets of order >= 3")
-    h, gammaN = ctx.along(ctx.h), ctx.gammaN_along
-    met, gammaM = ctx.source.metric, ctx.source.gammaM
+    tgt, gammaN = ctx.target, ctx.gammaN_along
+    h = tgt.values if tgt.constant else ctx.along(tgt.jets)
+    met, gammaM = ctx.source, ctx.source.christoffel
     if geo.constant_metric(ctx.spec.source) is None:
         gi = geo.inverse_jets(met.jets.truncate(p - 2))
         gammaM = gammaM.truncate(p - 2)
@@ -99,9 +104,9 @@ def field_covariant_data(ctx: mp.AlongMap, v_jets):
     """Values of v, nabla v, nabla^2 v at the context's points for a
     field given by jets there.
 
-    The context needs target jets of order >= 2 (built with curvature
-    or with component jets of order >= 3).  v_jets, the field's n
-    component jets or their (n,) jet array, must have order >= 2.
+    The context needs component jets of order >= 3 (so target metric
+    jets of order >= 2).  v_jets, the field's n component jets or their
+    (n,) jet array, must have order >= 2.
     Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with the batch axes,
     where DDv[i,j] is the second covariant derivative with outer
     direction i, using the source connection on the form index and the
@@ -118,7 +123,8 @@ def field_covariant_data(ctx: mp.AlongMap, v_jets):
     ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
            + np.einsum("abc...,ib...,jc...->ija...", ctx.gammaN_value,
                        ctx.jets.gradient(), dv)
-           - np.einsum("kij...,ka...->ija...", ctx.source.gammaM.value, dv))
+           - np.einsum("kij...,ka...->ija...", ctx.source.christoffel.value,
+                       dv))
     return v, dv, ddv
 
 
@@ -194,20 +200,20 @@ def _groups_at(ctx: mp.AlongMap, v_jets, frame=None) -> dict:
     t = mp.tables_from_jets(ctx, frame)
     v, dv, ddv = field_covariant_data(ctx, v_jets)
     return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
-                         v, dv, ddv, t.riemN)
+                         v, dv, ddv, ctx.target.riemann)
 
 
 def _jacobi_at(spec: mp.MapSpec, x, field: mp.TangentField, frame=None):
     """(context, term groups) of the Jacobi operator on the field at
     points x (m, ...)."""
-    ctx = mp.along_map(spec, x, 2, curvature=True)
+    ctx = mp.along_map(spec, x, 3)
     v_jets = field.jets(spec.source.coords, ctx.x, 2)
     return ctx, _groups_at(ctx, v_jets, frame)
 
 
 def bi_tension_at(spec: mp.MapSpec, x, frame=None):
     """(context, term groups) of the bi-tension at points x (m, ...)."""
-    ctx = mp.along_map(spec, x, 4, curvature=True)
+    ctx = mp.along_map(spec, x, 4)
     return ctx, _groups_at(ctx, tau_s_jets(ctx), frame)
 
 
@@ -251,17 +257,33 @@ def sphere_term_breakdown(m: int, x=None):
 # integrals and pairings -----------------------------------------------------
 
 
+def symphonic_density(ctx: mp.AlongMap) -> np.ndarray:
+    """|phi^* h|^2 at the context's points (component jets of order >= 1)."""
+    return mp.energy_density(ctx.source.frame, ctx.target.values,
+                             ctx.jets.gradient())
+
+
+def bi_density(ctx: mp.AlongMap) -> np.ndarray:
+    """|tau^s|^2_h at the context's points (component jets of order >= 2)."""
+    t = mp.tables_from_jets(ctx)
+    tau = mp.tau_s_from_tables(t)
+    return mp.h_inner(tau, t.h, tau)
+
+
+# the density of each energy and the component jet order it reads
+DENSITIES = {ENERGY_SYM: (symphonic_density, 1),
+             ENERGY_BISYM: (bi_density, 2)}
+
+
 def symphonic_energy(spec: mp.MapSpec, mesh: Mesh) -> float:
     """Integral of |phi^* h|^2 against dv_g."""
-    t = mp.map_tables(spec, mesh.points.T)
-    return mesh.integrate(mp.energy_density(t.frame, t.h, t.d1))
+    return mesh.integrate(symphonic_density(
+        mp.along_map(spec, mesh.points.T, 1)))
 
 
 def bi_energy(spec: mp.MapSpec, mesh: Mesh) -> float:
     """Integral of |tau^s|^2 against dv_g."""
-    t = mp.map_tables(spec, mesh.points.T)
-    tau = mp.tau_s_from_tables(t)
-    return mesh.integrate(mp.h_inner(tau, t.h, tau))
+    return mesh.integrate(bi_density(mp.along_map(spec, mesh.points.T, 2)))
 
 
 def first_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
@@ -280,7 +302,7 @@ def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
     ctx, groups = bi_tension_at(spec, mesh.points.T)
     v = field.values(spec.source.coords, ctx.x)
     return -1.0 * mesh.integrate(
-        mp.h_inner(v, ctx.h_value, assemble(groups, variant)))
+        mp.h_inner(v, ctx.target.values, assemble(groups, variant)))
 
 
 def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
@@ -290,4 +312,4 @@ def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
     ctx, groups = _jacobi_at(spec, mesh.points.T, vfield)
     w = wfield.values(spec.source.coords, ctx.x)
     return -4.0 * mesh.integrate(
-        mp.h_inner(assemble(groups, variant), ctx.h_value, w))
+        mp.h_inner(assemble(groups, variant), ctx.target.values, w))

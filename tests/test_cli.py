@@ -236,6 +236,34 @@ def test_spec_file_dimension_mismatch(tmp_path):
     assert "/source/coords" in str(err.value)
 
 
+@pytest.mark.parametrize("pointer", ["/map/components/1",
+                                     "/fields/0/components/1",
+                                     "/source/metric/0/1"])
+def test_expression_parse_error_names_its_element(tmp_path, pointer):
+    """An expression that fails to parse is named by its own JSON
+    pointer, not by the array that holds it."""
+    doc = {
+        "source": {"dim": 2, "coords": ["a", "b"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[0, 1], [0, 1]]}},
+        "target": {"dim": 2, "coords": ["y", "z"],
+                   "metric": [["1", "0"], ["0", "1"]],
+                   "domain": {"intervals": [[None, None], [None, None]]}},
+        "map": {"components": ["a", "b"]},
+        "fields": [{"name": "u", "components": ["1", "a"]}],
+    }
+    node = doc
+    *path, last = pointer.strip("/").split("/")
+    for key in path:
+        node = node[int(key) if key.isdigit() else key]
+    node[int(last)] = "a*-"
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    with pytest.raises(SpecFileError) as err:
+        load_spec(str(spec))
+    assert str(err.value).startswith(f"{pointer}: ")
+
+
 def test_variation_defaults(capsys):
     code, out, _ = run(["variation", "--spec", "builtin:torus-test",
                         "--field", "v", "--grid", "16"], capsys)

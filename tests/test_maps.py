@@ -331,33 +331,46 @@ def test_batched_tangent_field_matches_pointwise():
 
 
 def test_batched_tables_match_pointwise(annulus, curved_target, rng):
-    """The tables' fields, and the context's map values, second partials
-    and target Christoffel symbols, over a batch against one call per
-    point; the source metric, its inverse and Christoffel symbols are
-    checked so in test_batched_metric_and_frame_match_pointwise."""
+    """The tables' fields, the context's map values, second partials,
+    target Christoffel symbols and target curvature, and the pullback
+    metric, tension field and symphonic stress over a batch against one
+    call per point; the source metric, its inverse and Christoffel
+    symbols are checked so in
+    test_batched_metric_and_frame_match_pointwise."""
     spec = mp.MapSpec(annulus, curved_target,
                       [ex.parse("r*cos(th) + 0.1*sin(2*th)", annulus.coords),
                        ex.parse("r*sin(th)", annulus.coords)])
     pts = np.array(annulus.sample_points(4, rng, shrink=0.05)).T
-    batch = mp.map_tables(spec, pts, curvature=True)
+    vectors = rng.normal(size=pts.shape)
+    batch = mp.map_tables(spec, pts)
     tau = mp.tau_s_from_tables(batch)
 
     def context_values(x):
-        ctx = mp.along_map(spec, x, 2, curvature=True)
+        # order 3 gives target metric jets of order 2, as R^N needs
+        ctx = mp.along_map(spec, x, 3)
         return {"phi": ctx.jets.value, "d2": ctx.jets.hessian(),
-                "gammaN": ctx.gammaN_value}
+                "gammaN": ctx.gammaN_value, "riemN": ctx.target.riemann}
+
+    def operators(x, X):
+        return {"pullback": mp.pullback_metric(spec, x),
+                "tension_field": mp.tension_field(spec, x),
+                "stress": mp.symphonic_stress(spec, x, X)}
 
     def close(got, ref, name):
         assert np.allclose(got, ref, rtol=1e-13,
                            atol=1e-13 * np.abs(ref).max()), name
 
     batch_values = context_values(pts)
+    assert np.abs(batch_values["riemN"]).max() > 1e-3  # the target is curved
+    batch_ops = operators(pts, vectors)
     for k in range(pts.shape[1]):
-        one = mp.map_tables(spec, pts[:, k], curvature=True)
-        for name in ("d1", "h", "sff", "frame", "riemN"):
+        one = mp.map_tables(spec, pts[:, k])
+        for name in ("d1", "h", "sff", "frame"):
             close(getattr(batch, name)[..., k], getattr(one, name), name)
         for name, ref in context_values(pts[:, k]).items():
             close(batch_values[name][..., k], ref, name)
+        for name, ref in operators(pts[:, k], vectors[:, k]).items():
+            close(batch_ops[name][..., k], ref, name)
         ref = mp.tau_s_from_tables(one)
         assert np.allclose(tau[:, k], ref, rtol=1e-13,
                            atol=1e-13 * np.abs(ref).max())

@@ -115,6 +115,25 @@ def test_step_too_large_error():
         orc.fd_first_variation(spec, v, mesh, 0.2)
 
 
+def test_sym_step_into_non_spd_target_region_raises(torus2):
+    """The sym energy of a deformed map checks the target metric at the
+    image points as every other path does: a step to y1 < 0 under the
+    metric diag(y1, 1) is a NonSPDError, not an energy value."""
+    cc = ["y1", "y2"]
+    target = geo.ManifoldModel(
+        "degenerate", cc,
+        [[ex.parse("y1", cc), ex.parse("0", cc)],
+         [ex.parse("0", cc), ex.parse("1", cc)]],
+        [(None, None), (None, None)])
+    coords = torus2.coords
+    spec = mp.MapSpec(torus2, target, [ex.parse("0.05 + 0.01*sin(x1)", coords),
+                                       ex.parse("x2", coords)])
+    v = mp.TangentField([ex.parse("-1", coords), ex.parse("0", coords)])
+    mesh = build_mesh(torus2, 8)
+    with pytest.raises(geo.NonSPDError):
+        orc.fd_first_variation(spec, v, mesh, 0.1)
+
+
 def test_richardson_order_on_smooth_function():
     # 4-point first-derivative stencil on exp at 0
     def stencil(h):

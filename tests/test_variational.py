@@ -215,13 +215,13 @@ def test_kernels_accept_trailing_batch_axes(annulus, curved_target, rng):
                              ex.parse("r^2 + sin(th)", annulus.coords)])
     per_point = []
     for x in annulus.sample_points(6, rng):
-        t = mp.map_tables(spec, x, curvature=True)
+        t = mp.map_tables(spec, x)
+        ctx = mp.along_map(spec, x, 3)  # target jets of order 2
         v, dv, ddv = va.field_covariant_data(
-            mp.along_map(spec, x, 2, curvature=True),
-            field.jets(annulus.coords, x, 2))
+            ctx, field.jets(annulus.coords, x, 2))
         gi = t.frame.T @ t.frame
-        per_point.append(((gi, t.h, t.d1, t.sff, v, dv, ddv, t.riemN),
-                          t.frame))
+        per_point.append(((gi, t.h, t.d1, t.sff, v, dv, ddv,
+                           ctx.target.riemann), t.frame))
     assert np.abs(per_point[0][0][7]).max() > 1e-3  # the target is curved
     args = [np.stack(arrays, axis=-1) for arrays in zip(*[a for a, _ in per_point])]
     frames = np.stack([f for _, f in per_point], axis=-1)
@@ -398,13 +398,22 @@ def test_batched_operators_match_pointwise(rng):
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("S^2", "scalar_symphonic_residual",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("torus-curved", "symphonic_energy",
+     {"metric_at": 2, "christoffel_jets": 0, "compose": 0}),
+    ("torus-curved", "bi_energy",
+     {"metric_at": 2, "christoffel_jets": 2, "compose": 0}),
+    ("S^2", "symphonic_energy",
+     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
+    ("S^2", "bi_energy",
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
 ])
 def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
                                                 which, op, expected):
     """One operator call, at one point or over a 6x6 mesh, evaluates the
     source metric once at x and the target metric once at phi(x), and
     composes each target jet array with the map at most once; a pairing
-    reads h from its operator's evaluation."""
+    reads h from its operator's evaluation, and the symphonic energy
+    computes no Christoffel symbols."""
     if which == "S^2":
         spec = charts.sphere_inclusion(2)
         x = [1.1, 0.7]
@@ -440,6 +449,10 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
         va.bi_variation_pairing(spec, field, mesh)
     elif op == "index_form_pairing":
         va.index_form_pairing(spec, field, field, mesh)
+    elif op == "symphonic_energy":
+        va.symphonic_energy(spec, mesh)
+    elif op == "bi_energy":
+        va.bi_energy(spec, mesh)
     else:
         mp.scalar_symphonic_residual(
             spec.source, ex.parse(f"sin({coords[0]})*{coords[1]}", coords), x)
