@@ -5,10 +5,18 @@ value, tolerance, pass flag) and is deterministic for a fixed seed.
 Negative controls assert that a deliberately perturbed configuration
 exceeds its tolerance, guarding the positive checks against vacuity.
 
-Each case stacks its sample points into one batch (m, k) and makes one
-batched call per operator, exponent and variant (see ``geometry``,
-``maps`` and ``variational``); a check then reduces the per-point
-values over the batch axis, with any per-point scale kept per point.
+Each case stacks its sample points into one batch (m, k) and evaluates
+each map once per point set (see ``geometry``, ``maps`` and
+``variational``): one context (maps.AlongMap) serves every operator
+read there, and the two operator variants are assembled from one set
+of term groups.  The operator identity evaluates the bi-tension and the
+operator on the closed-form tension field on one order-4 context per
+map; the variation case pairs on the torus map's order-4 context (the
+first-variation and both bi-energy pairings) and on one Jacobi context
+of the linear map (both index forms), through variational.mesh_pairing,
+the function the public pairings call.  A check then reduces the
+per-point values over the batch axis, with any per-point scale kept
+per point.
 Random draws keep the order of a point-by-point loop, so a seed's
 sample points and frame vectors do not depend on the batching: for
 example rng.normal(size=(k, 2, m)) yields the same values, and leaves
@@ -286,32 +294,44 @@ def case_variation_formulas(seed: int = DEFAULT_SEED,
     out = CaseResult("variation-formulas",
                      "variation formulas against the FD oracle", seed)
 
+    # the torus map's bi-tension context serves all of its pairings: (a)
+    # reads its tension, (b) assembles both variants from one group set
+    ctx, groups = va.bi_tension_at(spec, mesh.points.T)
+    tau = mp.tau_s_from_tables(mp.tables_from_jets(ctx))
+    vx = v.values(coords, ctx.x)
+
     # (a) first variation of the symphonic energy, constant -4
     fd1 = orc.fd_first_variation(spec, v, mesh, 1e-3)
-    an1 = va.first_variation_pairing(spec, v, mesh)
+    an1 = va.mesh_pairing(ctx, mesh, tau, vx, -4.0)
     rel1 = abs(fd1 - an1) / max(abs(fd1), 1e-300)
     out.checks.append(check_upper("first-variation-rel", rel1, 1e-4))
 
     # (b) first variation of the bi-energy; the measured constant is
     # reported (the classical normalization carries -1)
     fdb = orc.fd_first_variation(spec, v, mesh, 1e-3, energy=orc.ENERGY_BISYM)
-    pairing = va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
+    pairing = va.mesh_pairing(ctx, mesh, vx, va.assemble(groups, va.FULL),
+                              -1.0)
     measured_constant = fdb / pairing
     relb = abs(fdb - (-2.0) * pairing) / max(abs(fdb), 1e-300)
     out.checks.append(check_upper("bi-variation-rel (constant -2)",
                                   relb, 1e-3))
     out.extra["bi_variation_measured_constant"] = measured_constant
-    pairing_reduced = va.bi_variation_pairing(spec, v, mesh,
-                                              variant=va.REDUCED)
+    pairing_reduced = va.mesh_pairing(ctx, mesh, vx,
+                                      va.assemble(groups, va.REDUCED), -1.0)
     out.extra["bi_variation_constant_reduced_variant"] = fdb / pairing_reduced
 
-    # (c) mixed second variation at a symphonic (linear) map
+    # (c) mixed second variation at a symphonic (linear) map, both
+    # variants from one group set
     lin = charts.linear_torus_map()
     fd2 = orc.fd_second_variation(lin, v, w, mesh, 1e-2)
-    an2 = va.index_form_pairing(lin, v, w, mesh, variant=va.FULL)
+    lin_ctx, lin_groups = va.jacobi_at(lin, mesh.points.T, v)
+    wx = w.values(coords, lin_ctx.x)
+    an2 = va.mesh_pairing(lin_ctx, mesh, va.assemble(lin_groups, va.FULL),
+                          wx, -4.0)
     rel2 = abs(fd2 - an2) / max(abs(fd2), 1e-300)
     out.checks.append(check_upper("second-variation-rel (full)", rel2, 1e-3))
-    an2_red = va.index_form_pairing(lin, v, w, mesh, variant=va.REDUCED)
+    an2_red = va.mesh_pairing(lin_ctx, mesh,
+                              va.assemble(lin_groups, va.REDUCED), wx, -4.0)
     rel2_red = abs(fd2 - an2_red) / max(abs(fd2), 1e-300)
     out.checks.append(check_lower(
         "negative-control second-variation (reduced misses couplings)",
@@ -326,7 +346,9 @@ def case_variation_formulas(seed: int = DEFAULT_SEED,
     # degenerate inputs pair to zero
     zero = mp.TangentField([ex.parse("0", coords), ex.parse("0", coords)])
     out.checks.append(check_upper(
-        "zero-field-pairing", abs(va.first_variation_pairing(spec, zero, mesh)),
+        "zero-field-pairing",
+        abs(va.mesh_pairing(ctx, mesh, tau, zero.values(coords, ctx.x),
+                            -4.0)),
         1e-12))
     return out
 
@@ -337,10 +359,13 @@ def operator_identity_max_rel(rng) -> float:
     point's deviation taken relative to that point's bi-tension."""
 
     def worst_at(spec, x, tau_field):
+        # one context per map: the field's groups on the bi-tension's
+        ctx, bt_groups = va.bi_tension_at(spec, x)
+        jv_groups = va.field_groups(ctx, tau_field)
         worst = 0.0
         for variant in (va.REDUCED, va.FULL):
-            bt = va.bi_tension(spec, x, variant=variant)
-            jv = va.jacobi_operator(spec, x, tau_field, variant=variant)
+            bt = va.assemble(bt_groups, variant)
+            jv = va.assemble(jv_groups, variant)
             scale = np.maximum(np.abs(bt).max(axis=0), 1e-300)
             worst = max(worst, float((np.abs(bt - jv).max(axis=0)
                                       / scale).max()))

@@ -48,6 +48,15 @@ alone decides a group's parse, since no lookahead reaches past its
 ')', so the DAG is the one a full reading gives.  On the benchmark's
 two curved-target specs (315k tokens) this scans 28k tokens.
 
+Nesting is limited to MAX_NESTING levels, counting each parenthesized
+group, call and unary minus that encloses a token: the opener one
+level too deep is a syntax error "expression nested too deeply" at its
+own column, so the column does not depend on the caller's stack depth.
+The limit keeps the parser's recursion (at most five frames per level)
+well inside Python's default limit of 1000; should a caller leave less
+room than that, Python's RecursionError is reported with the same
+message at the current token.
+
 Evaluation runs on a tape.  The first evaluation of a root compiles it
 by an iterative post-order walk that lists each distinct node once,
 children first and left before right, and caches the list on the root.
@@ -277,6 +286,8 @@ def _is_number(token):
 
 # parser ------------------------------------------------------------------
 
+MAX_NESTING = 100  # levels of parenthesized groups, calls and unary minus
+
 _EXPECTED = {")": "rparen", ",": "comma"}
 
 
@@ -293,6 +304,7 @@ class _Parser:
         self.coords = set(coords)
         self.nodes = {}   # intern table: key -> the one node with that key
         self.groups = {}  # group memo: key -> [(start, end, node)]
+        self.depth = 0    # open nesting levels; see MAX_NESTING
 
     def read(self, offset):
         """Make the token after offset the current one."""
@@ -383,6 +395,12 @@ class _Parser:
             raise self.error(f"unexpected trailing input {self.tok!r}")
         return e
 
+    def deeper(self, at):
+        """Open one more nesting level at offset at."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error("expression nested too deeply", at)
+
     def expr(self):
         left = self.term()
         while self.tok in ("+", "-"):
@@ -401,6 +419,7 @@ class _Parser:
 
     def factor(self):
         if self.tok == "-":
+            at = self.m.start(1)
             self.advance()
             m = self.m
             if _is_number(m[1]):
@@ -409,7 +428,9 @@ class _Parser:
                     # a negative literal: one constant, not Neg(Const)
                     self.m, self.tok = after, after[1]
                     return self.const(-float(m[1]), m)
+            self.deeper(at)
             arg = self.factor()
+            self.depth -= 1
             return self.node((Neg, id(arg)), Neg, arg)
         base = self.atom()
         if self.tok == "^":
@@ -451,9 +472,11 @@ class _Parser:
             at = m.start(1)
             key, node = self.recall(at)
             if node is None:
+                self.deeper(at)
                 self.advance()
                 node = self.expr()
                 self.remember(key, at, self.expect(")"), node)
+                self.depth -= 1
             return node
         self.advance()
         if _is_number(tok):
@@ -475,6 +498,7 @@ class _Parser:
             return node
         if name not in FUNCTIONS:
             raise self.error(f"unknown function '{name}'", at)
+        self.deeper(at)
         self.advance()  # its '('
         first = self.expr()
         if name != "pow":
@@ -497,6 +521,7 @@ class _Parser:
             if not math.isfinite(exponent):
                 raise self.error("exponent must be finite", at_exponent)
             node = self.powc(first, exponent)
+        self.depth -= 1
         return self.remember(key, at, end, node)
 
 

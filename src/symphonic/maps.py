@@ -330,8 +330,9 @@ def symphonic_energy_density(spec: MapSpec, x, frame=None):
     """Squared norm of the pullback metric in an orthonormal frame
     (default: the source's): a float at one point, an array over a
     batch."""
-    t = tables_from_jets(along_map(spec, x, 2), frame)
-    density = energy_density(t.frame, t.h, t.d1)
+    ctx = along_map(spec, x, 1)  # no Christoffel symbols are read
+    density = energy_density(ctx.source.frame if frame is None else frame,
+                             ctx.target.values, ctx.jets.gradient())
     return float(density) if density.ndim == 0 else density
 
 

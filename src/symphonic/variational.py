@@ -24,10 +24,19 @@ the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
 one formula for floats and jets.  Each operator builds one
 maps.AlongMap at its points (bi_tension_at: component jets of order 4;
-_jacobi_at: order 3, for a TangentField), and the building blocks
-(_groups_at, the tables, tau_s_jets, field_covariant_data) read only
-that context, R^N included; a pairing calls its operator's helper and
-reads h from the same context.  Each energy has one density on a
+jacobi_at: order 3, for a TangentField), and the building blocks
+(_groups_at, field_groups, the tables, tau_s_jets,
+field_covariant_data) read only that context, R^N included.  A context
+of order p serves every operator of order <= p, with the same values
+bit for bit: field_groups on a bi-tension context equals the Jacobi
+operator's own, and the tables (so the tension) of any context of
+order >= 2 equal map_tables'.  So a caller that needs several
+operators at one point set builds the highest-order context once.  The
+variant is chosen at assembly: the six groups do not depend on it, and
+assemble sums four or six of them, so both variants come from one
+group evaluation.  mesh_pairing is the one pairing on a context; the
+three public pairings each build their operator's context and call
+it, reading h from that context.  Each energy has one density on a
 context, which the mesh integrals and the FD oracle both integrate.
 
 jacobi_groups is the one implementation of the six groups.  It works
@@ -203,12 +212,20 @@ def _groups_at(ctx: mp.AlongMap, v_jets, frame=None) -> dict:
                          v, dv, ddv, ctx.target.riemann)
 
 
-def _jacobi_at(spec: mp.MapSpec, x, field: mp.TangentField, frame=None):
+def field_groups(ctx: mp.AlongMap, field: mp.TangentField,
+                 frame=None) -> dict:
+    """Term groups of the Jacobi operator on the field at the context's
+    points, which need component jets of order >= 3: a bi-tension
+    context (order 4) gives the same groups, bit for bit."""
+    return _groups_at(ctx, field.jets(ctx.spec.source.coords, ctx.x, 2),
+                      frame)
+
+
+def jacobi_at(spec: mp.MapSpec, x, field: mp.TangentField, frame=None):
     """(context, term groups) of the Jacobi operator on the field at
     points x (m, ...)."""
     ctx = mp.along_map(spec, x, 3)
-    v_jets = field.jets(spec.source.coords, ctx.x, 2)
-    return ctx, _groups_at(ctx, v_jets, frame)
+    return ctx, field_groups(ctx, field, frame)
 
 
 def bi_tension_at(spec: mp.MapSpec, x, frame=None):
@@ -221,7 +238,7 @@ def jacobi_operator(spec: mp.MapSpec, x, field: mp.TangentField,
                     variant: str = REDUCED, frame=None) -> np.ndarray:
     """Apply the Jacobi-type operator to a tangent field at points x
     (m, ...); the result is (n, ...)."""
-    return assemble(_jacobi_at(spec, x, field, frame)[1], variant)
+    return assemble(jacobi_at(spec, x, field, frame)[1], variant)
 
 
 def bi_tension(spec: mp.MapSpec, x, variant: str = REDUCED,
@@ -286,13 +303,21 @@ def bi_energy(spec: mp.MapSpec, mesh: Mesh) -> float:
     return mesh.integrate(bi_density(mp.along_map(spec, mesh.points.T, 2)))
 
 
+def mesh_pairing(ctx: mp.AlongMap, mesh: Mesh, u, w,
+                 scale: float) -> float:
+    """scale * int h(u, w) dv_g for fields u, w (n, nodes) at the
+    context's points, which are the mesh nodes: every pairing below is
+    this on its operator's context."""
+    return scale * mesh.integrate(mp.h_inner(u, ctx.target.values, w))
+
+
 def first_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
                             mesh: Mesh) -> float:
     """-4 int h(tau^s, v) dv_g, the closed-form first variation."""
-    x = mesh.points.T
-    t = mp.map_tables(spec, x)
-    v = field.values(spec.source.coords, x)
-    return -4.0 * mesh.integrate(mp.h_inner(mp.tau_s_from_tables(t), t.h, v))
+    ctx = mp.along_map(spec, mesh.points.T, 2)
+    return mesh_pairing(ctx, mesh,
+                        mp.tau_s_from_tables(mp.tables_from_jets(ctx)),
+                        field.values(spec.source.coords, ctx.x), -4.0)
 
 
 def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
@@ -300,16 +325,14 @@ def bi_variation_pairing(spec: mp.MapSpec, field: mp.TangentField,
     """-1 int h(v, tau^s_2) dv_g, the classically normalized
     bi-energy pairing."""
     ctx, groups = bi_tension_at(spec, mesh.points.T)
-    v = field.values(spec.source.coords, ctx.x)
-    return -1.0 * mesh.integrate(
-        mp.h_inner(v, ctx.target.values, assemble(groups, variant)))
+    return mesh_pairing(ctx, mesh, field.values(spec.source.coords, ctx.x),
+                        assemble(groups, variant), -1.0)
 
 
 def index_form_pairing(spec: mp.MapSpec, vfield: mp.TangentField,
                        wfield: mp.TangentField, mesh: Mesh,
                        variant: str = FULL) -> float:
     """-4 int h(J v, w) dv_g, the closed-form second variation."""
-    ctx, groups = _jacobi_at(spec, mesh.points.T, vfield)
-    w = wfield.values(spec.source.coords, ctx.x)
-    return -4.0 * mesh.integrate(
-        mp.h_inner(assemble(groups, variant), ctx.target.values, w))
+    ctx, groups = jacobi_at(spec, mesh.points.T, vfield)
+    return mesh_pairing(ctx, mesh, assemble(groups, variant),
+                        wfield.values(spec.source.coords, ctx.x), -4.0)

@@ -5,6 +5,7 @@ from symphonic import cases, charts, geometry as geo
 from symphonic import expr as ex
 from symphonic import maps as mp
 from symphonic import variational as va
+from symphonic.mesh import build_mesh
 
 # The batched cases against a point-by-point reference loop, at each
 # case's own sample points: the draws below repeat the cases' draws for
@@ -214,3 +215,53 @@ def test_operator_identity_batch_matches_pointwise_loop():
             assert_matches_loop(
                 va.jacobi_operator(spec, x, field, variant=variant), jv,
                 norms(jv), 1e-10)
+
+
+def test_verify_builds_one_context_per_map_and_point_set(monkeypatch):
+    """The operator identity builds one context per map for both
+    operators and both variants; the variation case adds one for the
+    torus map's pairings, one for the linear map's index form and one
+    per FD oracle call."""
+    calls = []
+    inner = mp.along_map
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+    monkeypatch.setattr(mp, "along_map", counted)
+    cases.operator_identity_max_rel(np.random.default_rng(SEED))
+    assert len(calls) == 4
+    del calls[:]
+    cases.case_variation_formulas(SEED)
+    assert len(calls) == 4 + 2 + 3
+
+
+def test_variation_case_pairings_equal_the_public_pairings(monkeypatch):
+    """Each pairing the variation case evaluates on a shared context
+    equals the public pairing's own evaluation exactly."""
+    seen = []
+    inner = va.mesh_pairing
+
+    def recorded(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+    monkeypatch.setattr(va, "mesh_pairing", recorded)
+    cases.case_variation_formulas(SEED)
+    monkeypatch.undo()
+    # the case's map, mesh and fields
+    spec, lin = charts.torus_test_map(), charts.linear_torus_map()
+    coords = spec.source.coords
+    mesh = build_mesh(spec.source, 24)
+    v = mp.TangentField([ex.parse("0.7*sin(x1)*cos(x2)", coords),
+                         ex.parse("0.4*cos(x1 + x2)", coords)])
+    w = mp.TangentField([ex.parse("0.5*sin(x1)*cos(x2) + 0.2*sin(x2)", coords),
+                         ex.parse("0.3*cos(x1 + x2)", coords)])
+    zero = mp.TangentField([ex.parse("0", coords), ex.parse("0", coords)])
+    assert seen == [
+        va.first_variation_pairing(spec, v, mesh),
+        va.bi_variation_pairing(spec, v, mesh, variant=va.FULL),
+        va.bi_variation_pairing(spec, v, mesh, variant=va.REDUCED),
+        va.index_form_pairing(lin, v, w, mesh, variant=va.FULL),
+        va.index_form_pairing(lin, v, w, mesh, variant=va.REDUCED),
+        va.first_variation_pairing(spec, zero, mesh),
+    ]

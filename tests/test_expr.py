@@ -397,15 +397,36 @@ def test_over_nested_parentheses_is_a_syntax_error():
         ex.parse("sin(" * depth + "x" + ")" * depth, ["x"])
 
 
-@pytest.mark.parametrize("source", [
-    pytest.param("(" * 5000 + "x" + ")" * 5000, id="parens-5000"),
-    pytest.param("-" * 3000 + "x", id="minus-3000"),
-])
-def test_over_nesting_says_so(source):
-    # the column depends on the caller's stack depth, so it is not pinned
-    with pytest.raises(ex.ExprError, match=r"^expression nested too deeply "
-                                           r"\(line 1, column \d+\)$"):
+def _parse_error_at_stack_depth(extra_frames, source):
+    """The message of parse(source) called extra_frames frames deeper."""
+    if extra_frames:
+        return _parse_error_at_stack_depth(extra_frames - 1, source)
+    with pytest.raises(ex.ExprError) as err:
         ex.parse(source, ["x"])
+    return str(err.value)
+
+
+@pytest.mark.parametrize("source,column", [
+    pytest.param("(" * 5000 + "x" + ")" * 5000, 101, id="parens-5000"),
+    pytest.param("-" * 3000 + "x", 101, id="minus-3000"),
+    pytest.param("sin(" * 5000 + "x" + ")" * 5000, 401, id="calls-5000"),
+    pytest.param("(-" * 3000 + "x" + ")" * 3000, 101, id="mixed-3000"),
+])
+def test_over_nesting_says_so(source, column):
+    """The opener one level past MAX_NESTING is the error's column,
+    wherever the caller is on the stack."""
+    expected = f"expression nested too deeply (line 1, column {column})"
+    assert _parse_error_at_stack_depth(0, source) == expected
+    assert _parse_error_at_stack_depth(300, source) == expected
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""),
+                                           ("sqrt(", ")")])
+def test_nesting_up_to_the_limit_parses(opener, closer):
+    depth = ex.MAX_NESTING
+    ex.parse(opener * depth + "x" + closer * depth, ["x"])
+    with pytest.raises(ex.SyntaxErrorAt, match="nested too deeply"):
+        ex.parse(opener * (depth + 1) + "x" + closer * (depth + 1), ["x"])
 
 
 def test_tiny_base_surfaces_as_eval_domain_error():

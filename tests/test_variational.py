@@ -406,14 +406,18 @@ def test_batched_operators_match_pointwise(rng):
      {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "bi_energy",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+    ("torus-curved", "symphonic_energy_density",
+     {"metric_at": 2, "christoffel_jets": 0, "compose": 0}),
+    ("S^2", "symphonic_energy_density",
+     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
 ])
 def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
                                                 which, op, expected):
     """One operator call, at one point or over a 6x6 mesh, evaluates the
     source metric once at x and the target metric once at phi(x), and
     composes each target jet array with the map at most once; a pairing
-    reads h from its operator's evaluation, and the symphonic energy
-    computes no Christoffel symbols."""
+    reads h from its operator's evaluation, and the symphonic energy and
+    its pointwise density compute no Christoffel symbols."""
     if which == "S^2":
         spec = charts.sphere_inclusion(2)
         x = [1.1, 0.7]
@@ -453,7 +457,55 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
         va.symphonic_energy(spec, mesh)
     elif op == "bi_energy":
         va.bi_energy(spec, mesh)
+    elif op == "symphonic_energy_density":
+        mp.symphonic_energy_density(spec, x)
     else:
         mp.scalar_symphonic_residual(
             spec.source, ex.parse(f"sin({coords[0]})*{coords[1]}", coords), x)
     assert counts == expected
+
+
+def _identity_inputs(rng, curved_target):
+    """(spec, points, field): the four maps of the catalog's operator
+    identity with their closed-form tension fields, and a torus into
+    the curved plane with a trigonometric field."""
+    out = []
+    for a in (2.0, 1.7):
+        coeff = 3 * a ** 3 * (a - 1)
+        out.append((charts.power_curve(a), rng.uniform(0.6, 3.5, (1, 6)),
+                    mp.TangentField([ex.parse(
+                        f"{coeff!r} * pow(t, {3 * a - 4!r})", ["t"])])))
+    for m in (2, 3):
+        inc = charts.sphere_inclusion(m)
+        out.append((inc, np.array(inc.source.sample_points(6, rng)).T,
+                    mp.TangentField([
+                        ex.parse(f"-{m} * ({s})", inc.source.coords)
+                        for s in charts.sphere_embedding_sources(m)])))
+    tor = charts.torus_chart(2)
+    out.append((mp.MapSpec(tor, curved_target, [
+        ex.parse("x1 + 0.3*sin(x2)", tor.coords),
+        ex.parse("x2 - 0.2*cos(x1)", tor.coords)]),
+        rng.uniform(0.0, 2 * np.pi, (2, 6)),
+        mp.TangentField([ex.parse("0.7*sin(x1)*cos(x2)", tor.coords),
+                         ex.parse("0.4*cos(x1 + x2)", tor.coords)])))
+    return out
+
+
+def test_bi_tension_context_serves_the_jacobi_operator(rng, curved_target):
+    """The Jacobi groups of a field on a bi-tension context (component
+    jets of order 4) equal those on the operator's own order-3 context
+    bit for bit, and so do both variants and the tension."""
+    for spec, x, field in _identity_inputs(rng, curved_target):
+        ctx, _ = va.bi_tension_at(spec, x)
+        shared = va.field_groups(ctx, field)
+        _, own = va.jacobi_at(spec, x, field)
+        assert shared.keys() == own.keys()
+        for name in own:
+            assert np.array_equal(shared[name], own[name]), name
+        for variant in (va.REDUCED, va.FULL):
+            assert np.array_equal(
+                va.assemble(shared, variant),
+                va.jacobi_operator(spec, x, field, variant=variant))
+        assert np.array_equal(
+            mp.tau_s_from_tables(mp.tables_from_jets(ctx)),
+            mp.tau_s_from_tables(mp.map_tables(spec, x)))
