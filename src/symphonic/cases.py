@@ -286,10 +286,8 @@ def case_variation_formulas(seed: int = DEFAULT_SEED,
     spec = charts.torus_test_map()
     coords = spec.source.coords
     mesh = build_mesh(spec.source, resolution)
-    v = mp.TangentField([ex.parse("0.7*sin(x1)*cos(x2)", coords),
-                         ex.parse("0.4*cos(x1 + x2)", coords)])
-    w = mp.TangentField([ex.parse("0.5*sin(x1)*cos(x2) + 0.2*sin(x2)", coords),
-                         ex.parse("0.3*cos(x1 + x2)", coords)])
+    fields = charts.torus_test_fields()
+    v, w = fields["v"], fields["w"]
 
     out = CaseResult("variation-formulas",
                      "variation formulas against the FD oracle", seed)
@@ -361,7 +359,8 @@ def operator_identity_max_rel(rng) -> float:
     def worst_at(spec, x, tau_field):
         # one context per map: the field's groups on the bi-tension's
         ctx, bt_groups = va.bi_tension_at(spec, x)
-        jv_groups = va.field_groups(ctx, tau_field)
+        jv_groups = va.field_groups(
+            ctx, tau_field.jets(spec.source.coords, ctx.x, 2))
         worst = 0.0
         for variant in (va.REDUCED, va.FULL):
             bt = va.assemble(bt_groups, variant)

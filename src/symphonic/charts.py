@@ -15,21 +15,21 @@ from . import maps as mp
 POLE_MARGIN = 0.1
 
 
-def _parse_metric(coords, rows):
+def _parse_rows(coords, rows):
     return [[ex.parse(s, coords) for s in row] for row in rows]
 
 
 def interval_chart(lo: float, hi: float, coord: str = "t") -> geo.ManifoldModel:
     """A 1-d chart with the metric dt^2."""
     return geo.ManifoldModel("interval", [coord],
-                             _parse_metric([coord], [["1"]]), [(lo, hi)])
+                             _parse_rows([coord], [["1"]]), [(lo, hi)])
 
 
 def torus_chart(dim: int = 2, length: float = 2.0 * np.pi) -> geo.ManifoldModel:
     """Flat torus with a [0, length)^dim fundamental domain."""
     coords = [f"x{k + 1}" for k in range(dim)]
     rows = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
-    return geo.ManifoldModel(f"torus{dim}", coords, _parse_metric(coords, rows),
+    return geo.ManifoldModel(f"torus{dim}", coords, _parse_rows(coords, rows),
                              [(0.0, length)] * dim, periodic=[True] * dim)
 
 
@@ -37,7 +37,7 @@ def annulus_chart(r_lo: float = 0.5, r_hi: float = 2.0) -> geo.ManifoldModel:
     """Polar chart of the punctured plane, angular direction periodic."""
     coords = ["r", "th"]
     rows = [["1", "0"], ["0", "r^2"]]
-    return geo.ManifoldModel("annulus", coords, _parse_metric(coords, rows),
+    return geo.ManifoldModel("annulus", coords, _parse_rows(coords, rows),
                              [(r_lo, r_hi), (0.0, 2.0 * np.pi)],
                              periodic=[False, True])
 
@@ -48,7 +48,7 @@ def punctured_plane_chart(radius: float = 3.0,
     coords = ["x1", "x2"]
     rows = [["1", "0"], ["0", "1"]]
     return geo.ManifoldModel("plane-minus-origin", coords,
-                             _parse_metric(coords, rows),
+                             _parse_rows(coords, rows),
                              [(-radius, radius), (-radius, radius)],
                              exclusions=[((0.0, 0.0), hole)])
 
@@ -74,7 +74,7 @@ def sphere_chart(m: int, margin: float = POLE_MARGIN) -> geo.ManifoldModel:
     intervals = [(margin, np.pi - margin)] * (m - 1) + [(0.0, 2.0 * np.pi)]
     periodic = [False] * (m - 1) + [True]
     return geo.ManifoldModel(f"sphere{m}", coords,
-                             _parse_metric(coords, rows), intervals, periodic)
+                             _parse_rows(coords, rows), intervals, periodic)
 
 
 def sphere_embedding_sources(m: int):
@@ -128,6 +128,15 @@ def torus_test_map(amplitude: float = 0.2) -> mp.MapSpec:
                  chart.coords),
     ]
     return mp.MapSpec(chart, target, comps)
+
+
+def torus_test_fields() -> dict:
+    """The tangent fields 'v' and 'w' of the variation-formula checks,
+    along torus_test_map and linear_torus_map."""
+    v, w = _parse_rows(["x1", "x2"], [  # torus_chart(2).coords
+        ["0.7*sin(x1)*cos(x2)", "0.4*cos(x1 + x2)"],
+        ["0.5*sin(x1)*cos(x2) + 0.2*sin(x2)", "0.3*cos(x1 + x2)"]])
+    return {"v": mp.TangentField(v), "w": mp.TangentField(w)}
 
 
 def linear_torus_map(matrix=TORUS_TEST_MATRIX) -> mp.MapSpec:

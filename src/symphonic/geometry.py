@@ -239,6 +239,11 @@ class MetricAtPoint:
         """Christoffel jets [k, i, j] one order below the metric jets."""
         return None if self.constant else christoffel_jets(self.jets)
 
+    @property
+    def christoffel_values(self):
+        """Christoffel symbols as floats, None for a constant metric."""
+        return None if self.constant else self.christoffel.value
+
     @cached_property
     def riemann(self):
         """R^l_{kij} (m, m, m, m, ...) from metric jets of order >= 2."""

@@ -17,7 +17,9 @@ batch axes otherwise.
 
 A jet array is a jet of a tensor: its coefficients are
 (size, *tensor_axes, *batch), the tensor axes before the batch axes
-(stack builds one from a list of jets).  No other class is needed: +,
+(stack builds one from a list of jets).  The jets of a map or a field
+are one (n,) jet array, and compose substitutes such an array for the
+n variables of an outer jet (array).  No other class is needed: +,
 -, value, gradient, hessian and partials act entrywise, * by a float
 or by a plain array (broadcast against the trailing axes) scales every
 coefficient, and einsum(subscripts, *operands) is np.einsum over
@@ -580,29 +582,30 @@ def s_pow(x, exponent):
     return out
 
 
-def compose(outer: Jet, inner: list[Jet]) -> Jet:
-    """Substitute inner jets for the variables of an outer jet.
+def compose(outer: Jet, inner: Jet) -> Jet:
+    """Substitute the entries of an inner jet array for the variables
+    of an outer jet.
 
-    outer is a jet in len(inner) variables, or a jet array of them;
-    each inner jet shares one common space and batch.  outer carries
-    that batch after its tensor axes, or is a scalar jet without one.
-    The result is the jet (array) of the composite function in the
-    inner variables, truncated at min(outer.order, inner order).
+    outer is a jet in n variables, or a jet array of them; inner is an
+    (n,) jet array with the batch after its one tensor axis.  outer
+    carries that batch after its tensor axes, or is a scalar jet
+    without one.  The result is the jet (array) of the composite
+    function in the inner variables, truncated at min(outer.order,
+    inner.order).
     """
-    if len(inner) != outer.nvars:
+    if inner.coeffs.ndim < 2 or inner.coeffs.shape[1] != outer.nvars:
         raise ValueError("composition needs one inner jet per outer variable")
-    sp_in = inner[0].space
-    batch = inner[0].batch
-    order = min(outer.order, sp_in.order)
-    sp_out = _space(sp_in.nvars, order)
+    batch = inner.coeffs.shape[2:]
+    order = min(outer.order, inner.order)
+    sp_out = _space(inner.nvars, order)
     # displacement jets (zero constant term), with power caches
+    d = inner.truncate(order).coeffs.copy()
+    d[0] = 0.0
     powers = []
-    for j in inner:
-        d = j.truncate(order).coeffs.copy()
-        d[0] = 0.0
-        cache = [None, d]
+    for a in range(outer.nvars):
+        cache = [None, d[:, a]]
         for k in range(2, order + 1):
-            cache.append(sp_out.mul(cache[-1], d))
+            cache.append(sp_out.mul(cache[-1], d[:, a]))
         powers.append(cache)
     tensor = outer.coeffs.shape[1:max(outer.coeffs.ndim - len(batch), 1)]
     lift = (slice(None),) + (None,) * len(tensor)  # room for the tensor axes
@@ -626,11 +629,9 @@ def compose(outer: Jet, inner: list[Jet]) -> Jet:
     return Jet(sp_out, out)
 
 
-def stack(jets) -> Jet:
-    """The jet array (len(jets), ...) of jets of one space and batch; a
-    jet array is returned as it is."""
-    if isinstance(jets, Jet):
-        return jets
+def stack(jets: list[Jet]) -> Jet:
+    """The jet array (len(jets), ...) of a list of jets of one space and
+    batch."""
     return Jet(jets[0].space, np.stack([j.coeffs for j in jets], axis=1))
 
 

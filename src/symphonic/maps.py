@@ -14,23 +14,26 @@ feeds the bi-tension is tau_s on jets (see ``variational``).  tau_s
 raises its frame indices once and then contracts two operands at a
 time, which keeps every einsum call cheap on grids and on jets.
 
-An operator call builds one AlongMap (along_map) at its points: the
-component jets of the order it needs, and the source metric at x
-(source_point_data) and target metric at phi(x) as MetricAtPoint
-objects, which give their frame, Christoffel jets and curvature on
-first read.  The tables, the jet tension, the energy densities and the
-covariant derivatives of a field (``variational``) all read from it,
-so each metric is evaluated once per call.  The finite-difference
-oracle swaps deformed component jets into one context
-(AlongMap.deformed) and keeps its source side.
+An operator call builds one AlongMap (along_map) at its points, which
+holds each thing in one form: the component jets of the order it needs
+as one (n,) jet array, and the source metric at x (source_point_data)
+and target metric at phi(x) as MetricAtPoint objects, which give their
+frame, Christoffel jets and curvature on first read.  A constant
+metric, on either side, is its chart's one shared MetricAtPoint, with
+None for its Christoffel symbols on the float and the jet path alike;
+nabla_dphi skips a None term.  The tables, the jet tension, the energy
+densities and the covariant derivatives of a field (``variational``)
+all read from the context, so each metric is evaluated at most once
+per call.  The finite-difference oracle swaps deformed component jets
+into one context (AlongMap.deformed) and keeps its source side.
 
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
-axes (a flat target's constant metric and vanishing Christoffels carry
-none and broadcast).  component_jets, TangentField.jets and .values,
-along_map and tables_from_jets each take one pass over all points, so
-a whole quadrature mesh is one call; a single point (m,) is the batch
-of one.  The pointwise operators take batches of points the same way,
+axes (a constant metric carries none and broadcasts).  component_jets,
+TangentField.jets (each an (n,) jet array) and .values, along_map and
+tables_from_jets each take one pass over all points, so a whole
+quadrature mesh is one call; a single point (m,) is the batch of one.
+The pointwise operators take batches of points the same way,
 so a catalog case evaluates its sample points in one call each.
 
 Index conventions at a point x:
@@ -91,10 +94,10 @@ class MapSpec:
         return np.array([ex.eval_value(c, self.source.coords, x)
                          for c in self.components])
 
-    def component_jets(self, x, order):
-        """Jets of the n components at points x (m, ...)."""
-        return [ex.eval_jet(c, self.source.coords, x, order)
-                for c in self.components]
+    def component_jets(self, x, order) -> Jet:
+        """The (n,) jet array of the components at points x (m, ...)."""
+        return stack([ex.eval_jet(c, self.source.coords, x, order)
+                      for c in self.components])
 
 
 @dataclass
@@ -122,8 +125,8 @@ class TangentField:
             return Jet(w.space, np.where(u.coeffs[0] > 0.0, w.coeffs, 0.0))
         return np.where(u > 0.0, w, 0.0)
 
-    def jets(self, coords, x, order):
-        """Jets of the n components at points x (m, ...)."""
+    def jets(self, coords, x, order) -> Jet:
+        """The (n,) jet array of the components at points x (m, ...)."""
         x = np.asarray(x, dtype=float)
         out = [ex.eval_jet(c, coords, x, order) for c in self.components]
         if self.bump_center is not None:
@@ -131,7 +134,7 @@ class TangentField:
             w = self._bump([Jet.variable(k, x[k], nvars, order)
                             for k in range(nvars)])
             out = [j * w for j in out]
-        return out
+        return stack(out)
 
     def values(self, coords, x):
         """Component values (n, ...) at points x (m, ...)."""
@@ -155,11 +158,9 @@ class MapTables:
 
 
 def source_point_data(source: geo.ManifoldModel, x, order: int):
-    """The source MetricAtPoint at points x (m, ...), with jets of
-    order >= 1."""
-    if geo.constant_metric(source) is not None:
-        order = 1  # its higher jets vanish; the jet tension reads values
-    return geo.metric_at(source, x, order)
+    """The source MetricAtPoint at points x (m, ...) with jets of the
+    given order, or the chart's shared one if its metric is constant."""
+    return geo.constant_metric(source) or geo.metric_at(source, x, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +169,10 @@ class AlongMap:
     jets in the source variables: built once per call by along_map.
 
     jets is the (n,) component jet array of order p, source the source
-    metric at x with jets of order max(p - 1, 1).  target, the target
-    metric at phi(x) with jets of order max(p - 1, 1) (a constant
-    metric's shared one), and gammaN_along, its Christoffel jets
-    composed with the map, are evaluated on first use.  gammaN_value is
-    the float value of the target Christoffel symbols at phi(x).
+    metric at x and target the target metric at phi(x), each with jets
+    of order max(p - 1, 1), or the chart's shared MetricAtPoint if its
+    metric is constant.  target, and gammaN_along, its Christoffel jets
+    composed with the map, are evaluated on first use.
     """
 
     spec: MapSpec
@@ -187,22 +187,13 @@ class AlongMap:
         return (geo.constant_metric(model)
                 or geo.metric_at(model, y, max(self.jets.order - 1, 1)))
 
-    @property
-    def gammaN_value(self) -> np.ndarray:
-        """Floats; a constant metric has zero Christoffel symbols."""
-        n = self.spec.target.dim
-        gam = self.target.christoffel
-        return np.zeros((n, n, n)) if gam is None else gam.value
-
     def along(self, target_jets):
         """A jet array of target truncated to the Christoffel order and
         composed with the map; None passes through."""
         if target_jets is None:
             return None
-        comps = [Jet(self.jets.space, c)
-                 for c in np.moveaxis(self.jets.coeffs, 1, 0)]
         return compose(target_jets.truncate(self.target.christoffel.order),
-                       comps)
+                       self.jets)
 
     @cached_property
     def gammaN_along(self):
@@ -220,7 +211,7 @@ def along_map(spec: MapSpec, x, order: int) -> AlongMap:
     the given order."""
     spec.source.require_inside(x)
     x = np.asarray(x, dtype=float)
-    return AlongMap(spec, x, stack(spec.component_jets(x, order)),
+    return AlongMap(spec, x, spec.component_jets(x, order),
                     source_point_data(spec.source, x, max(order - 1, 1)))
 
 
@@ -229,7 +220,8 @@ def tables_from_jets(ctx: AlongMap, frame: np.ndarray = None) -> MapTables:
     >= 2, traced over the given frame (default: the source's
     Gram-Schmidt frame)."""
     d1, d2 = ctx.jets.gradient(), ctx.jets.hessian()
-    sff = nabla_dphi(d2, ctx.source.christoffel.value, d1, ctx.gammaN_value)
+    sff = nabla_dphi(d2, ctx.source.christoffel_values, d1,
+                     ctx.target.christoffel_values)
     return MapTables(d1, ctx.target.values, sff,
                      ctx.source.frame if frame is None else frame)
 
@@ -254,9 +246,12 @@ def nabla_dphi(d2, gammaM, d1, gammaN):
                           + Gamma^a_{bc}(phi) d_i phi^b d_j phi^c
 
     from d2 (m, m, n, ...), gammaM (m, m, m, ...), d1 (m, n, ...) and
-    gammaN (n, n, n, ...) along the map, None for a flat target.
+    gammaN (n, n, n, ...) along the map; a Christoffel term is None
+    for a constant metric, and then skipped.
     """
-    out = d2 - einsum("kij...,ka...->ija...", gammaM, d1)
+    out = d2
+    if gammaM is not None:
+        out = out - einsum("kij...,ka...->ija...", gammaM, d1)
     if gammaN is None:
         return out
     return out + einsum("abc...,ib...,jc...->ija...", gammaN, d1, d1)
@@ -317,7 +312,7 @@ def energy_density(frame, h, d1):
 def differential(spec: MapSpec, x) -> np.ndarray:
     """d phi_x as an (n x m) matrix in coordinate bases."""
     spec.source.require_inside(x)
-    return np.swapaxes(stack(spec.component_jets(x, 1)).gradient(), 0, 1)
+    return np.swapaxes(spec.component_jets(x, 1).gradient(), 0, 1)
 
 
 def pullback_metric(spec: MapSpec, x) -> np.ndarray:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from . import geometry as geo
 from . import maps as mp
 from . import variational as va
-from .jet import stack
 from .mesh import Mesh
 from .variational import ENERGY_BISYM, ENERGY_SYM  # noqa: F401 (re-export)
 
@@ -59,8 +58,8 @@ class Deformation:
         coords = self.spec.source.coords
         x = mesh.points.T
         ctx = mp.along_map(self.spec, x, order)
-        vj = stack(self.v.jets(coords, x, order))
-        wj = None if self.w is None else stack(self.w.jets(coords, x, order))
+        vj = self.v.jets(coords, x, order)
+        wj = None if self.w is None else self.w.jets(coords, x, order)
 
         def energy_at(s: float, t: float) -> float:
             jets = ctx.jets + t * vj

@@ -123,15 +123,6 @@ def parse_spec_document(doc: dict):
     return spec, fields
 
 
-def _builtin_fields(spec: mp.MapSpec):
-    coords = spec.source.coords
-    v = mp.TangentField([ex.parse("0.7*sin(x1)*cos(x2)", coords),
-                         ex.parse("0.4*cos(x1 + x2)", coords)])
-    w = mp.TangentField([ex.parse("0.5*sin(x1)*cos(x2) + 0.2*sin(x2)", coords),
-                         ex.parse("0.3*cos(x1 + x2)", coords)])
-    return {"v": v, "w": w}
-
-
 _DECIMAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _EXPONENT = re.compile(f"({_DECIMAL})(?:/({_DECIMAL}))?")
 
@@ -162,11 +153,9 @@ def load_builtin(name: str):
                                bump_center=[2.0], bump_radius=1.2)
         return spec, {"bump": bump}
     if key == "torus-test":
-        spec = charts.torus_test_map()
-        return spec, _builtin_fields(spec)
+        return charts.torus_test_map(), charts.torus_test_fields()
     if key == "linear-torus":
-        spec = charts.linear_torus_map()
-        return spec, _builtin_fields(spec)
+        return charts.linear_torus_map(), charts.torus_test_fields()
     raise SpecFileError(f"unknown builtin spec '{name}'")
 
 

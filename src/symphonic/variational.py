@@ -24,20 +24,23 @@ the map itself, evaluated through jet-valued fields: tau_s_jets is the
 kernel maps.tau_s run on jet arrays (see ``jet``), so the tension has
 one formula for floats and jets.  Each operator builds one
 maps.AlongMap at its points (bi_tension_at: component jets of order 4;
-jacobi_at: order 3, for a TangentField), and the building blocks
-(_groups_at, field_groups, the tables, tau_s_jets,
-field_covariant_data) read only that context, R^N included.  A context
-of order p serves every operator of order <= p, with the same values
-bit for bit: field_groups on a bi-tension context equals the Jacobi
-operator's own, and the tables (so the tension) of any context of
-order >= 2 equal map_tables'.  So a caller that needs several
-operators at one point set builds the highest-order context once.  The
-variant is chosen at assembly: the six groups do not depend on it, and
-assemble sums four or six of them, so both variants come from one
-group evaluation.  mesh_pairing is the one pairing on a context; the
-three public pairings each build their operator's context and call
-it, reading h from that context.  Each energy has one density on a
-context, which the mesh integrals and the FD oracle both integrate.
+jacobi_at: order 3), and the building blocks (the tables, tau_s_jets,
+field_covariant_data, field_groups) read only that context, R^N
+included, and skip the Christoffel terms of a constant metric (None).
+field_groups, the one Jacobi function on a context, takes a field as
+its (n,) jet array: a TangentField's jets (jacobi_at) or the jet
+tension (bi_tension_at).  A context of order p serves every operator
+of order <= p, with the same values bit for bit: field_groups on a
+bi-tension context equals the Jacobi operator's own, and the tables
+(so the tension) of any context of order >= 2 equal map_tables'.  So a
+caller that needs several operators at one point set builds the
+highest-order context once.  The variant is chosen at assembly: the
+six groups do not depend on it, and assemble sums four or six of them,
+so both variants come from one group evaluation.  mesh_pairing is the
+one pairing on a context; the three public pairings each build their
+operator's context and call it, reading h from that context.  Each
+energy has one density on a context, which the mesh integrals and the
+FD oracle both integrate.
 
 jacobi_groups is the one implementation of the six groups.  It works
 in coordinate form: each frame sum over i becomes a contraction with
@@ -66,7 +69,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import maps as mp
-from .jet import einsum, stack
+from .jet import einsum
 from .mesh import Mesh
 
 REDUCED = "reduced"
@@ -92,12 +95,11 @@ def tau_s_jets(ctx: mp.AlongMap):
         raise ValueError("tau_s_jets needs component jets of order >= 3")
     tgt, gammaN = ctx.target, ctx.gammaN_along
     h = tgt.values if tgt.constant else ctx.along(tgt.jets)
-    met, gammaM = ctx.source, ctx.source.christoffel
-    if geo.constant_metric(ctx.spec.source) is None:
+    met = ctx.source
+    gi, gammaM = met.inverse, None
+    if not met.constant:
         gi = geo.inverse_jets(met.jets.truncate(p - 2))
-        gammaM = gammaM.truncate(p - 2)
-    else:  # plain arrays: a constant g^-1 and zero Christoffels
-        gi, gammaM = met.inverse, gammaM.value
+        gammaM = met.christoffel.truncate(p - 2)
     d1 = ctx.jets.partials()                     # [i, a], order p - 1
     d2 = d1.partials()                           # [j, i, a], order p - 2
     d1 = d1.truncate(p - 2)
@@ -114,14 +116,14 @@ def field_covariant_data(ctx: mp.AlongMap, v_jets):
     field given by jets there.
 
     The context needs component jets of order >= 3 (so target metric
-    jets of order >= 2).  v_jets, the field's n component jets or their
-    (n,) jet array, must have order >= 2.
+    jets of order >= 2).  v_jets, the field's (n,) jet array, must have
+    order >= 2.
     Returns (v (n,), Dv (m,n), DDv (m,m,n)), each with the batch axes,
     where DDv[i,j] is the second covariant derivative with outer
     direction i, using the source connection on the form index and the
-    pullback connection on the bundle index.
+    pullback connection on the bundle index; the Christoffel term of a
+    constant metric is skipped.
     """
-    v_jets = stack(v_jets)
     # first covariant derivative as a jet array [i, a] of order >= 1
     dv_jets = v_jets.partials()
     if ctx.gammaN_along is not None:
@@ -129,11 +131,14 @@ def field_covariant_data(ctx: mp.AlongMap, v_jets):
                                    ctx.gammaN_along.truncate(1),
                                    ctx.jets.partials(), v_jets)
     v, dv = v_jets.value, dv_jets.value
-    ddv = (dv_jets.gradient()                            # d_i (nab_j v)^a
-           + np.einsum("abc...,ib...,jc...->ija...", ctx.gammaN_value,
-                       ctx.jets.gradient(), dv)
-           - np.einsum("kij...,ka...->ija...", ctx.source.christoffel.value,
-                       dv))
+    ddv = dv_jets.gradient()                             # d_i (nab_j v)^a
+    gammaN = ctx.target.christoffel_values
+    if gammaN is not None:
+        ddv = ddv + np.einsum("abc...,ib...,jc...->ija...", gammaN,
+                              ctx.jets.gradient(), dv)
+    gammaM = ctx.source.christoffel_values
+    if gammaM is not None:
+        ddv = ddv - np.einsum("kij...,ka...->ija...", gammaM, dv)
     return v, dv, ddv
 
 
@@ -203,35 +208,30 @@ def assemble(groups: dict, variant: str) -> np.ndarray:
     return out
 
 
-def _groups_at(ctx: mp.AlongMap, v_jets, frame=None) -> dict:
-    """jacobi_groups for the field given by v_jets at the context's
-    points, traced over the frame (default: the source's)."""
+def field_groups(ctx: mp.AlongMap, v_jets, frame=None) -> dict:
+    """Term groups of the Jacobi operator on the field given by its
+    (n,) jet array v_jets (order >= 2) at the context's points (component
+    jets of order >= 3), traced over the frame (default: the source's).
+    A bi-tension context (order 4) gives a field the same groups as the
+    operator's own order-3 context, bit for bit."""
     t = mp.tables_from_jets(ctx, frame)
     v, dv, ddv = field_covariant_data(ctx, v_jets)
     return jacobi_groups(mp.frame_metric(t.frame), t.h, t.d1, t.sff,
                          v, dv, ddv, ctx.target.riemann)
 
 
-def field_groups(ctx: mp.AlongMap, field: mp.TangentField,
-                 frame=None) -> dict:
-    """Term groups of the Jacobi operator on the field at the context's
-    points, which need component jets of order >= 3: a bi-tension
-    context (order 4) gives the same groups, bit for bit."""
-    return _groups_at(ctx, field.jets(ctx.spec.source.coords, ctx.x, 2),
-                      frame)
-
-
 def jacobi_at(spec: mp.MapSpec, x, field: mp.TangentField, frame=None):
     """(context, term groups) of the Jacobi operator on the field at
     points x (m, ...)."""
     ctx = mp.along_map(spec, x, 3)
-    return ctx, field_groups(ctx, field, frame)
+    return ctx, field_groups(ctx, field.jets(spec.source.coords, ctx.x, 2),
+                             frame)
 
 
 def bi_tension_at(spec: mp.MapSpec, x, frame=None):
     """(context, term groups) of the bi-tension at points x (m, ...)."""
     ctx = mp.along_map(spec, x, 4)
-    return ctx, _groups_at(ctx, tau_s_jets(ctx), frame)
+    return ctx, field_groups(ctx, tau_s_jets(ctx), frame)
 
 
 def jacobi_operator(spec: mp.MapSpec, x, field: mp.TangentField,

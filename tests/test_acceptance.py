@@ -221,11 +221,8 @@ def test_criterion_7_bi_energy_constant(curved_target, rng):
             ex.parse(f"{c[6]}*cos(x1 + x2) + {c[7]}*sin(x1)", coords)])
         fd = orc.fd_first_variation(spec, v, mesh, 1e-3,
                                     energy=orc.ENERGY_BISYM)
-        pairing = mesh.integrate([
-            float(v.values(coords, p)
-                  @ mp.map_tables(spec, p).h
-                  @ va.bi_tension(spec, p, variant=va.FULL))
-            for p in mesh.points])
+        # int h(v, tau2_full): the classically normalized pairing negated
+        pairing = -va.bi_variation_pairing(spec, v, mesh, variant=va.FULL)
         constants.append(fd / pairing)
     constants = np.array(constants)
     spread = float(constants.max() - constants.min()) / abs(constants.mean())

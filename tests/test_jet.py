@@ -188,7 +188,7 @@ def test_compose_against_sympy():
     outer = jet_of(outer_sym, [float(inner1.subs(t, t0)),
                                float(inner2.subs(t, t0))], 3)
     inner_jets = [jet_of(inner1, [t0], 3), jet_of(inner2, [t0], 3)]
-    got = compose(outer, inner_jets)
+    got = compose(outer, stack(inner_jets))
     for k in range(4):
         expected = float(sp.diff(composite, t, k).subs(t, t0))
         assert got.derivative((k,)) == pytest.approx(expected, rel=1e-11)
@@ -330,7 +330,7 @@ def test_partials_hessian_and_stack():
 
 def test_compose_of_a_jet_array_is_entrywise():
     rng = np.random.default_rng(11)
-    inner = [random_jet_array(rng, 2, 3, (4,)) for _ in range(3)]
+    inner = stack([random_jet_array(rng, 2, 3, (4,)) for _ in range(3)])
     outer = random_jet_array(rng, 3, 2, (2, 2, 4))
     got = compose(outer, inner)
     assert got.order == 2 and got.coeffs.shape == (6, 2, 2, 4)

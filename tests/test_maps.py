@@ -295,7 +295,7 @@ def test_tangent_field_bump_support():
     outside = field.values(["t"], [1.9])
     assert np.allclose(outside, 0.0)
     jets = field.jets(["t"], [1.9], 2)
-    assert all(np.allclose(j.coeffs, 0.0) for j in jets)
+    assert jets.coeffs.shape == (3, 2) and np.allclose(jets.coeffs, 0.0)
     # window value is (1 - (r/R)^2)^5
     r_rel = (0.1 / 0.5) ** 2
     assert inside[0] == pytest.approx((1 - r_rel) ** 5, rel=1e-12)
@@ -324,10 +324,34 @@ def test_batched_tangent_field_matches_pointwise():
     for k in range(pts.shape[1]):
         assert np.allclose(values[:, k], field.values(["t"], pts[:, k]),
                            rtol=1e-15, atol=0.0)
-        for a, jet in enumerate(field.jets(["t"], pts[:, k], 3)):
-            assert np.allclose(jets[a].coeffs[:, k], jet.coeffs, rtol=1e-14,
-                               atol=1e-300)
+        one = field.jets(["t"], pts[:, k], 3)
+        for a in range(2):
+            assert np.allclose(jets.coeffs[:, a, k], one.coeffs[:, a],
+                               rtol=1e-14, atol=1e-300)
     assert np.all(values[:, [0, 4]] == 0.0)
+
+
+def test_constant_charts_contexts_hold_their_shared_metrics(curved_target):
+    """A context on a chart with a constant metric holds the chart's one
+    shared MetricAtPoint, on the source side as on the target side, so
+    no such metric is evaluated per point, and its Christoffel symbols
+    are None on the float path and the jet path alike."""
+    x = np.array([[0.3, 1.2, 2.5], [0.7, 0.1, 4.0]])
+    spec = charts.torus_test_map()
+    for order in (1, 2, 3, 4):
+        ctx = mp.along_map(spec, x, order)
+        assert ctx.source is geo.constant_metric(spec.source)
+        assert ctx.target is geo.constant_metric(spec.target)
+        assert ctx.source.christoffel_values is None
+        assert ctx.target.christoffel_values is None
+        assert ctx.gammaN_along is None
+    tor = charts.torus_chart(2)
+    curved = mp.MapSpec(tor, curved_target,
+                        [ex.parse("x1 + 0.3*sin(x2)", tor.coords),
+                         ex.parse("x2 - 0.2*cos(x1)", tor.coords)])
+    ctx = mp.along_map(curved, x, 3)
+    assert ctx.source is geo.constant_metric(tor)
+    assert ctx.target.christoffel_values.shape == (2, 2, 2, 3)
 
 
 def test_batched_tables_match_pointwise(annulus, curved_target, rng):
@@ -349,7 +373,8 @@ def test_batched_tables_match_pointwise(annulus, curved_target, rng):
         # order 3 gives target metric jets of order 2, as R^N needs
         ctx = mp.along_map(spec, x, 3)
         return {"phi": ctx.jets.value, "d2": ctx.jets.hessian(),
-                "gammaN": ctx.gammaN_value, "riemN": ctx.target.riemann}
+                "gammaN": ctx.target.christoffel_values,
+                "riemN": ctx.target.riemann}
 
     def operators(x, X):
         return {"pullback": mp.pullback_metric(spec, x),

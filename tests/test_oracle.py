@@ -28,8 +28,8 @@ def test_deformation_velocity_is_exactly_the_field(torus2, torus_fields):
     t = 1e-3
     base = spec.component_jets(x, 1)
     vj = v.jets(torus2.coords, x, 1)
-    plus = [c + t * u for c, u in zip(base, vj)]
-    velocity = [(p.value - c.value) / t for p, c in zip(plus, base)]
+    plus = base + t * vj
+    velocity = (plus.value - base.value) / t
     assert np.allclose(velocity, v.values(torus2.coords, x), rtol=1e-12)
 
 
@@ -175,18 +175,29 @@ def test_step_halving_monotonicity(curved_target, torus2, torus_fields):
 @pytest.mark.parametrize("energy,expected", [(orc.ENERGY_SYM, 0),
                                              (orc.ENERGY_BISYM, 1)])
 def test_energy_fn_builds_source_christoffels_once_if_read(
-        monkeypatch, torus_fields, energy, expected):
+        monkeypatch, annulus, torus_fields, energy, expected):
     """The sym energy reads only the frame and the component jets, so it
     builds no Christoffel jets; the bi-energy's stencil values share the
-    source's one set (the target of the torus test map is flat)."""
-    spec = charts.torus_test_map()
-    mesh = build_mesh(spec.source, 6)
-    v, w = torus_fields
+    source's one set on a varying source (an annulus into the flat
+    plane), and build none on the torus test map, whose flat source and
+    target contexts hold their charts' shared constant metrics."""
+    coords = annulus.coords
+    annulus_map = mp.MapSpec(annulus, geo.euclidean_space(2),
+                             [ex.parse("r*cos(th)", coords),
+                              ex.parse("r*sin(th) + 0.1*r^2", coords)])
+    annulus_fields = (mp.TangentField([ex.parse("0.3*sin(th)", coords),
+                                       ex.parse("0.2*r*cos(th)", coords)]),
+                      mp.TangentField([ex.parse("0.1*r", coords),
+                                       ex.parse("0.2*sin(2*th)", coords)]))
     calls = []
     inner = geo.christoffel_jets
     monkeypatch.setattr(geo, "christoffel_jets",
                         lambda jets: calls.append(1) or inner(jets))
-    fn = orc.Deformation(spec, v, w).energy_fn(mesh, energy)
-    for s, t in ((0.0, 0.0), (1e-3, 0.0), (0.0, -1e-3), (1e-3, 1e-3)):
-        fn(s, t)
-    assert len(calls) == expected
+    for spec, (v, w), want in ((charts.torus_test_map(), torus_fields, 0),
+                               (annulus_map, annulus_fields, expected)):
+        mesh = build_mesh(spec.source, 6)
+        calls.clear()
+        fn = orc.Deformation(spec, v, w).energy_fn(mesh, energy)
+        for s, t in ((0.0, 0.0), (1e-3, 0.0), (0.0, -1e-3), (1e-3, 1e-3)):
+            fn(s, t)
+        assert len(calls) == want, spec.source.name

@@ -381,15 +381,15 @@ def test_batched_operators_match_pointwise(rng):
 
 @pytest.mark.parametrize("which,op,expected", [
     ("torus-curved", "bi_tension",
-     {"metric_at": 2, "christoffel_jets": 2, "compose": 2}),
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 2}),
     ("torus-curved", "jacobi_operator",
-     {"metric_at": 2, "christoffel_jets": 2, "compose": 1}),
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 1}),
     ("S^2", "bi_tension",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "bi_variation_pairing",
-     {"metric_at": 2, "christoffel_jets": 2, "compose": 2}),
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 2}),
     ("torus-curved", "index_form_pairing",
-     {"metric_at": 2, "christoffel_jets": 2, "compose": 1}),
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 1}),
     ("S^2", "bi_variation_pairing",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("S^2", "index_form_pairing",
@@ -399,15 +399,15 @@ def test_batched_operators_match_pointwise(rng):
     ("S^2", "scalar_symphonic_residual",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "symphonic_energy",
-     {"metric_at": 2, "christoffel_jets": 0, "compose": 0}),
+     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
     ("torus-curved", "bi_energy",
-     {"metric_at": 2, "christoffel_jets": 2, "compose": 0}),
+     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("S^2", "symphonic_energy",
      {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "bi_energy",
      {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "symphonic_energy_density",
-     {"metric_at": 2, "christoffel_jets": 0, "compose": 0}),
+     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "symphonic_energy_density",
      {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
 ])
@@ -417,7 +417,9 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
     source metric once at x and the target metric once at phi(x), and
     composes each target jet array with the map at most once; a pairing
     reads h from its operator's evaluation, and the symphonic energy and
-    its pointwise density compute no Christoffel symbols."""
+    its pointwise density compute no Christoffel symbols.  The flat
+    torus source is never evaluated: its context holds the chart's
+    shared constant metric."""
     if which == "S^2":
         spec = charts.sphere_inclusion(2)
         x = [1.1, 0.7]
@@ -497,7 +499,8 @@ def test_bi_tension_context_serves_the_jacobi_operator(rng, curved_target):
     bit for bit, and so do both variants and the tension."""
     for spec, x, field in _identity_inputs(rng, curved_target):
         ctx, _ = va.bi_tension_at(spec, x)
-        shared = va.field_groups(ctx, field)
+        shared = va.field_groups(
+            ctx, field.jets(spec.source.coords, ctx.x, 2))
         _, own = va.jacobi_at(spec, x, field)
         assert shared.keys() == own.keys()
         for name in own:
@@ -509,3 +512,38 @@ def test_bi_tension_context_serves_the_jacobi_operator(rng, curved_target):
         assert np.array_equal(
             mp.tau_s_from_tables(mp.tables_from_jets(ctx)),
             mp.tau_s_from_tables(mp.map_tables(spec, x)))
+
+
+def test_constant_source_matches_its_per_point_evaluation():
+    """The torus test map on a chart whose metric text 1 + 0*x1 is not
+    constant, so that its context evaluates the metric per point with
+    vanishing Christoffel jets, gives the shared-metric path's tension,
+    bi-tension and Jacobi operator (both variants) and both energies to
+    within 1e-15 of the largest entry."""
+    flat = charts.torus_test_map()
+    coords = flat.source.coords
+    per_point = geo.ManifoldModel(
+        "torus2-per-point", coords,
+        [[ex.parse("1 + 0*x1", coords), ex.parse("0", coords)],
+         [ex.parse("0", coords), ex.parse("1", coords)]],
+        flat.source.intervals, periodic=flat.source.periodic)
+    assert geo.constant_metric(flat.source) is not None
+    assert geo.constant_metric(per_point) is None
+    spec = mp.MapSpec(per_point, flat.target, flat.components)
+    field = charts.torus_test_fields()["v"]
+    x = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (2, 8))
+
+    def close(got, ref):
+        scale = np.abs(ref).max()
+        assert scale > 0.0
+        assert np.abs(got - ref).max() <= 1e-15 * scale
+
+    close(mp.symphonic_tension(spec, x), mp.symphonic_tension(flat, x))
+    for variant in (va.REDUCED, va.FULL):
+        close(va.bi_tension(spec, x, variant=variant),
+              va.bi_tension(flat, x, variant=variant))
+        close(va.jacobi_operator(spec, x, field, variant=variant),
+              va.jacobi_operator(flat, x, field, variant=variant))
+    mesh = build_mesh(flat.source, 8)
+    close(va.symphonic_energy(spec, mesh), va.symphonic_energy(flat, mesh))
+    close(va.bi_energy(spec, mesh), va.bi_energy(flat, mesh))
