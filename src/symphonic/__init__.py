@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .expr import parse, eval_jet, to_source  # noqa: F401
 from .geometry import (  # noqa: F401
-    ManifoldModel, MetricAtPoint, Christoffel, Frame,
-    metric_at, christoffel, riemann, riemann_tensor, frame_at,
+    ManifoldModel, MetricAtPoint, metric_at, frame_at,
     gradient, hessian, laplacian, euclidean_space,
 )
 from .jet import Jet  # noqa: F401

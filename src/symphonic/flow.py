@@ -140,13 +140,16 @@ def _winding_matrix(spec: mp.MapSpec) -> np.ndarray:
 
 def flow_init(spec: mp.MapSpec, resolution: int, epsilon: float = 1e-2,
               energy: str = ENERGY_SYM) -> FlowState:
-    """Sample a map spec onto a periodic grid and seed the history."""
+    """Sample a map spec onto a periodic grid and seed the history;
+    resolution is an int or one entry per source coordinate."""
     source, target = spec.source, spec.target
     m = source.dim
     if not all(source.periodic):
         raise FlowSetupError("flow requires a fully periodic source chart")
     if isinstance(resolution, int):
         resolution = [resolution] * m
+    if len(resolution) != m:
+        raise FlowSetupError("one resolution entry per coordinate")
     if any(r < MIN_RESOLUTION for r in resolution):
         raise FlowSetupError(
             f"grid resolution below {MIN_RESOLUTION} per axis is too coarse")

@@ -21,6 +21,13 @@ and gives unbatched arrays and floats.  Domain and
 positive-definiteness checks run over the whole batch and name the
 first failing point, with the text the pointwise call at that point
 raises.
+
+metric_at is the one entry point for a chart's metric: the frame, the
+scalar calculus, meshes and the operator contexts of ``maps`` all go
+through it.  It checks the domain first; a chart whose metric is
+constant then gives its one shared MetricAtPoint (constant_metric),
+whose arrays carry no batch axes (the ``...`` contractions broadcast
+them) and whose Christoffel symbols and curvature are None.
 """
 
 from __future__ import annotations
@@ -252,23 +259,6 @@ class MetricAtPoint:
             gam.value, gam.gradient())
 
 
-@dataclass
-class Christoffel:
-    """Levi-Civita coefficients Gamma^k_{ij}, optionally with first
-    partials d_l Gamma^k_{ij}."""
-
-    gamma: np.ndarray  # [k, i, j]
-    dgamma: np.ndarray = None  # [l, k, i, j]
-
-
-@dataclass
-class Frame:
-    """Orthonormal tangent vectors at a point, rows in coordinate
-    components."""
-
-    vectors: np.ndarray  # [i, component]
-
-
 # metric evaluation --------------------------------------------------------
 
 
@@ -296,8 +286,9 @@ def metric_values(model: ManifoldModel, x) -> np.ndarray:
 
 def constant_metric(model: ManifoldModel):
     """The MetricAtPoint of a chart whose coefficients are all
-    constant, else None.  Memoized on the model, and read-only because
-    it is shared.  A constant matrix that is not positive definite is a
+    constant, else None; metric_at gives it at every point of the
+    domain.  Memoized on the model, and read-only because it is
+    shared.  A constant matrix that is not positive definite is a
     NonSPDError on the first call, which ManifoldModel makes."""
     if "_constant_metric" not in vars(model):
         met = None
@@ -329,10 +320,16 @@ def _from_matrices(a):
 def metric_at(model: ManifoldModel, x, order: int = 0) -> MetricAtPoint:
     """Metric matrix, inverse, and volume density at points x (m, ...).
 
-    order >= 1 additionally attaches coefficient jets of that order.
+    order >= 1 additionally attaches coefficient jets of that order.  The
+    domain check runs first; then a chart whose metric is constant gives
+    its one shared MetricAtPoint (constant_metric) at any order, with no
+    batch axes and no jets.
     """
     x = np.asarray(x, dtype=float)
     model.require_inside(x)
+    met = constant_metric(model)
+    if met is not None:
+        return met
     jets = None
     if order >= 1:
         jets = metric_jets(model, x, order)
@@ -382,32 +379,12 @@ def christoffel_jets(g_jets: Jet) -> Jet:
     return einsum("kl...,lij...->kij...", half_ginv, paren)
 
 
-def christoffel(model: ManifoldModel, x, derivs: bool = False) -> Christoffel:
-    """Levi-Civita coefficients at a point; derivs adds d_l Gamma."""
-    gam = metric_at(model, x, order=2 if derivs else 1).christoffel
-    return Christoffel(gam.value, gam.gradient() if derivs else None)
-
-
 def riemann_from_christoffel(gamma, dgamma) -> np.ndarray:
     """R^l_{kij} from gamma[k, i, j] and dgamma[l, k, i, j], with any
     trailing batch axes (see the module docstring for the convention)."""
     d = np.einsum("iljk...->lkij...", dgamma)           # d_i Gamma^l_{jk}
     q = np.einsum("lip...,pjk...->lkij...", gamma, gamma)  # Gamma^l_{ip} Gamma^p_{jk}
     return d - np.swapaxes(d, 2, 3) + q - np.swapaxes(q, 2, 3)
-
-
-def riemann_tensor(model: ManifoldModel, x) -> np.ndarray:
-    """Coordinate components R^l_{kij} at a point."""
-    return metric_at(model, x, order=2).riemann
-
-
-def riemann(model: ManifoldModel, x, X, Y, Z) -> np.ndarray:
-    """R(X, Y)Z in coordinate components."""
-    riem = riemann_tensor(model, x)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    return np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
 
 
 def gram_schmidt(g) -> np.ndarray:
@@ -433,9 +410,10 @@ def gram_schmidt(g) -> np.ndarray:
     return vectors
 
 
-def frame_at(model: ManifoldModel, x) -> Frame:
-    """Orthonormal frame at points x (m, ...), by Gram-Schmidt."""
-    return Frame(metric_at(model, x).frame)
+def frame_at(model: ManifoldModel, x) -> np.ndarray:
+    """Orthonormal frame rows (m, m, ...) at points x (m, ...), by
+    Gram-Schmidt; on a constant chart its shared frame (m, m)."""
+    return metric_at(model, x).frame
 
 
 # scalar fields -------------------------------------------------------------
@@ -444,9 +422,10 @@ def frame_at(model: ManifoldModel, x) -> Frame:
 @dataclass
 class ScalarFieldData:
     """A scalar field f at points x (m, ...): the metric there (with
-    order-1 jets), the contravariant gradient g^{ij} d_j f (m, ...), the
-    covariant Hessian d_i d_j f - Gamma^k_{ij} d_k f (m, m, ...) and the
-    Laplacian g^{ij} Hess_f(e_i, e_j) (an array over the batch)."""
+    order-1 jets, or the chart's shared constant one), the
+    contravariant gradient g^{ij} d_j f (m, ...), the covariant Hessian
+    d_i d_j f - Gamma^k_{ij} d_k f (m, m, ...) and the Laplacian
+    g^{ij} Hess_f(e_i, e_j) (an array over the batch)."""
 
     metric: MetricAtPoint
     gradient: np.ndarray
@@ -461,8 +440,10 @@ def scalar_field_data(model: ManifoldModel, f: ex.Expr, x) -> ScalarFieldData:
     jet = ex.eval_jet(f, model.coords, x, 2)
     df = jet.gradient()
     grad = np.einsum("ij...,j...->i...", met.inverse, df)
-    hess = jet.hessian() - np.einsum(
-        "kij...,k...->ij...", met.christoffel.value, df)
+    hess = jet.hessian()
+    if met.christoffel_values is not None:
+        hess = hess - np.einsum(
+            "kij...,k...->ij...", met.christoffel_values, df)
     lap = np.einsum("ij...,ij...->...", met.inverse, hess)
     return ScalarFieldData(met, grad, hess, lap)
 

@@ -18,9 +18,10 @@ An operator call builds one AlongMap (along_map) at its points, which
 holds each thing in one form: the component jets of the order it needs
 as one (n,) jet array, and the source metric at x (source_point_data)
 and target metric at phi(x) as MetricAtPoint objects, which give their
-frame, Christoffel jets and curvature on first read.  A constant
-metric, on either side, is its chart's one shared MetricAtPoint, with
-None for its Christoffel symbols on the float and the jet path alike;
+frame, Christoffel jets and curvature on first read.  Each side is one
+geometry.metric_at call, which makes the domain check and gives a
+constant metric as its chart's one shared MetricAtPoint, with None for
+its Christoffel symbols on the float and the jet path alike;
 nabla_dphi skips a None term.  The tables, the jet tension, the energy
 densities and the covariant derivatives of a field (``variational``)
 all read from the context, so each metric is evaluated at most once
@@ -159,8 +160,9 @@ class MapTables:
 
 def source_point_data(source: geo.ManifoldModel, x, order: int):
     """The source MetricAtPoint at points x (m, ...) with jets of the
-    given order, or the chart's shared one if its metric is constant."""
-    return geo.constant_metric(source) or geo.metric_at(source, x, order)
+    given order (geometry.metric_at, so the chart's shared one if its
+    metric is constant)."""
+    return geo.metric_at(source, x, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +184,8 @@ class AlongMap:
 
     @cached_property
     def target(self) -> geo.MetricAtPoint:
-        model, y = self.spec.target, self.jets.value
-        model.require_inside(y)
-        return (geo.constant_metric(model)
-                or geo.metric_at(model, y, max(self.jets.order - 1, 1)))
+        return geo.metric_at(self.spec.target, self.jets.value,
+                             max(self.jets.order - 1, 1))
 
     def along(self, target_jets):
         """A jet array of target truncated to the Christoffel order and
@@ -208,11 +208,11 @@ class AlongMap:
 
 def along_map(spec: MapSpec, x, order: int) -> AlongMap:
     """The AlongMap of spec at points x (m, ...) with component jets of
-    the given order."""
-    spec.source.require_inside(x)
+    the given order; the source metric, with its domain check, comes
+    first."""
     x = np.asarray(x, dtype=float)
-    return AlongMap(spec, x, spec.component_jets(x, order),
-                    source_point_data(spec.source, x, max(order - 1, 1)))
+    source = source_point_data(spec.source, x, max(order - 1, 1))
+    return AlongMap(spec, x, spec.component_jets(x, order), source)
 
 
 def tables_from_jets(ctx: AlongMap, frame: np.ndarray = None) -> MapTables:

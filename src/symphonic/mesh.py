@@ -3,7 +3,9 @@
 Periodic directions get a uniform grid (the trapezoid rule, spectrally
 accurate for smooth periodic integrands); bounded directions get
 tensor-product Gauss-Legendre nodes.  Every mesh caches the volume
-density sqrt(det g) at its nodes.
+density sqrt(det g) at its nodes from one geometry.metric_at call,
+which also checks that every node lies in the domain; on a chart whose
+metric is constant the density is one float.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .jet import first_failure
 
 
 def pairwise_sum(values) -> float:
@@ -38,7 +39,7 @@ class Mesh:
 
     points: np.ndarray    # (N, m)
     weights: np.ndarray   # (N,)
-    sqrtg: np.ndarray     # (N,) volume density at the nodes
+    sqrtg: np.ndarray     # (N,) volume density at the nodes, or a float
     description: str
 
     def __len__(self):
@@ -82,11 +83,6 @@ def build_mesh(model: geo.ManifoldModel, resolution) -> Mesh:
     weights = np.ones(points.shape[0])
     for w in wgrids:
         weights = weights * w.ravel()
-    k = first_failure(~model.contains(points.T))
-    if k is not None:
-        raise geo.DomainError(
-            f"mesh node {points[k].tolist()} left the domain of "
-            f"'{model.name}'", index=k)
     sqrtg = geo.metric_at(model, points.T).sqrt_det
     res_txt = "x".join(str(r) for r in resolution)
     return Mesh(points, weights, sqrtg,

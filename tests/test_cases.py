@@ -178,7 +178,7 @@ def test_sphere_inclusion_batch_matches_pointwise_loop(m):
     Y = np.einsum("ki,ijk->jk", draws[:, 1], t.frame)
     tau, sff, sff_scale = [], [], []
     for p, (a, b) in zip(pts, draws):
-        frame = geo.frame_at(inc.source, p).vectors
+        frame = geo.frame_at(inc.source, p)
         tau.append(mp.symphonic_tension(inc, p))
         sff.append(mp.second_fundamental_form(inc, p, a @ frame, b @ frame))
         # |(nabla dphi)(X, Y)| <= |X| |Y| on the unit sphere

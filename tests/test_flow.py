@@ -45,6 +45,15 @@ def test_init_rejects_coarse_grid():
         flow.flow_init(identity_torus_map(), 4)
 
 
+@pytest.mark.parametrize("resolution", [[16], [16, 16, 16]],
+                         ids=["too-few", "too-many"])
+def test_init_rejects_a_resolution_list_of_the_wrong_length(resolution):
+    # one entry per coordinate of the 2-D torus, as build_mesh requires
+    with pytest.raises(flow.FlowSetupError,
+                       match="^one resolution entry per coordinate$"):
+        flow.flow_init(identity_torus_map(), resolution)
+
+
 def test_init_rejects_nonperiodic_source():
     curve = charts.power_curve(2.0)
     with pytest.raises(flow.FlowSetupError):

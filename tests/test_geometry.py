@@ -63,22 +63,23 @@ def test_asymmetric_metric_rejected():
 
 
 def test_christoffel_flat_zero(rng):
+    # a constant metric's vanishing Christoffel symbols are None
     e3 = geo.euclidean_space(3, bounds=[(-5, 5)] * 3)
     for _ in range(100):
         x = rng.uniform(-4, 4, 3)
-        assert np.allclose(geo.christoffel(e3, x).gamma, 0.0)
+        assert geo.metric_at(e3, x, 1).christoffel_values is None
 
 
 def test_christoffel_sphere_value(sphere2):
-    ch = geo.christoffel(sphere2, [np.pi / 3, 0.2])
+    gamma = geo.metric_at(sphere2, [np.pi / 3, 0.2], 1).christoffel_values
     expected = -np.sin(np.pi / 3) * np.cos(np.pi / 3)
-    assert ch.gamma[0, 1, 1] == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(ch.gamma, np.swapaxes(ch.gamma, 1, 2), atol=1e-14)
+    assert gamma[0, 1, 1] == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(gamma, np.swapaxes(gamma, 1, 2), atol=1e-14)
 
 
 def test_christoffel_exponential_line(exp_line):
-    ch = geo.christoffel(exp_line, [0.37])
-    assert ch.gamma[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
+    gamma = geo.metric_at(exp_line, [0.37], 1).christoffel_values
+    assert gamma[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_metric_compatibility_via_jets(sphere2, rng):
@@ -86,7 +87,7 @@ def test_metric_compatibility_via_jets(sphere2, rng):
     for _ in range(10):
         x = [rng.uniform(0.3, np.pi - 0.3), rng.uniform(0, 2 * np.pi)]
         met = geo.metric_at(sphere2, x, order=1)
-        gamma = geo.christoffel(sphere2, x).gamma
+        gamma = met.christoffel_values
         g = met.values
         for k in range(2):
             dg = met.jets.gradient()[k]
@@ -96,25 +97,26 @@ def test_metric_compatibility_via_jets(sphere2, rng):
 
 
 def test_riemann_flat_zero(rng):
+    # a constant metric's vanishing curvature is None
     e2 = geo.euclidean_space(2, bounds=[(-5, 5)] * 2)
     x = rng.uniform(-4, 4, 2)
-    out = geo.riemann(e2, x, [1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
-    assert np.allclose(out, 0.0)
+    assert geo.metric_at(e2, x, 2).riemann is None
 
 
 def test_riemann_sphere_sectional_curvature(sphere2):
     x = [np.pi / 3, 0.7]
-    frame = geo.frame_at(sphere2, x).vectors
-    g = geo.metric_at(sphere2, x).values
-    r = geo.riemann(sphere2, x, frame[0], frame[1], frame[1])
-    assert float(frame[0] @ g @ r) == pytest.approx(1.0, rel=1e-10)
+    frame = geo.frame_at(sphere2, x)
+    met = geo.metric_at(sphere2, x, 2)
+    # R(e_0, e_1) e_1
+    r = np.einsum("lkij,i,j,k->l", met.riemann, frame[0], frame[1], frame[1])
+    assert float(frame[0] @ met.values @ r) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_riemann_symmetries_on_sphere(sphere2, rng):
     for _ in range(5):
         x = [rng.uniform(0.3, np.pi - 0.3), rng.uniform(0, 2 * np.pi)]
-        g = geo.metric_at(sphere2, x).values
-        riem = geo.riemann_tensor(sphere2, x)
+        met = geo.metric_at(sphere2, x, 2)
+        g, riem = met.values, met.riemann
         X, Y, Z, W = rng.normal(size=(4, 2))
         rxyz = np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
         ryxz = np.einsum("lkij,i,j,k->l", riem, Y, X, Z)
@@ -130,11 +132,11 @@ def test_riemann_symmetries_on_sphere(sphere2, rng):
 
 def test_frame_euclidean_is_coordinate_basis():
     e2 = geo.euclidean_space(2, bounds=[(-5, 5)] * 2)
-    assert np.allclose(geo.frame_at(e2, [0.1, 0.2]).vectors, np.eye(2))
+    assert np.allclose(geo.frame_at(e2, [0.1, 0.2]), np.eye(2))
 
 
 def test_frame_sphere_normalization(sphere2):
-    frame = geo.frame_at(sphere2, [np.pi / 6, 0.0]).vectors
+    frame = geo.frame_at(sphere2, [np.pi / 6, 0.0])
     assert np.allclose(frame[0], [1.0, 0.0])
     assert np.allclose(frame[1], [0.0, 1.0 / np.sin(np.pi / 6)])
 
@@ -142,7 +144,7 @@ def test_frame_sphere_normalization(sphere2):
 def test_frame_gram_identity(annulus, rng):
     for _ in range(20):
         x = [rng.uniform(0.6, 1.9), rng.uniform(0, 2 * np.pi)]
-        frame = geo.frame_at(annulus, x).vectors
+        frame = geo.frame_at(annulus, x)
         g = geo.metric_at(annulus, x).values
         assert np.allclose(frame @ g @ frame.T, np.eye(2), atol=1e-10)
 
@@ -211,7 +213,7 @@ def test_sample_points_gives_up_when_exclusions_cover_the_box():
 def test_batched_metric_and_frame_match_pointwise(sphere2, rng):
     pts = np.array(sphere2.sample_points(5, rng, shrink=0.05)).T  # (2, 5)
     met = geo.metric_at(sphere2, pts, order=1)
-    frames = geo.frame_at(sphere2, pts).vectors
+    frames = geo.frame_at(sphere2, pts)
     assert met.values.shape == (2, 2, 5) and frames.shape == (2, 2, 5)
     for k in range(5):
         one = geo.metric_at(sphere2, pts[:, k], order=1)
@@ -219,11 +221,11 @@ def test_batched_metric_and_frame_match_pointwise(sphere2, rng):
         assert np.allclose(met.inverse[..., k], one.inverse, rtol=1e-14)
         assert met.sqrt_det[k] == pytest.approx(one.sqrt_det, rel=1e-15)
         assert np.allclose(frames[..., k],
-                           geo.frame_at(sphere2, pts[:, k]).vectors,
+                           geo.frame_at(sphere2, pts[:, k]),
                            rtol=1e-14)
         gamma = geo.christoffel_jets(met.jets).value
-        assert np.allclose(gamma[..., k], geo.christoffel(
-            sphere2, pts[:, k]).gamma, rtol=1e-14, atol=1e-15)
+        assert np.allclose(gamma[..., k], one.christoffel_values,
+                           rtol=1e-14, atol=1e-15)
 
 
 def test_batched_scalar_field_operators_match_pointwise(sphere2, rng):
@@ -267,6 +269,42 @@ def test_batched_checks_name_the_first_failing_point(sphere2):
     with pytest.raises(geo.NonSPDError) as point_err:
         geo.metric_at(bad, pts[:, 1])
     assert str(batch_err.value) == str(point_err.value)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_metric_at_on_a_constant_chart_is_its_shared_metric(torus2, order):
+    shared = geo.constant_metric(torus2)
+    pts = np.array([[0.3, 1.2, 2.5], [0.7, 0.1, 4.0]])
+    for x in (pts[:, 0], pts):
+        met = geo.metric_at(torus2, x, order)
+        assert met is shared
+        assert met.jets is None and met.christoffel_values is None
+    assert geo.frame_at(torus2, pts) is shared.frame
+    for arr in (shared.values, shared.inverse, shared.frame):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("which,pts", [
+    # points 1 and 3 lie in the hole around the origin
+    ("punctured-plane", [[1.0, 0.05, 2.0, 0.0], [1.0, -0.1, -1.0, 0.1]]),
+    # points 1 and 3 lie beyond either end of [0.5, 4]
+    ("interval", [[1.0, 4.5, 2.0, 0.1]]),
+])
+def test_constant_charts_check_the_domain_first(which, pts):
+    """metric_at checks the domain before it gives a constant chart's
+    shared metric, and names the first failing point of a batch."""
+    model = (charts.punctured_plane_chart() if which == "punctured-plane"
+             else charts.interval_chart(0.5, 4.0))
+    assert geo.constant_metric(model) is not None
+    pts = np.array(pts)
+    for order in (0, 1):
+        with pytest.raises(geo.DomainError) as batch_err:
+            geo.metric_at(model, pts, order)
+        assert batch_err.value.index == 1
+        with pytest.raises(geo.DomainError) as point_err:
+            geo.metric_at(model, pts[:, 1], order)
+        assert str(batch_err.value) == str(point_err.value)
 
 
 @pytest.mark.parametrize("intervals,periodic", [
@@ -314,7 +352,7 @@ def test_jet_inverse_and_christoffels_on_a_batch(which, curved_target, rng):
     scale = np.abs(dgamma).max()
     assert np.abs(got - dgamma).max() <= 1e-13 * scale
     for k in range(pts.shape[1]):
-        one = geo.christoffel(model, pts[:, k], derivs=True).dgamma
+        one = geo.metric_at(model, pts[:, k], 2).christoffel.gradient()
         assert np.abs(got[..., k] - one).max() <= 1e-13 * scale
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symphonic import charts, geometry as geo
-from symphonic.mesh import Mesh, build_mesh, pairwise_sum
+from symphonic.mesh import Mesh, _axis_nodes, build_mesh, pairwise_sum
 
 
 def test_pairwise_sum_matches_fsum(rng):
@@ -50,6 +50,26 @@ def test_mesh_carries_volume_density(sphere2):
 def test_mesh_rejects_unbounded():
     with pytest.raises(geo.GeometryError):
         build_mesh(geo.euclidean_space(2), 8)
+
+
+def test_mesh_on_a_constant_chart_has_one_density(torus2):
+    mesh = build_mesh(torus2, 8)
+    assert mesh.sqrtg is geo.constant_metric(torus2).sqrt_det == 1.0
+
+
+def test_mesh_names_the_node_in_an_excluded_ball():
+    # 3 Gauss-Legendre nodes per axis: the middle node (0, 0), flat
+    # index 4, is the one node in the hole
+    plane = charts.punctured_plane_chart(radius=3.0, hole=0.2)
+    with pytest.raises(geo.DomainError) as err:
+        build_mesh(plane, 3)
+    assert err.value.index == 4
+    nodes = _axis_nodes(-3.0, 3.0, False, 3)[0]
+    with pytest.raises(geo.DomainError) as point_err:
+        plane.require_inside([nodes[1], nodes[1]])
+    assert str(err.value) == str(point_err.value)
+    assert "is outside the domain of chart 'plane-minus-origin'" in str(
+        err.value)
 
 
 def test_mesh_per_axis_resolution(annulus):

@@ -363,7 +363,7 @@ def test_batched_operators_match_pointwise(rng):
     frames = []
     for k in range(pts.shape[1]):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        frames.append(q @ geo.frame_at(inc.source, pts[:, k]).vectors)
+        frames.append(q @ geo.frame_at(inc.source, pts[:, k]))
     frames = np.stack(frames, axis=-1)
     for variant in (va.REDUCED, va.FULL):
         bi = va.bi_tension(inc, pts, variant=variant, frame=frames)
@@ -381,35 +381,35 @@ def test_batched_operators_match_pointwise(rng):
 
 @pytest.mark.parametrize("which,op,expected", [
     ("torus-curved", "bi_tension",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 2}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 2}),
     ("torus-curved", "jacobi_operator",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 1}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 1}),
     ("S^2", "bi_tension",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "bi_variation_pairing",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 2}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 2}),
     ("torus-curved", "index_form_pairing",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 1}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 1}),
     ("S^2", "bi_variation_pairing",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("S^2", "index_form_pairing",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "scalar_symphonic_residual",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 0, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "scalar_symphonic_residual",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "symphonic_energy",
-     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
     ("torus-curved", "bi_energy",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("S^2", "symphonic_energy",
-     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "bi_energy",
-     {"metric_at": 1, "christoffel_jets": 1, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 1, "compose": 0}),
     ("torus-curved", "symphonic_energy_density",
-     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "symphonic_energy_density",
-     {"metric_at": 1, "christoffel_jets": 0, "compose": 0}),
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
 ])
 def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
                                                 which, op, expected):
@@ -418,8 +418,10 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
     composes each target jet array with the map at most once; a pairing
     reads h from its operator's evaluation, and the symphonic energy and
     its pointwise density compute no Christoffel symbols.  The flat
-    torus source is never evaluated: its context holds the chart's
-    shared constant metric."""
+    torus source is never evaluated (neither metric_jets nor
+    metric_values runs for it): metric_at gives the chart's shared
+    constant metric, so the scalar residual on the torus evaluates no
+    metric at all."""
     if which == "S^2":
         spec = charts.sphere_inclusion(2)
         x = [1.1, 0.7]
@@ -436,15 +438,18 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
     mesh = build_mesh(spec.source, 6)
     counts = dict.fromkeys(expected, 0)
 
-    def counted(owner, name):
+    def counted(owner, name, key=None):
         inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key or name] += 1
             return inner(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(geo, "metric_at")
+    # a metric evaluation is metric_jets or metric_values; metric_at
+    # makes neither on a chart with a constant metric
+    counted(geo, "metric_jets", "metric")
+    counted(geo, "metric_values", "metric")
     counted(geo, "christoffel_jets")
     counted(mp, "compose")  # the binding the context calls
     if op == "bi_tension":
