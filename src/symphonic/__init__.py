@@ -3,7 +3,7 @@ chart-defined Riemannian manifolds."""
 
 __version__ = "0.1.0"
 
-from .expr import parse, eval_jet, to_source  # noqa: F401
+from .expr import parse, program, eval_jet, to_source  # noqa: F401
 from .geometry import (  # noqa: F401
     ManifoldModel, MetricAtPoint, metric_at, frame_at,
     gradient, hessian, laplacian, euclidean_space,

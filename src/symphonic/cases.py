@@ -36,6 +36,7 @@ from . import geometry as geo
 from . import maps as mp
 from . import oracle as orc
 from . import variational as va
+from .jet import Jet
 from .mesh import build_mesh
 
 DEFAULT_SEED = 0x5EED
@@ -151,7 +152,8 @@ def power_curve_ode_residual(exponent: float, t):
     derivatives of t^a (independent of the operator pipeline), at a
     float t or at every entry of an array of them."""
     curve = charts.power_curve(exponent)
-    jet = ex.eval_jet(curve.components[0], ["t"], [t], 4)
+    jets = curve.component_jets([t], 4)
+    jet = Jet(jets.space, jets.coeffs[:, 0])
     g1, g2, g3, g4 = (jet.derivative((k,)) for k in (1, 2, 3, 4))
     return 14 * g1 ** 2 * g2 ** 3 + 17 * g1 ** 3 * g2 * g3 + 2 * g1 ** 4 * g4
 

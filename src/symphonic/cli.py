@@ -181,11 +181,18 @@ def _eval_points(args, spec):
     return np.stack([g.ravel() for g in grids], axis=-1).tolist()
 
 
+# Points per operator call in eval: the operator's intermediate tables
+# grow with the points of one call, so a large grid runs in chunks.
+EVAL_CHUNK = 4096
+
+
 def _apply_op(args, spec, field, x):
+    """The operator's rows (width, ...) at points x (m, ...)."""
+    x = np.asarray(x, dtype=float)
     if args.op == "pullback":
-        return mp.pullback_metric(spec, x).ravel()
+        return mp.pullback_metric(spec, x).reshape((-1,) + x.shape[1:])
     if args.op == "energy-density":
-        return np.array([mp.symphonic_energy_density(spec, x)])
+        return np.asarray(mp.symphonic_energy_density(spec, x))[None]
     if args.op == "tension":
         return mp.tension_field(spec, x)
     if args.op == "symphonic-tension":
@@ -204,23 +211,34 @@ def cmd_eval(args) -> int:
         field = _field(fields, args.field)
     pts = _eval_points(args, spec)
     m = spec.source.dim
-    rows = []
-    bad = 0
-    width = None
-    first_error = None
     for x in pts:
         if len(x) != m:
             raise CliError(EXIT_USAGE, f"point {x} has {len(x)} coordinates, "
                                        f"chart has {m}")
-        try:
-            out = np.asarray(_apply_op(args, spec, field, x), dtype=float)
+    rows = []
+    bad = 0
+    width = None
+    first_error = None
+    for start in range(0, len(pts), EVAL_CHUNK):
+        chunk = pts[start:start + EVAL_CHUNK]
+        try:  # one call over the chunk's points
+            out = _apply_op(args, spec, field, np.array(chunk, dtype=float).T)
+        except (geo.GeometryError, ExprError, JetDomainError):
+            # point by point, for each failing point's NaN row and the
+            # first failure's text
+            for x in chunk:
+                try:
+                    out = _apply_op(args, spec, field, x)
+                    width = len(out)
+                    rows.append((x, out))
+                except (geo.GeometryError, ExprError, JetDomainError) as err:
+                    bad += 1
+                    rows.append((x, None))
+                    if first_error is None:
+                        first_error = f"point {x}: {err}"
+        else:
             width = len(out)
-            rows.append((x, out))
-        except (geo.GeometryError, ExprError, JetDomainError) as err:
-            bad += 1
-            rows.append((x, None))
-            if first_error is None:
-                first_error = f"point {x}: {err}"
+            rows.extend(zip(chunk, out.T))
     if width is None:
         raise CliError(EXIT_NUMERICAL, "every point failed its domain "
                                        f"checks; first {first_error}")

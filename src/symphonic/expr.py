@@ -57,43 +57,62 @@ well inside Python's default limit of 1000; should a caller leave less
 room than that, Python's RecursionError is reported with the same
 message at the current token.
 
-Evaluation runs on a tape.  The first evaluation of a root compiles it
-by an iterative post-order walk that lists each distinct node once,
-children first and left before right, and caches the list on the root.
-Each evaluation is then one loop over the tape that does the same float
-or jet operations, in the same order, as a recursive walk of the tree,
-so results are bit-identical to it.  Printing and free-variable lookup
-walk iteratively too, so a parsed expression of any depth can be
-evaluated and printed.
+Evaluation runs programs.  ``program`` compiles a list of expressions
+(the components of a map or a field, a chart's metric entries) into one
+tape by an iterative post-order walk of each root in turn: root 0's
+nodes, children first and left before right, then each later root's new
+nodes.  The tape holds each structurally distinct node once across all
+roots, keyed as the parser interns nodes (children by slot, floats by
+repr, so 0.0 and -0.0 stay apart), so a subexpression that several
+roots share, also across separate parses, is evaluated once.  A single
+expression is the program of one, compiled on first use and cached on
+its root.  ``eval_jet`` and ``eval_value`` take a program and give the
+(k,) jet array or the values (k, ...) of its k roots from one loop over
+the tape, doing the same float or jet operations, in the same order, as
+a recursive walk of each tree, so results are bit-identical to
+evaluating the roots one by one.  The loop finishes each root, with its
+finiteness check, before it runs the next root's new nodes, so a
+failure is the one that evaluating the roots one by one raises first.
+Printing and free-variable lookup walk iteratively too, so a parsed
+expression of any depth can be evaluated and printed.
 
 A pointwise jet (``eval_jet`` at one base point) is evaluated by a
-level schedule of the tape instead, built on the first such evaluation
-and cached on the root next to the tape.  A node's level is one more
-than its operands' highest; the nodes of one level that share an
-operation (and the kinds of their operands, the exponent or the
-function) are one group, evaluated by one call of the jet arithmetic
-with the nodes on the jet's batch axis.  A left-deep chain of + and -
-is one node whose terms are summed by ``np.cumsum``, a sequential left
-fold like the chain's own adds.  Constant subexpressions are evaluated
-once and stay floats, so every operation takes the float or jet path
-the tape loop takes, and the coefficients are bit-identical to it.  A
-sympy-derived field of 3,568 nodes and depth 474 runs as 42 groups
-instead of 3,148 Python-dispatched jet operations.  When a domain check
-fails, the tape loop runs instead, so the error names the subexpression
-it reaches first, whatever level fails.
+level schedule of the program's tape instead, built on the first such
+evaluation and cached on the program: one schedule spans all roots.  A
+node's level is one more than its operands' highest; the nodes of one
+level that share an operation (and the kinds of their operands, the
+exponent or the function) are one group, evaluated by one call of the
+jet arithmetic with the nodes on the jet's batch axis.  A left-deep
+chain of + and - is one node whose terms are summed by ``np.cumsum``, a
+sequential left fold like the chain's own adds; a chain that is a root
+stays one node, and a later chain that continues it adds to its sum,
+the same fold.  Three more rewrites do the tape loop's operations in
+fewer groups: a jet to a whole power is the products that ``s_pow``
+multiplies, which join the level's products (x*x shared by x^2, x^3 and
+x^4), with ``s_pow``'s checks after the last group; the sines and the
+cosines of a level are one group; and each jet denominator's
+reciprocal, which ``divide`` multiplies by, is taken once.  Constant
+subexpressions are evaluated once and stay floats, so every operation
+takes the float or jet path the tape loop takes, and the coefficients
+are bit-identical to it.  The two components of a sympy-derived field
+(3,264 and 3,568 nodes, depth 474) make one tape of 6,262 steps that
+runs as 30 groups, where each component alone takes 30 (41 and 42
+without these three rewrites).  When a domain check fails, the tape
+loop runs instead, so the error names the subexpression it reaches
+first, whatever level fails.
 
 The tape loop stays where the schedule cannot pay: for points in a
 batch and for plain values, where each step is already one numpy call
 for every point and gathering the nodes would only add copies, and for
-an expression with fewer than four jet operations per group (a small
-one), where a group's gather and scatter cost more than the operations
-it saves.
+a program with fewer than four jet operations per group (a small one),
+where a group's gather and scatter cost more than the operations it
+saves.
 
 Points carry trailing batch axes: ``eval_value`` and ``eval_jet`` take
 points of shape (m, ...) (coordinate first), and one pass over the tape
 gives the values or jets at every point (see ``jet``).  A single point,
-shape (m,), is the batch of one through the same code and gives a float
-or a pointwise jet.  A domain error names the first failing point's
+shape (m,), is the batch of one through the same code and gives values
+(k,) or pointwise jets.  A domain error names the first failing point's
 value with the text a pointwise evaluation at that point raises, and
 the failing subexpression.  A result that is not finite at some point
 (an overflow, or inf - inf) raises EvalDomainError too.
@@ -103,13 +122,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .jet import (Jet, JetDomainError, _quiet, divide, first_failure, s_cos,
-                  s_exp, s_log, s_pow, s_sin, s_sqrt)
+from .jet import (Jet, JetDomainError, _quiet, _sin_cos, _space, divide,
+                  first_failure, quotient, reciprocal, s_cos, s_exp, s_log,
+                  s_pow, s_sin, s_sqrt)
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "pow")
 
@@ -148,11 +169,9 @@ class Expr:
     agrees with it, and both run over the tape, so at any depth; repr
     is iterative too."""
 
-    # the compiled tape of this node as a root, set on first evaluation,
-    # and its level schedule, set on first pointwise jet evaluation; not
-    # dataclass fields, so equality, hashing and repr ignore them
-    _tape = None
-    _schedule = None
+    # the program of this node alone, set on first use; not a dataclass
+    # field, so equality, hashing and repr ignore it
+    _program = None
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -235,10 +254,12 @@ def _children(node):
     return ()
 
 
-def _post_order(root) -> list:
+def _post_order(root, seen=None) -> list:
     """Every node under root once by identity, children before parents
-    and left before right: a recursive walk with repeats dropped."""
-    seen = set()
+    and left before right: a recursive walk with repeats dropped, and
+    with the nodes whose ids are in the set seen (which the walk adds
+    to)."""
+    seen = set() if seen is None else seen
     out = []
     stack = [(root, False)]
     while stack:
@@ -510,7 +531,7 @@ class _Parser:
             second = self.expr()
             end = self.expect(")")
             try:
-                exponent = float(evaluate(second, {}))
+                exponent = float(_evaluate(second, {}))
             except EvalDomainError as err:
                 if free_variables(second):
                     raise self.error("pow() exponent must be a constant "
@@ -580,56 +601,100 @@ def to_source(node: Expr) -> str:
 
 
 def free_variables(node: Expr) -> set[str]:
-    return {name for code, _, name, _ in _tape(node) if code == _VAR}
+    return {name for code, _, name, _ in program([node]).steps
+            if code == _VAR}
 
 
 # evaluation ---------------------------------------------------------------
 
-# A tape is a tuple of steps (code, node, i, j), one per distinct node in
-# post-order; step k leaves its value in slot k.  i and j are the slots
-# of the operands, except: _CONST keeps the value in i, _VAR the name in
-# i, _POW the exponent in j, and _CALL the scalar function in j.  The
-# root's own step holds None for its node: the root caches its tape, so
-# the root there would make a reference cycle, and a dropped expression
-# would wait for the cycle collector instead of being freed at once.
+# A program's tape is a tuple of steps (code, node, i, j), one per
+# structurally distinct node of its roots, in post-order: root 0's
+# nodes, then each later root's new ones.  Step k leaves its value in
+# slot k.  i and j are the slots of the operands, except: _CONST keeps
+# the value in i, _VAR the name in i, _POW the exponent in j, and _CALL
+# the scalar function in j.  The program of one expression is cached on
+# it, so its root's own step holds None for its node and the program
+# keeps no strong reference to the root: one would make a reference
+# cycle, and a dropped expression would wait for the cycle collector
+# instead of being freed at once.
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _SCALAR = {"sin": s_sin, "cos": s_cos, "exp": s_exp, "log": s_log,
            "sqrt": s_sqrt}
 
 
-def _compile(root) -> tuple:
-    slot = {}
-    steps = []
-    for node in _post_order(root):
-        slot[id(node)] = len(steps)
-        at = None if node is root else node
-        if isinstance(node, BinOp):
-            step = (_BINARY[node.op], at,
-                    slot[id(node.left)], slot[id(node.right)])
-        elif isinstance(node, Const):
-            step = (_CONST, at, node.value, None)
-        elif isinstance(node, Var):
-            step = (_VAR, at, node.name, None)
-        elif isinstance(node, Neg):
-            step = (_NEG, at, slot[id(node.arg)], None)
-        elif isinstance(node, PowC):
-            step = (_POW, at, slot[id(node.base)], node.exponent)
-        elif isinstance(node, Call):
-            step = (_CALL, at, slot[id(node.arg)], _SCALAR[node.func])
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        steps.append(step)
-    return tuple(steps)
+class Program:
+    """A list of expressions compiled to one tape (see ``program``): its
+    steps, the roots' slots in order, and its level schedule, built on
+    the first pointwise jet evaluation."""
+
+    __slots__ = ("steps", "roots", "_root", "_schedule")
+
+    def __init__(self, steps, roots, root=None):
+        self.steps = steps
+        self.roots = roots
+        # for a program of one: a weak reference to its root, and a copy
+        # of the root that an error names once the root itself is gone
+        self._root = None if root is None else (weakref.ref(root),
+                                                replace(root))
+        self._schedule = None    # None until built, False for none
+
+    def node(self, at):
+        """The node a step names: its own, or the one root for None."""
+        if at is not None:
+            return at
+        ref, copy = self._root
+        root = ref()
+        return copy if root is None else root
 
 
-def _tape(root) -> tuple:
-    """The tape of root, compiled on first use and cached on the root."""
-    tape = getattr(root, "_tape", None)
-    if tape is None:
-        tape = _compile(root)
-        object.__setattr__(root, "_tape", tape)
-    return tape
+def program(roots) -> Program:
+    """The program of a list of expressions.  Each structurally distinct
+    node is one step across all roots, keyed as the parser interns
+    nodes: children by slot and floats by repr, so 0.0 and -0.0 stay
+    apart.  A list of one gives that expression's program, compiled on
+    first use and cached on it."""
+    if len(roots) != 1:
+        return _compile(roots)
+    root = roots[0]
+    prog = root._program
+    if prog is None:
+        prog = _compile(roots)
+        object.__setattr__(root, "_program", prog)
+    return prog
+
+
+def _compile(roots) -> Program:
+    single = roots[0] if len(roots) == 1 else None
+    seen, slot, interned, steps = set(), {}, {}, []
+    for root in roots:
+        for node in _post_order(root, seen):
+            if isinstance(node, BinOp):
+                code = _BINARY[node.op]
+                i, j = slot[id(node.left)], slot[id(node.right)]
+                key = (code, i, j)
+            elif isinstance(node, Const):
+                code, i, j = _CONST, node.value, None
+                key = (code, repr(i))
+            elif isinstance(node, Var):
+                code, i, j = _VAR, node.name, None
+                key = (code, i)
+            elif isinstance(node, Neg):
+                code, i, j = _NEG, slot[id(node.arg)], None
+                key = (code, i)
+            elif isinstance(node, PowC):
+                code, i, j = _POW, slot[id(node.base)], node.exponent
+                key = (code, i, repr(j))
+            elif isinstance(node, Call):
+                code, i, j = _CALL, slot[id(node.arg)], _SCALAR[node.func]
+                key = (code, i, node.func)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            k = slot[id(node)] = interned.setdefault(key, len(steps))
+            if k == len(steps):
+                steps.append((code, None if node is single else node, i, j))
+    return Program(tuple(steps), tuple(slot[id(root)] for root in roots),
+                   single)
 
 
 def _fold(root, combine):
@@ -638,7 +703,7 @@ def _fold(root, combine):
     structural hash; with a numbering of keys, ids that are equal
     exactly when the subtrees are (floats by value: 0.0 == -0.0)."""
     out = []
-    for code, _, i, j in _tape(root):
+    for code, _, i, j in program([root]).steps:
         if code in (_CONST, _VAR):
             key = (code, i)
         elif code in (_NEG, _POW, _CALL):
@@ -649,25 +714,17 @@ def _fold(root, combine):
     return out[-1]
 
 
-def evaluate(node: Expr, env: dict):
-    """Evaluate an expression in an environment mapping names to floats,
-    arrays of floats over batch axes, or Jets, by one pass over its
-    tape."""
-    return _run(_tape(node), env, node)[-1]
-
-
-def _run(tape, env, node):
-    """The value of every step of tape, in order; an error at a step
-    without a node (the root's) names node."""
-    vals = []
+def _run(steps, env, prog, vals):
+    """Append the value of each of steps, steps of prog, to vals, the
+    values of the steps before them; a failure names the step's node."""
     push = vals.append
-    for code, at, i, j in tape:
+    for code, at, i, j in steps:
         if code == _VAR:
             try:
                 push(env[i])
             except KeyError:
                 raise EvalDomainError(f"unbound variable '{i}'",
-                                      node if at is None else at) from None
+                                      prog.node(at)) from None
             continue
         try:
             if code == _MUL:
@@ -687,9 +744,29 @@ def _run(tape, env, node):
             else:
                 push(divide(vals[i], vals[j]))
         except JetDomainError as err:
-            raise EvalDomainError(str(err),
-                                  node if at is None else at) from None
+            raise EvalDomainError(str(err), prog.node(at)) from None
     return vals
+
+
+def _evaluate(root, env):
+    """The value of root in env (names bound to floats, arrays over
+    batch axes or jets) by the tape loop, with no check that it is
+    finite: how the parser folds a constant exponent."""
+    prog = program([root])
+    return _run(prog.steps, env, prog, [])[-1]
+
+
+def _tape_loop(prog, env, finish):
+    """finish(value, node) of each root of prog in env, in order, by the
+    tape loop.  A root's new steps run just before it is finished, so a
+    failure, a non-finite result included, is the one that evaluating
+    the roots one by one raises first."""
+    vals = []
+    out = []
+    for r in prog.roots:
+        _run(prog.steps[len(vals):r + 1], env, prog, vals)
+        out.append(finish(vals[r], prog.node(prog.steps[r][1])))
+    return out
 
 
 def _require_finite(values, node):
@@ -705,63 +782,88 @@ def _require_finite(values, node):
     raise EvalDomainError(f"non-finite result {entry!r}", node)
 
 
-def eval_jet(node: Expr, coords, base, order: int) -> Jet:
-    """Jets of the expression at base points (m, ...), truncated at
-    order; one base point (m,) gives a pointwise jet, by the level
-    schedule when the expression has one."""
+def eval_jet(prog: Program, coords, base, order: int) -> Jet:
+    """The (k,) jet array of the k roots of prog at base points (m, ...),
+    truncated at order; at one base point (m,) by the level schedule
+    when the program has one."""
     base = np.asarray(base, dtype=float)
+    batch = base.shape[1:]
     nvars = len(coords)
     env = {name: Jet.variable(k, base[k], nvars, order)
            for k, name in enumerate(coords)}
-    with _quiet():
-        schedule = _schedule(node) if base.ndim == 1 else None
-        result = _run_schedule(schedule, env) if schedule else None
-        if result is None:
-            result = evaluate(node, env)
-        if not isinstance(result, Jet):
-            result = Jet.constant(result, nvars, order, base.shape[1:])
+
+    def finish(result, node):
+        if not isinstance(result, Jet):  # a constant root
+            result = Jet.constant(result, nvars, order, batch)
         _require_finite(result.coeffs, node)
-    return result
+        return result.coeffs
+
+    with _quiet():
+        schedule = None if batch else _schedule(prog)
+        coeffs = _run_schedule(schedule, env) if schedule else None
+        if coeffs is None:
+            coeffs = np.stack(_tape_loop(prog, env, finish), axis=1)
+        elif not np.isfinite(coeffs).all():
+            for k, r in enumerate(prog.roots):
+                _require_finite(coeffs[:, k], prog.node(prog.steps[r][1]))
+    return Jet(_space(nvars, order), coeffs)
 
 
-def eval_value(node: Expr, coords, point):
-    """Values at points (m, ...): a float for one point (m,), else an
-    array over the trailing axes."""
+def eval_value(prog: Program, coords, point) -> np.ndarray:
+    """The values (k, ...) of the k roots of prog at points (m, ...),
+    shape (k,) at one point (m,)."""
     point = np.asarray(point, dtype=float)
     batch = point.shape[1:]
     # floats for one point (the fastest scalars), arrays for a batch
     env = dict(zip(coords, point if batch else point.tolist()))
-    with _quiet():
-        result = evaluate(node, env)
-    if not batch:
-        result = float(result)
-        if not math.isfinite(result):
-            raise EvalDomainError(f"non-finite result {result!r}", node)
+
+    def finish(result, node):
+        if not batch:
+            result = float(result)
+            if not math.isfinite(result):
+                raise EvalDomainError(f"non-finite result {result!r}", node)
+            return result
+        result = np.broadcast_to(result, batch)  # a constant root
+        _require_finite(result[None], node)
         return result
-    result = np.broadcast_to(result, batch)  # a constant expression
-    _require_finite(result[None], node)
-    return np.array(result, dtype=float)
+
+    with _quiet():
+        values = _tape_loop(prog, env, finish)
+    return np.array(values, dtype=float)
 
 
 # the level schedule --------------------------------------------------------
 #
 # A schedule runs on one coefficient array (size, columns): a column per
-# tape step and a last, padding column.  The column of a constant
-# subexpression holds (value, -0.0, ...), and the padding column is all
-# -0.0, so that adding either to a jet changes its constant term alone
-# (x + -0.0 == x, bit for bit, also for x = 0.0 and -0.0).
+# value that a group or the roots read, and a last, padding column.  The
+# column of a constant subexpression holds (value, -0.0, ...), and the
+# padding column is all -0.0, so that adding either to a jet changes its
+# constant term alone (x + -0.0 == x, bit for bit, also for x = 0.0 and
+# -0.0).
 #
-# A group (code, arg, out, i, j) evaluates the nodes of columns out,
-# whose operands are in columns i and j, by one call of the jet
-# arithmetic with the nodes on the batch axis.  arg is the exponent
+# A group (code, arg, out, i, j) evaluates the nodes of the slice out
+# of columns, whose operands are in columns i and j, by one call of the
+# jet arithmetic with the nodes on the batch axis.  arg is the exponent
 # (_POW), the scalar function (_CALL) or, for _MUL and _DIV, whether
 # each operand is a jet; a constant operand is read as a float array of
 # its values, so it takes the float path the tape loop takes.  A _CHAIN
 # group sums left-deep +/- chains: i are their terms (length, chains),
 # padded with the padding column, j the terms' signs, and arg the flat
 # positions in i of negated constants, whose -0.0 entries the sign must
-# not flip.
+# not flip.  A _TRIG group takes the sines and the cosines of a level,
+# j marking the cosines.  A _RECIP group takes the reciprocals of jet
+# denominators, each once, and a _DIV group by a jet reads, as j, the
+# denominators' columns and their reciprocals'; jet.divide multiplies
+# by the same reciprocal.  A jet to a whole power is the products that
+# s_pow multiplies, which join the _MUL groups; s_pow's checks on the
+# bases run after the groups.
 _CHAIN = 9
+_TRIG = 10
+_RECIP = 11
+
+# The highest whole exponent whose power the schedule expands into its
+# products (a few levels); a higher one stays a _POW group.
+_MAX_EXPANDED = 64
 
 # A group costs a gather, an operation and a scatter on the batch of its
 # nodes, about what three to four of the tape loop's operations cost on
@@ -772,34 +874,38 @@ _MIN_OPS_PER_GROUP = 4
 
 class _Schedule(NamedTuple):
     columns: int
-    consts: np.ndarray     # the constant subexpressions' columns
-    values: np.ndarray     # and their values
+    values: np.ndarray     # the constant subexpressions' values
     variables: tuple       # (name, column) pairs
     groups: tuple          # in order of level
-    root: int              # the root's column
+    powers: tuple          # (exponent, the bases' columns) to check
+    roots: np.ndarray      # the roots' columns
+    constant: np.ndarray   # the positions in roots of constant roots
     ops: int               # the tape loop's jet operations
 
 
-def _schedule(root):
-    """The level schedule of root, built on first use and cached on the
-    root; None when the tape loop evaluates root: a constant, one with a
-    constant subexpression that fails, or one with too few operations
-    per group."""
-    schedule = root._schedule
+def _schedule(prog):
+    """The level schedule of prog, built on first use and cached on it;
+    None when the tape loop evaluates prog: no root depends on a
+    variable, a constant subexpression fails, or there are too few
+    operations per group."""
+    schedule = prog._schedule
     if schedule is None:
-        schedule = _build_schedule(_tape(root), root)
+        schedule = _build_schedule(prog)
         if (schedule and schedule.ops
                 < _MIN_OPS_PER_GROUP * len(schedule.groups)):
             schedule = False
-        object.__setattr__(root, "_schedule", schedule)
+        prog._schedule = schedule
     return schedule or None
 
 
-def _build_schedule(tape, root):
-    """The schedule of a tape, or False when there is none."""
+def _build_schedule(prog):
+    """The schedule of a program, or False when there is none."""
+    tape = prog.steps
     n = len(tape)
     jet = [False] * n   # does the step depend on a variable?
     uses = [0] * n
+    for r in prog.roots:
+        uses[r] += 1    # a root's own column is read: no chain absorbs it
     consts, sub, variables = [], [], []
     for k, (code, at, i, j) in enumerate(tape):
         if code == _VAR:
@@ -816,7 +922,7 @@ def _build_schedule(tape, root):
         if not jet[k]:
             consts.append(k)
             sub.append((code, at, i, j))
-    if not jet[-1]:
+    if not any(jet[r] for r in prog.roots):
         return False
     # the constant subexpressions, evaluated once: they make a tape of
     # their own, and one that fails fails at every evaluation
@@ -827,20 +933,55 @@ def _build_schedule(tape, root):
         elif code != _CONST:
             sub[m] = (code, at, renumber[i], renumber[j])
     try:
-        values = _run(sub, {}, root)
+        values = _run(sub, {}, prog, [])
     except EvalDomainError:
         return False
     # A node's level is one more than its operands' highest (variables
     # and constants are level 0), and the nodes of one level and
     # operation (with their kinds of operand, exponent or function) make
     # a group.  A jet +/- node whose left operand is a jet +/- node used
-    # nowhere else takes over that node's chain of terms.
-    level = [0] * n
+    # nowhere else takes over that node's chain of terms.  Nodes are
+    # numbered as on the tape, the padding column n, then the products
+    # of powers and the reciprocals, each added once.
+    level = [0] * (n + 1)
+    jet.append(False)
+    expanded = {}   # a power's step -> the product that is its value
+    products = {}   # (left, right) -> node
+    inverses = {}   # a jet denominator -> the node of its reciprocal
+    powers = {}     # exponent -> the bases of its expanded powers
     chains = {}
     groups = {}
+
+    def add(key, arg, k, i, j):
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (arg, [], [], [])
+        group[1].append(k)
+        group[2].append(i)
+        group[3].append(j)
+
+    def product(i, j):
+        if (i, j) not in products:
+            k = products[i, j] = len(level)
+            level.append(1 + max(level[i], level[j]))
+            jet.append(True)
+            add((level[k], _MUL, (True, True)), (True, True), k, i, j)
+        return products[i, j]
+
+    def inverse(j):
+        if j not in inverses:
+            k = inverses[j] = len(level)
+            level.append(1 + level[j])
+            jet.append(True)
+            add((level[k], _RECIP, None), None, k, j, None)
+        return inverses[j]
+
     for k, (code, _, i, j) in enumerate(tape):
         if not jet[k] or code == _VAR:
             continue
+        i = expanded.get(i, i)
+        if code in (_ADD, _SUB, _MUL, _DIV):
+            j = expanded.get(j, j)
         if code == _ADD or code == _SUB:
             if i in chains and uses[i] == 1:
                 terms, signs = chains.pop(i)
@@ -852,89 +993,129 @@ def _build_schedule(tape, root):
             signs.append(1.0 if code == _ADD else -1.0)
             chains[k] = (terms, signs)
             continue
+        if code == _POW and 2 <= j <= _MAX_EXPANDED and j.is_integer():
+            out, acc, e = None, i, int(j)
+            while e:  # s_pow's order of products
+                if e & 1:
+                    out = acc if out is None else product(out, acc)
+                e >>= 1
+                if e:
+                    acc = product(acc, acc)
+            expanded[k] = out
+            powers.setdefault(j, []).append(i)
+            continue
+        if code == _CALL and j in (s_sin, s_cos):  # one group for both
+            level[k] = 1 + level[i]
+            add((level[k], _TRIG, None), None, k, i, j is s_cos)
+            continue
         if code == _MUL or code == _DIV:
             level[k] = 1 + max(level[i], level[j])
             if code == _MUL and not jet[i]:
                 i, j = j, i  # c * jet is jet * c, bit for bit
             arg = (jet[i], jet[j])
+            if code == _DIV and jet[j]:
+                j = (j, inverse(j))
             key = (level[k], code, arg)
         else:
             level[k] = 1 + level[i]
             arg, j = j, 0
             # repr keeps the exponents 0.0 and -0.0 apart
             key = (level[k], code, repr(arg) if code == _POW else arg)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (arg, [], [], [])
-        group[1].append(k)
-        group[2].append(i)
-        group[3].append(j)
+        add(key, arg, k, i, j)
     for k, (terms, signs) in chains.items():
-        key = (level[k], _CHAIN, None)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (None, [], [], [])
-        group[1].append(k)
-        group[2].append(terms)
-        group[3].append(signs)
-    constant = np.append(np.logical_not(jet), False)
+        add((level[k], _CHAIN, None), None, k, terms, signs)
+    # The groups by level, a level's reciprocals first.  Columns: the
+    # constants, then the variables, then each group's nodes in order,
+    # so that a group writes one slice; a chain's absorbed nodes and an
+    # expanded power's step get none, and the padding column comes last.
+    keys = sorted(groups, key=lambda key: (key[0], key[1] != _RECIP))
+    order = consts + [k for _, k in variables]
+    for key in keys:
+        order += groups[key][1]
+    col = np.full(len(level), len(order), dtype=np.intp)
+    col[order] = np.arange(len(order))
+    constant = np.zeros(len(order) + 1, dtype=bool)
+    constant[:len(consts)] = True
     steps = []
-    for key in sorted(groups, key=lambda key: key[0]):
+    start = len(consts) + len(variables)
+    for key in keys:
         code = key[1]
         arg, out, i, j = groups[key]
         if code == _CHAIN:  # terms (length, chains), padded
             length = max(map(len, i))
-            i = np.array([t + [n] * (length - len(t)) for t in i],
-                         dtype=np.intp).T
+            i = col[np.array([t + [n] * (length - len(t)) for t in i],
+                             dtype=np.intp).T]
             j = np.array([sign + [1.0] * (length - len(sign))
                           for sign in j]).T
             negated = np.flatnonzero(constant[i] & (j < 0))
             arg = negated if negated.size else None
+        elif code == _TRIG:
+            i, j = col[i], np.array(j)
+        elif code == _DIV and arg[1]:  # (denominators, their reciprocals)
+            i, j = col[i], tuple(col[list(dens)] for dens in zip(*j))
         else:
-            i, j = np.array(i, dtype=np.intp), np.array(j, dtype=np.intp)
-        steps.append((code, arg, np.array(out, dtype=np.intp), i, j))
-    return _Schedule(n + 1, np.array(consts, dtype=np.intp),
-                     np.array(values, dtype=float), tuple(variables),
-                     tuple(steps), n - 1, n - len(consts) - len(variables))
+            i, j = col[i], col[j] if code != _RECIP else None
+        steps.append((code, arg, slice(start, start + len(out)), i, j))
+        start += len(out)
+    roots = col[[expanded.get(r, r) for r in prog.roots]]
+    return _Schedule(len(order) + 1, np.array(values, dtype=float),
+                     tuple((name, col[k]) for name, k in variables),
+                     tuple(steps),
+                     tuple((e, col[b]) for e, b in powers.items()),
+                     roots, np.flatnonzero(constant[roots]),
+                     n - len(consts) - len(variables))
 
 
 def _run_schedule(schedule, env):
-    """The pointwise jet of a schedule in env (variables bound to
-    pointwise jets of one space), or None when the tape loop must
-    evaluate it: it reads a variable env does not bind, or a domain
-    check fails (the tape loop then raises the failure it reaches first,
-    as it does without a schedule)."""
-    columns, consts, values, variables, groups, root, _ = schedule
+    """The coefficients (size, k) of the k roots' pointwise jets by a
+    schedule in env (variables bound to pointwise jets of one space), or
+    None when the tape loop must evaluate it: it reads a variable env
+    does not bind, or a domain check fails (the tape loop then raises
+    the failure it reaches first, as it does without a schedule)."""
+    columns, values, variables, groups, powers, roots, constant, _ = schedule
     if any(name not in env for name, _ in variables):
         return None
     space = env[variables[0][0]].space
     c = np.full((space.size, columns), -0.0)
-    c[0, consts] = values
+    c[0, :len(values)] = values
     for name, k in variables:
         c[:, k] = env[name].coeffs
     try:
         for code, arg, out, i, j in groups:
             if code == _CHAIN:
                 # np.cumsum is a sequential left fold: the chain's adds
-                terms = c[:, i] * j
+                terms = c.take(i, axis=1) * j
                 if arg is not None:
                     terms[1:].reshape(space.size - 1, -1)[:, arg] = -0.0
                 c[:, out] = np.cumsum(terms, axis=1)[:, -1]
                 continue
-            if code in (_MUL, _DIV):
-                x = Jet(space, c[:, i]) if arg[0] else c[0, i]
-                y = Jet(space, c[:, j]) if arg[1] else c[0, j]
-                result = x * y if code == _MUL else divide(x, y)
+            if code == _RECIP:
+                result = reciprocal(Jet(space, c.take(i, axis=1)))
+            elif code in (_MUL, _DIV):
+                x = Jet(space, c.take(i, axis=1)) if arg[0] else c[0, i]
+                if code == _DIV and arg[1]:
+                    den, inverse = j
+                    result = quotient(x, c[0, den],
+                                      Jet(space, c.take(inverse, axis=1)))
+                else:
+                    y = Jet(space, c.take(j, axis=1)) if arg[1] else c[0, j]
+                    result = x * y if code == _MUL else divide(x, y)
             elif code == _NEG:
-                result = -Jet(space, c[:, i])
+                result = -Jet(space, c.take(i, axis=1))
+            elif code == _TRIG:
+                result = _sin_cos(Jet(space, c.take(i, axis=1)), j)
             elif code == _POW:
-                result = s_pow(Jet(space, c[:, i]), arg)
+                result = s_pow(Jet(space, c.take(i, axis=1)), arg)
             else:
-                result = arg(Jet(space, c[:, i]))
+                result = arg(Jet(space, c.take(i, axis=1)))
             c[:, out] = result.coeffs
+        for e, bases in powers:  # s_pow's checks
+            s_pow(c[0, bases], e)
     except JetDomainError:
         return None
-    return Jet(space, c[:, root].copy())
+    out = c[:, roots]
+    out[1:, constant] = 0.0  # a constant root's jet, as Jet.constant's
+    return out
 
 
 def is_constant(node: Expr) -> bool:

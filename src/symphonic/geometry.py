@@ -10,6 +10,11 @@ Curvature sign convention: R(X, Y)Z = nab_X nab_Y Z - nab_Y nab_X Z
 R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}.
 
+The metric's distinct entries, i <= j in row-major order, are one
+program (``expr.program``, compiled on first use and cached on the
+chart as metric_program), so metric_jets and metric_values evaluate
+the metric once each and pick its (m, m) entries from the result.
+
 Points x have shape (m, ...): coordinate first, then any batch axes.
 Metric values, inverses, Christoffel arrays, frames and the gradient,
 Hessian and Laplacian of a scalar field carry the same trailing batch
@@ -38,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .jet import Jet, einsum, first_failure, stack
+from .jet import Jet, einsum, first_failure
 
 SPD_EIGENVALUE_FLOOR = 1e-10
 # uniform draws ManifoldModel.sample_points spends on one point
@@ -116,6 +121,22 @@ class ManifoldModel:
     def dim(self):
         return len(self.coords)
 
+    @cached_property
+    def metric_program(self) -> ex.Program:
+        """The distinct metric entries, i <= j in row-major order, as one
+        program, compiled on first use."""
+        m = self.dim
+        return ex.program([self.metric[i][j]
+                           for i in range(m) for j in range(i, m)])
+
+    @cached_property
+    def metric_entries(self) -> np.ndarray:
+        """(m, m) positions in metric_program of the entries (i, j)."""
+        m = self.dim
+        upper = np.zeros((m, m), dtype=np.intp)
+        upper[np.triu_indices(m)] = np.arange(m * (m + 1) // 2)
+        return np.maximum(upper, upper.T)
+
     def _check_symmetry(self):
         m = self.dim
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
@@ -127,8 +148,8 @@ class ManifoldModel:
                       for _ in range(100)]).T
         bad = []
         for i, j in pairs:
-            a = ex.eval_value(self.metric[i][j], self.coords, x)
-            b = ex.eval_value(self.metric[j][i], self.coords, x)
+            a, b = (ex.eval_value(ex.program([e]), self.coords, x)[0]
+                    for e in (self.metric[i][j], self.metric[j][i]))
             bad.append(abs(a - b) > 1e-12 * (1.0 + abs(a)))
         point = first_failure(np.any(bad, axis=0))
         if point is not None:
@@ -200,14 +221,21 @@ class ManifoldModel:
                 lo, hi = lo + shrink, hi - shrink
             lows.append(lo)
             highs.append(hi)
+        # Each round draws a candidate for every point still wanted, but
+        # no more than the first of them has draws left.  One draw of
+        # size (r, m) is r single draws in order, so the points, the rng
+        # state and the error are those of one draw at a time.
         out = []
-        for _ in range(count):
-            for _ in range(SAMPLE_DRAWS_PER_POINT):
-                x = rng.uniform(lows, highs)
-                if self.contains(x):
-                    out.append([float(v) for v in x])
-                    break
-            else:
+        draws = 0  # the draws spent on the first point still wanted
+        while len(out) < count:
+            r = min(count - len(out), SAMPLE_DRAWS_PER_POINT - draws)
+            xs = rng.uniform(lows, highs, size=(r, len(lows)))
+            for x, inside in zip(xs.tolist(), self.contains(xs.T)):
+                draws += 1
+                if inside:
+                    out.append(x)
+                    draws = 0
+            if draws == SAMPLE_DRAWS_PER_POINT:
                 raise GeometryError(
                     f"no point of chart '{self.name}' found in "
                     f"{SAMPLE_DRAWS_PER_POINT} uniform draws: its excluded "
@@ -238,8 +266,12 @@ class MetricAtPoint:
 
     @cached_property
     def frame(self) -> np.ndarray:
-        """Rows orthonormal in the metric (m, m, ...), by gram_schmidt."""
-        return gram_schmidt(self.values)
+        """Rows orthonormal in the metric (m, m, ...), by gram_schmidt;
+        read-only for a chart's shared constant metric."""
+        frame = gram_schmidt(self.values)
+        if self.constant:  # shared by every point of the chart
+            frame.flags.writeable = False
+        return frame
 
     @cached_property
     def christoffel(self):
@@ -264,24 +296,15 @@ class MetricAtPoint:
 
 def metric_jets(model: ManifoldModel, x, order: int) -> Jet:
     """Jets of the metric coefficients at x, as an (m, m) jet array."""
-    m = model.dim
-    jets = {(i, j): ex.eval_jet(model.metric[i][j], model.coords, x, order)
-            for i in range(m) for j in range(i, m)}
-    return stack([stack([jets[min(i, j), max(i, j)] for j in range(m)])
-                  for i in range(m)])
+    jets = ex.eval_jet(model.metric_program, model.coords, x, order)
+    return Jet(jets.space, jets.coeffs[:, model.metric_entries])
 
 
 def metric_values(model: ManifoldModel, x) -> np.ndarray:
     """Metric coefficient values (m, m, ...) at points x (m, ...), with
     no domain or SPD check."""
-    m = model.dim
-    x = np.asarray(x, dtype=float)
-    values = np.empty((m, m) + x.shape[1:])
-    for i in range(m):
-        for j in range(i, m):
-            v = ex.eval_value(model.metric[i][j], model.coords, x)
-            values[i, j] = values[j, i] = v
-    return values
+    values = ex.eval_value(model.metric_program, model.coords, x)
+    return values[model.metric_entries]
 
 
 def constant_metric(model: ManifoldModel):
@@ -302,7 +325,7 @@ def constant_metric(model: ManifoldModel):
             met = MetricAtPoint(values, np.linalg.inv(values),
                                 float(np.sqrt(np.linalg.det(values))),
                                 constant=True)
-            for arr in (met.values, met.inverse, met.frame):
+            for arr in (met.values, met.inverse):
                 arr.flags.writeable = False
         model._constant_metric = met
     return model._constant_metric
@@ -437,10 +460,10 @@ def scalar_field_data(model: ManifoldModel, f: ex.Expr, x) -> ScalarFieldData:
     """Gradient, Hessian and Laplacian of f at points x (m, ...), from
     one evaluation of the metric at order 1 and of f's order-2 jets."""
     met = metric_at(model, x, 1)
-    jet = ex.eval_jet(f, model.coords, x, 2)
-    df = jet.gradient()
+    jet = ex.eval_jet(ex.program([f]), model.coords, x, 2)  # a (1,) array
+    df = jet.gradient()[:, 0]
     grad = np.einsum("ij...,j...->i...", met.inverse, df)
-    hess = jet.hessian()
+    hess = jet.hessian()[:, :, 0]
     if met.christoffel_values is not None:
         hess = hess - np.einsum(
             "kij...,k...->ij...", met.christoffel_values, df)

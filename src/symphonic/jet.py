@@ -451,17 +451,33 @@ def _reciprocal(jet: Jet, checks) -> Jet:
     return _series(jet, derivs)
 
 
+def _division_checks(c):
+    return ((_not_finite(c), "division by non-finite value {!r}"),
+            (abs(c) < 1e-300, "division by near-zero value {!r}"))
+
+
+def reciprocal(b: Jet) -> Jet:
+    """The jet 1/b that divide multiplies by, after divide's checks."""
+    return _reciprocal(b, _division_checks(b.coeffs[0]))
+
+
+def quotient(a, b_value, b_inverse: Jet) -> Jet:
+    """a / b for a float, array or jet a and a jet b, from b's value and
+    b_inverse = reciprocal(b): a * b_inverse with the value a / b as its
+    constant term, so that it agrees with the value."""
+    out = a * b_inverse
+    out.coeffs[0] = _value(a) / b_value
+    return out
+
+
 def divide(a, b):
     """a / b for floats, arrays and jets; b must be finite and at least
     1e-300 in magnitude.  A jet quotient is a * (1/b), with the value
-    a / b as its constant term, so that it agrees with the value."""
-    c = _value(b)
-    checks = ((_not_finite(c), "division by non-finite value {!r}"),
-              (abs(c) < 1e-300, "division by near-zero value {!r}"))
+    a / b as its constant term."""
     if isinstance(b, Jet):
-        quotient = a * _reciprocal(b, checks)
-        quotient.coeffs[0] = _value(a) / c
-        return quotient
+        return quotient(a, b.coeffs[0], reciprocal(b))
+    c = _value(b)
+    checks = _division_checks(c)
     _reject(c, *checks)
     if isinstance(a, Jet):
         return Jet(a.space, a.coeffs / b)
@@ -488,6 +504,17 @@ def s_cos(x):
     if not isinstance(x, Jet):
         return np.cos(c)
     return _series(x, _cycle(np.cos(c), -np.sin(c), x.order))
+
+
+def _sin_cos(x: Jet, cos) -> Jet:
+    """The jet sin(x) in the columns of the batch where the mask cos is
+    False and cos(x) where it is True, each as s_sin or s_cos gives it,
+    by one series for both."""
+    c = x.coeffs[0]
+    _reject(c, (_not_finite(c), "sin or cos of non-finite value {!r}"))
+    sin, cos_c = np.sin(c), np.cos(c)
+    return _series(x, _cycle(np.where(cos, cos_c, sin),
+                             np.where(cos, -sin, cos_c), x.order))
 
 
 def s_exp(x):

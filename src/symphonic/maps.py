@@ -28,6 +28,13 @@ all read from the context, so each metric is evaluated at most once
 per call.  The finite-difference oracle swaps deformed component jets
 into one context (AlongMap.deformed) and keeps its source side.
 
+The components of a map or a field are one program (``expr.program``,
+compiled on first use and cached on the MapSpec or TangentField), so
+component_jets and value, and TangentField.jets and .values, are one
+evaluation of it each: a subexpression that several components share
+runs once, and a pointwise jet runs one level schedule for all
+components.
+
 Tables are batched: points x have shape (m, ...), coordinate first,
 and every table carries the same trailing batch axes after its index
 axes (a constant metric carries none and broadcasts).  component_jets,
@@ -55,7 +62,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .jet import Jet, compose, einsum, stack
+from .jet import Jet, compose, einsum
 
 __all__ = [
     "MapSpec", "TangentField", "MapTables",
@@ -90,15 +97,18 @@ class MapSpec:
                     f"map component {k} references non-source "
                     f"variables {sorted(extra)}")
 
+    @cached_property
+    def program(self) -> ex.Program:
+        """The components as one program, compiled on first use."""
+        return ex.program(self.components)
+
     def value(self, x):
         """Map values (n, ...) at points x (m, ...)."""
-        return np.array([ex.eval_value(c, self.source.coords, x)
-                         for c in self.components])
+        return ex.eval_value(self.program, self.source.coords, x)
 
     def component_jets(self, x, order) -> Jet:
         """The (n,) jet array of the components at points x (m, ...)."""
-        return stack([ex.eval_jet(c, self.source.coords, x, order)
-                      for c in self.components])
+        return ex.eval_jet(self.program, self.source.coords, x, order)
 
 
 @dataclass
@@ -126,21 +136,26 @@ class TangentField:
             return Jet(w.space, np.where(u.coeffs[0] > 0.0, w.coeffs, 0.0))
         return np.where(u > 0.0, w, 0.0)
 
+    @cached_property
+    def program(self) -> ex.Program:
+        """The components as one program, compiled on first use."""
+        return ex.program(self.components)
+
     def jets(self, coords, x, order) -> Jet:
         """The (n,) jet array of the components at points x (m, ...)."""
         x = np.asarray(x, dtype=float)
-        out = [ex.eval_jet(c, coords, x, order) for c in self.components]
+        out = ex.eval_jet(self.program, coords, x, order)
         if self.bump_center is not None:
             nvars = len(coords)
             w = self._bump([Jet.variable(k, x[k], nvars, order)
                             for k in range(nvars)])
-            out = [j * w for j in out]
-        return stack(out)
+            out = out * Jet(w.space, w.coeffs[:, None])  # w per component
+        return out
 
     def values(self, coords, x):
         """Component values (n, ...) at points x (m, ...)."""
         x = np.asarray(x, dtype=float)
-        vals = np.array([ex.eval_value(c, coords, x) for c in self.components])
+        vals = ex.eval_value(self.program, coords, x)
         if self.bump_center is not None:
             vals = vals * self._bump(list(x))
         return vals

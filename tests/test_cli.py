@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import warnings
@@ -6,6 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from symphonic import cli
+from symphonic import geometry as geo
+from symphonic import variational as va
 from symphonic.cli import main
 from symphonic.specfile import load_schema, load_spec, SpecFileError
 
@@ -185,6 +189,97 @@ def test_eval_domain_error_rows(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert "nan" in lines[2]
     assert "domain" in err
+
+
+def _per_point_rows(spec_ref, op, points, field=None):
+    """Each point's row as eval gave it calling the operator point by
+    point, or None where the point fails its checks."""
+    spec, fields = load_spec(spec_ref)
+    args = argparse.Namespace(op=op, variant=va.REDUCED)
+    rows = []
+    for x in points:
+        try:
+            rows.append(cli._apply_op(args, spec, fields.get(field), x))
+        except geo.GeometryError:
+            rows.append(None)
+    return rows
+
+
+def _csv_rows(out):
+    return [[float(v) for v in line.split(",")]
+            for line in out.strip().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("spec_ref,op,field,tol", [
+    ("builtin:sphere-2", op, None, 1e-14) for op in cli.OPS if op != "jacobi"
+] + [("builtin:torus-test", "jacobi", "v", 1e-14),
+     ("builtin:torus-test", "bi-tension", None, 1e-14),
+     # near S^3's pole margins the batched and the per-point einsums sum
+     # in different orders, and the bi-tension's cancellations there
+     # magnify the last bits to 1.6e-14 of a row's largest entry; on
+     # this grid the rows are up to 2.4e-10 from the exact 27 phi(x)
+     ("builtin:sphere-3", "bi-tension", None, 1e-13)])
+def test_eval_grid_is_one_batch_with_the_per_point_values(spec_ref, op, field,
+                                                         tol, capsys):
+    args = ["eval", "--spec", spec_ref, "--op", op, "--grid", "7"]
+    code, out, err = run(args + (["--field", field] if field else []), capsys)
+    assert (code, err) == (0, "")
+    m = load_spec(spec_ref)[0].source.dim
+    rows = _csv_rows(out)
+    expected = _per_point_rows(spec_ref, op, [row[:m] for row in rows], field)
+    for row, ref in zip(rows, expected):
+        # the batch may change a row's last digits only
+        scale = np.abs(ref).max()
+        assert np.abs(np.array(row[m:]) - ref).max() <= tol * scale
+
+
+def test_eval_runs_a_large_grid_in_chunks(capsys, monkeypatch):
+    args = ["eval", "--spec", "builtin:sphere-2", "--op", "pullback",
+            "--grid", "65"]  # 4225 points, more than one chunk
+    code, chunked, err = run(args, capsys)
+    assert (code, err) == (0, "")
+    assert len(chunked.splitlines()) == 1 + 65 ** 2 > 1 + cli.EVAL_CHUNK
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 65 ** 2)
+    assert run(args, capsys) == (0, chunked, "")
+
+
+def test_eval_falls_back_per_point_within_the_failing_chunk(tmp_path, capsys,
+                                                            monkeypatch):
+    # the fifth point lies inside the pole margin, in the second chunk
+    points = [[0.5 + 0.1 * k, 1.0 + 0.3 * k] for k in range(9)]
+    points[4] = [0.01, 1.0]
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in points))
+    args = ["eval", "--spec", "builtin:sphere-2", "--op", "tension",
+            "--points", str(pts)]
+    whole = run(args, capsys)
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 3)
+    assert run(args, capsys) == whole
+    code, out, err = whole
+    assert code == 4
+    assert err == "warning: 1 point(s) failed domain checks (NaN rows)\n"
+    expected = _per_point_rows("builtin:sphere-2", "tension", points)
+    assert [ref is None for ref in expected] == [k == 4 for k in range(9)]
+    for line, x, ref in zip(out.strip().splitlines()[1:], points, expected):
+        vals = ["nan"] * 3 if ref is None else [repr(float(v)) for v in ref]
+        assert line == ",".join([repr(v) for v in x] + vals)
+
+
+def test_eval_points_with_one_outside_the_chart_fall_back_per_point(
+        tmp_path, capsys):
+    points = [[0.5, 1.0], [1.2, 2.0], [0.01, 1.0], [2.0, 5.5]]
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in points))
+    code, out, err = run(["eval", "--spec", "builtin:sphere-2",
+                          "--op", "bi-tension", "--points", str(pts)], capsys)
+    # the third point lies inside the pole margin
+    assert code == 4
+    assert err == "warning: 1 point(s) failed domain checks (NaN rows)\n"
+    expected = _per_point_rows("builtin:sphere-2", "bi-tension", points)
+    assert expected[2] is None
+    for line, x, ref in zip(out.strip().splitlines()[1:], points, expected):
+        vals = ["nan"] * 3 if ref is None else [repr(float(v)) for v in ref]
+        assert line == ",".join([repr(v) for v in x] + vals)
 
 
 def test_spec_file_round_trip(tmp_path, capsys):

@@ -13,6 +13,18 @@ from symphonic.jet import (Jet, JetDomainError, divide, s_cos, s_exp, s_log,
                            s_pow, s_sin, s_sqrt)
 
 
+def _jet_of(tree, coords, x, order):
+    """The jet of one expression: eval_jet of its program of one, whose
+    (1,) jet array holds that jet."""
+    jets = ex.eval_jet(ex.program([tree]), coords, x, order)
+    return Jet(jets.space, jets.coeffs[:, 0])
+
+
+def _value_of(tree, coords, x):
+    """The value of one expression: eval_value of its program of one."""
+    return ex.eval_value(ex.program([tree]), coords, x)[0]
+
+
 def test_basic_tree():
     tree = ex.parse("x^2 + y^2", ["x", "y"])
     assert tree == ex.BinOp("+", ex.PowC(ex.Var("x"), 2.0),
@@ -40,16 +52,16 @@ def test_undeclared_variable():
 def test_unary_minus_binds_below_power():
     tree = ex.parse("-x^2", ["x"])
     assert tree == ex.Neg(ex.PowC(ex.Var("x"), 2.0))
-    assert ex.eval_value(tree, ["x"], [3.0]) == pytest.approx(-9.0)
+    assert _value_of(tree, ["x"], [3.0]) == pytest.approx(-9.0)
     explicit = ex.parse("(-x)^2", ["x"])
-    assert ex.eval_value(explicit, ["x"], [3.0]) == pytest.approx(9.0)
+    assert _value_of(explicit, ["x"], [3.0]) == pytest.approx(9.0)
 
 
 def test_left_associativity():
     tree = ex.parse("10 - 4 - 3", [])
-    assert ex.eval_value(tree, [], []) == pytest.approx(3.0)
+    assert _value_of(tree, [], []) == pytest.approx(3.0)
     tree = ex.parse("24 / 4 / 3", [])
-    assert ex.eval_value(tree, [], []) == pytest.approx(2.0)
+    assert _value_of(tree, [], []) == pytest.approx(2.0)
 
 
 def test_exponent_fraction_binds_to_power():
@@ -59,12 +71,12 @@ def test_exponent_fraction_binds_to_power():
     # a decimal denominator stays a division
     tree = ex.parse("x^2 / 3.0", ["x"])
     assert isinstance(tree, ex.BinOp)
-    assert ex.eval_value(tree, ["x"], [3.0]) == pytest.approx(3.0)
+    assert _value_of(tree, ["x"], [3.0]) == pytest.approx(3.0)
 
 
 def test_negative_exponent():
     tree = ex.parse("x^-2", ["x"])
-    assert ex.eval_value(tree, ["x"], [2.0]) == pytest.approx(0.25)
+    assert _value_of(tree, ["x"], [2.0]) == pytest.approx(0.25)
 
 
 def test_chained_power_rejected():
@@ -79,12 +91,12 @@ def test_nonconstant_pow_exponent_rejected():
 
 def test_scientific_notation():
     tree = ex.parse("1.5e-3 * x", ["x"])
-    assert ex.eval_value(tree, ["x"], [2.0]) == pytest.approx(3e-3)
+    assert _value_of(tree, ["x"], [2.0]) == pytest.approx(3e-3)
 
 
 def test_eval_jet_polynomial():
     tree = ex.parse("t^2", ["t"])
-    jet = ex.eval_jet(tree, ["t"], [3.0], 2)
+    jet = _jet_of(tree, ["t"], [3.0], 2)
     assert jet.coefficient((0,)) == pytest.approx(9.0)
     assert jet.coefficient((1,)) == pytest.approx(6.0)
     assert jet.coefficient((2,)) == pytest.approx(1.0)
@@ -92,7 +104,7 @@ def test_eval_jet_polynomial():
 
 def test_eval_jet_fractional_power():
     tree = ex.parse("pow(t, 4/3)", ["t"])
-    jet = ex.eval_jet(tree, ["t"], [1.0], 4)
+    jet = _jet_of(tree, ["t"], [1.0], 4)
     expected = [4 / 3, 4 / 9, -8 / 27, 40 / 81]
     for k, e in enumerate(expected, start=1):
         assert jet.derivative((k,)) == pytest.approx(e, rel=1e-12)
@@ -100,7 +112,7 @@ def test_eval_jet_fractional_power():
 
 def test_eval_jet_product():
     tree = ex.parse("sin(x)*y", ["x", "y"])
-    jet = ex.eval_jet(tree, ["x", "y"], [0.0, 2.0], 2)
+    jet = _jet_of(tree, ["x", "y"], [0.0, 2.0], 2)
     assert jet.derivative((1, 0)) == pytest.approx(2.0)
     assert jet.derivative((0, 1)) == pytest.approx(0.0)
     assert jet.derivative((1, 1)) == pytest.approx(1.0)
@@ -110,18 +122,18 @@ def test_eval_jet_product():
 def test_domain_error_names_subexpression():
     tree = ex.parse("log(x - 5)", ["x"])
     with pytest.raises(ex.EvalDomainError) as err:
-        ex.eval_value(tree, ["x"], [1.0])
+        _value_of(tree, ["x"], [1.0])
     assert "log" in str(err.value)
     assert err.value.node is tree
     tree = ex.parse("1 + log(x - 5)", ["x"])
     with pytest.raises(ex.EvalDomainError) as err:
-        ex.eval_jet(tree, ["x"], [1.0], 2)
+        _jet_of(tree, ["x"], [1.0], 2)
     assert err.value.node is tree.right
 
 
 def test_evaluated_expression_is_freed_without_the_cycle_collector():
     tree = ex.parse("sin(x) * x + 1", ["x"])
-    ex.eval_value(tree, ["x"], [0.5])  # compiles and caches the tape
+    _value_of(tree, ["x"], [0.5])  # compiles and caches the tape
     ref = weakref.ref(tree)
     gc.disable()
     try:
@@ -133,7 +145,7 @@ def test_evaluated_expression_is_freed_without_the_cycle_collector():
 
 def test_constant_expression_evaluates_without_env():
     tree = ex.parse("2 * (3 + 4)", [])
-    assert ex.eval_value(tree, [], []) == pytest.approx(14.0)
+    assert _value_of(tree, [], []) == pytest.approx(14.0)
 
 
 # round-trip property ------------------------------------------------------
@@ -179,7 +191,7 @@ def test_print_parse_round_trip(tree):
     ("2 * -1.5", -3.0),
 ])
 def test_unary_minus_precedence(text, value):
-    assert ex.eval_value(ex.parse(text, []), [], []) == value
+    assert _value_of(ex.parse(text, []), [], []) == value
 
 
 def test_negative_literals_parse_as_constants():
@@ -308,17 +320,18 @@ def _distinct_nodes(tree):
 @given(_shared_trees(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @settings(max_examples=300, deadline=None)
 def test_tape_matches_recursive_reference(tree, x, y):
-    # one tape step per distinct node: shared subtrees run once
-    assert len(ex._tape(tree)) == len(_distinct_nodes(tree))
+    # one tape step per structurally distinct node (as parse interns
+    # them): shared and repeated subtrees run once
+    parsed = ex.parse(ex.to_source(tree), ["x", "y", "z"])
+    assert len(ex.program([tree]).steps) == len(_distinct_nodes(parsed))
     envs = [{"x": x, "y": y}]
     for order in (2, 4):
         envs.append({"x": Jet.variable(0, x, 2, order),
                      "y": Jet.variable(1, y, 2, order)})
     for env in envs:
-        assert (_outcome(ex.evaluate, tree, env)
+        assert (_outcome(ex._evaluate, tree, env)
                 == _outcome(_reference, tree, env))
     # a printed tree parses back to an equal tree, interned no wider
-    parsed = ex.parse(ex.to_source(tree), ["x", "y", "z"])
     assert parsed == tree
     assert len(_distinct_nodes(parsed)) <= len(_distinct_nodes(tree))
 
@@ -327,12 +340,12 @@ def test_deep_expressions_need_no_recursion():
     terms = 3000
     tree = ex.parse(" + ".join(["x"] * terms), ["x"])
     assert ex.free_variables(tree) == {"x"}
-    assert ex.eval_value(tree, ["x"], [0.5]) == terms * 0.5
-    assert ex.eval_jet(tree, ["x"], [0.5], 2).coefficient((1,)) == terms
+    assert _value_of(tree, ["x"], [0.5]) == terms * 0.5
+    assert _jet_of(tree, ["x"], [0.5], 2).coefficient((1,)) == terms
     text = ex.to_source(tree)
     assert ex.to_source(ex.parse(text, ["x"])) == text
     with pytest.raises(ex.EvalDomainError):
-        ex.eval_value(ex.parse(text + " + log(x - 1)", ["x"]), ["x"], [0.5])
+        _value_of(ex.parse(text + " + log(x - 1)", ["x"]), ["x"], [0.5])
 
 
 def test_deep_expressions_compare_without_recursion():
@@ -431,7 +444,7 @@ def test_nesting_up_to_the_limit_parses(opener, closer):
 
 def test_tiny_base_surfaces_as_eval_domain_error():
     with pytest.raises(ex.EvalDomainError) as err:
-        ex.eval_jet(ex.parse("log(x)", ["x"]), ["x"], [1e-320], 4)
+        _jet_of(ex.parse("log(x)", ["x"]), ["x"], [1e-320], 4)
     assert "log(x)" in str(err.value)
 
 
@@ -442,19 +455,19 @@ def test_batched_evaluation_matches_pointwise(rng):
     tree = ex.parse("0.7*sin(x)*cos(y) + exp(x*y)/(2 + y^2) - pow(x + 3, 1/3)",
                     ["x", "y"])
     pts = rng.uniform(-1.0, 1.0, size=(2, 3, 4))   # a 3x4 batch of points
-    values = ex.eval_value(tree, ["x", "y"], pts)
-    jets = ex.eval_jet(tree, ["x", "y"], pts, 4)
+    values = _value_of(tree, ["x", "y"], pts)
+    jets = _jet_of(tree, ["x", "y"], pts, 4)
     assert values.shape == (3, 4) and jets.batch == (3, 4)
     for i in range(3):
         for j in range(4):
             p = pts[:, i, j]
             assert values[i, j] == pytest.approx(
-                ex.eval_value(tree, ["x", "y"], p), rel=1e-15)
-            ref = ex.eval_jet(tree, ["x", "y"], p, 4).coeffs
+                _value_of(tree, ["x", "y"], p), rel=1e-15)
+            ref = _jet_of(tree, ["x", "y"], p, 4).coeffs
             assert np.allclose(jets.coeffs[:, i, j], ref, rtol=1e-14,
                                atol=1e-14 * np.abs(ref).max())
     # a constant expression fills the batch
-    assert ex.eval_value(ex.parse("2", ["x"]), ["x"], np.zeros((1, 5))).shape \
+    assert _value_of(ex.parse("2", ["x"]), ["x"], np.zeros((1, 5))).shape \
         == (5,)
 
 
@@ -472,8 +485,8 @@ def test_batched_error_names_first_failing_point(text, order, points):
 
     def run(p):
         if order is None:
-            return ex.eval_value(tree, ["x"], p)
-        return ex.eval_jet(tree, ["x"], p, order)
+            return _value_of(tree, ["x"], p)
+        return _jet_of(tree, ["x"], p, order)
 
     with pytest.raises(ex.EvalDomainError) as batch_err:
         run(pts)
@@ -628,8 +641,8 @@ def test_values_and_jets_fail_alike(text, point, order):
     # on the value, so both evaluators raise one message or both return
     tree = ex.parse(text, ["x"])
     outcomes = []
-    for evaluate in (lambda: ex.eval_value(tree, ["x"], [point]),
-                     lambda: ex.eval_jet(tree, ["x"], [point], order).value):
+    for evaluate in (lambda: _value_of(tree, ["x"], [point]),
+                     lambda: _jet_of(tree, ["x"], [point], order).value):
         try:
             with np.errstate(all="ignore"):
                 outcomes.append(("value", evaluate()))
@@ -642,8 +655,8 @@ def test_values_and_jets_fail_alike(text, point, order):
 
 def test_integer_powers_take_any_base_as_repeated_products():
     tree = ex.parse("x^65 + pow(x, -70)", ["x"])
-    jet = ex.eval_jet(tree, ["x"], [-1.5], 3)
-    assert jet.value == pytest.approx(ex.eval_value(tree, ["x"], [-1.5]),
+    jet = _jet_of(tree, ["x"], [-1.5], 3)
+    assert jet.value == pytest.approx(_value_of(tree, ["x"], [-1.5]),
                                       rel=1e-14)
     for k, expected in enumerate([
             (-1.5) ** 65 + (-1.5) ** -70,
@@ -663,7 +676,7 @@ def test_jet_batch_names_its_first_point_whichever_check_fails(text, tiny,
     errors = []
     for points in ([[tiny, outside]], [tiny], [outside]):
         with pytest.raises(ex.EvalDomainError) as err:
-            ex.eval_jet(tree, ["x"], np.array(points), 4)
+            _jet_of(tree, ["x"], np.array(points), 4)
         errors.append(str(err.value))
     assert errors[0] == errors[1] != errors[2]
     assert "derivatives" in errors[0]
@@ -677,9 +690,9 @@ def test_jet_batch_names_its_first_point_whichever_check_fails(text, tiny,
 def test_pointwise_jet_is_its_batch_column_bit_for_bit(text):
     tree = ex.parse(text, ["x"])
     pts = np.linspace(0.2, 3.0, 400)[None]
-    batch = ex.eval_jet(tree, ["x"], pts, 4).coeffs
+    batch = _jet_of(tree, ["x"], pts, 4).coeffs
     for k in range(pts.shape[1]):
-        point = ex.eval_jet(tree, ["x"], pts[:, k], 4).coeffs
+        point = _jet_of(tree, ["x"], pts[:, k], 4).coeffs
         assert point.tobytes() == batch[:, k].tobytes(), pts[0, k]
 
 
@@ -687,10 +700,10 @@ def test_pointwise_jet_is_its_batch_column_bit_for_bit(text):
 def test_quotient_jet_value_is_the_quotient(text):
     tree = ex.parse(text, ["x"])
     pts = np.linspace(0.1, 3.0, 200)[None]
-    values = ex.eval_value(tree, ["x"], pts)
-    assert ex.eval_jet(tree, ["x"], pts, 2).value.tobytes() == values.tobytes()
+    values = _value_of(tree, ["x"], pts)
+    assert _jet_of(tree, ["x"], pts, 2).value.tobytes() == values.tobytes()
     for k in range(pts.shape[1]):
-        assert ex.eval_jet(tree, ["x"], pts[:, k], 1).value == values[k]
+        assert _jet_of(tree, ["x"], pts[:, k], 1).value == values[k]
     a = Jet.variable(0, 0.7, 1, 3)
     b = s_sin(a) + 1.0
     assert divide(a, b).value == 0.7 / b.value

@@ -210,6 +210,52 @@ def test_sample_points_gives_up_when_exclusions_cover_the_box():
         covered.sample_points(3, np.random.default_rng(0))
 
 
+def _sample_points_one_by_one(model, count, rng, shrink=0.0):
+    """sample_points as one draw and one contains call per candidate."""
+    lows, highs = [], []
+    for (lo, hi), per in zip(model.intervals, model.periodic):
+        lows.append(lo if per else lo + shrink)
+        highs.append(hi if per else hi - shrink)
+    out = []
+    for _ in range(count):
+        for _ in range(geo.SAMPLE_DRAWS_PER_POINT):
+            x = rng.uniform(lows, highs)
+            if model.contains(x):
+                out.append([float(v) for v in x])
+                break
+        else:
+            raise geo.GeometryError(
+                f"no point of chart '{model.name}' found in "
+                f"{geo.SAMPLE_DRAWS_PER_POINT} uniform draws: its excluded "
+                f"balls cover (nearly) all of the domain box")
+    return out
+
+
+def _sampled(model, count, seed, sample):
+    """(points or error text, rng state afterwards) of one sampler."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = sample(model, count, rng, 0.05)
+    except geo.GeometryError as err:
+        out = str(err)
+    return out, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("model,count,fails", [
+    (charts.sphere_chart(4), 50, False),
+    # the hole takes a third of the box: many rejections
+    (charts.punctured_plane_chart(radius=1.0, hole=0.65), 40, False),
+    # the hole covers the box: the error after the draws of one point
+    (charts.punctured_plane_chart(radius=1.0, hole=1.5), 3, True),
+])
+def test_sample_points_draws_what_the_one_by_one_loop_draws(model, count,
+                                                            fails):
+    for seed in range(3):
+        got = _sampled(model, count, seed, geo.ManifoldModel.sample_points)
+        assert got == _sampled(model, count, seed, _sample_points_one_by_one)
+        assert isinstance(got[0], str) == fails
+
+
 def test_batched_metric_and_frame_match_pointwise(sphere2, rng):
     pts = np.array(sphere2.sample_points(5, rng, shrink=0.05)).T  # (2, 5)
     met = geo.metric_at(sphere2, pts, order=1)
@@ -283,6 +329,18 @@ def test_metric_at_on_a_constant_chart_is_its_shared_metric(torus2, order):
     for arr in (shared.values, shared.inverse, shared.frame):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 2.0
+
+
+def test_a_constant_chart_builds_its_frame_on_first_read(monkeypatch):
+    calls = []
+    inner = geo.gram_schmidt
+    monkeypatch.setattr(geo, "gram_schmidt",
+                        lambda g: calls.append(1) or inner(g))
+    shared = geo.constant_metric(geo.euclidean_space(5))
+    assert calls == []
+    frame = shared.frame
+    assert calls == [1] and np.array_equal(frame, np.eye(5))
+    assert not frame.flags.writeable
 
 
 @pytest.mark.parametrize("which,pts", [

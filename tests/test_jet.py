@@ -7,9 +7,9 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symphonic.jet import (Jet, JetDomainError, _space, compose, einsum,
-                           monomials, s_cos, s_exp, s_log, s_pow, s_sin,
-                           s_sqrt, stack)
+from symphonic.jet import (Jet, JetDomainError, _sin_cos, _space, compose,
+                           einsum, monomials, s_cos, s_exp, s_log, s_pow,
+                           s_sin, s_sqrt, stack)
 
 
 def jet_of(fn_sym, var_values, order, syms=None):
@@ -338,3 +338,16 @@ def test_compose_of_a_jet_array_is_entrywise():
         one = compose(Jet(outer.space, outer.coeffs[:, i, j]), inner)
         assert np.allclose(got.coeffs[:, i, j], one.coeffs, rtol=0,
                            atol=1e-15)
+
+
+def test_sin_cos_columns_are_s_sin_and_s_cos():
+    rng = np.random.default_rng(3)
+    for order in range(1, 5):
+        x = Jet(_space(2, order), rng.uniform(-2, 2, (_space(2, order).size,
+                                                       5)))
+        cos = np.array([False, True, True, False, True])
+        got = _sin_cos(x, cos).coeffs
+        for k in range(5):
+            column = Jet(x.space, x.coeffs[:, k])
+            ref = (s_cos if cos[k] else s_sin)(column).coeffs
+            assert got[:, k].tobytes() == ref.tobytes()

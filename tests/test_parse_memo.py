@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symphonic import expr as ex
+from test_expr import _distinct_nodes, _jet_of
 from test_schedule import _benchmark_spec
 
 _COORDS = ["x", "y"]
@@ -74,7 +75,7 @@ def _repetitive_sources(draw):
 
 def _jet_bits(tree, point):
     try:
-        return ex.eval_jet(tree, _COORDS, point, 2).coeffs.tobytes()
+        return _jet_of(tree, _COORDS, point, 2).coeffs.tobytes()
     except ex.EvalDomainError as err:
         return str(err)
 
@@ -85,7 +86,10 @@ def test_a_parse_with_group_hits_equals_one_without(source):
     tree = ex.parse(source, _COORDS)
     reference = ex.parse(_unshared_text(source), _COORDS)
     assert tree == reference
-    assert len(ex._tape(tree)) == len(ex._tape(reference))
+    # the memo's nodes are interned as a full reading's: the same sharing
+    assert len(_distinct_nodes(tree)) == len(_distinct_nodes(reference))
+    assert (len(ex.program([tree]).steps)
+            == len(ex.program([reference]).steps))
     assert ex.to_source(tree) == ex.to_source(reference)
     for point in ([0.3, 0.7], [1.25, -0.5]):
         assert _jet_bits(tree, point) == _jet_bits(reference, point)
@@ -126,4 +130,7 @@ def test_benchmark_fields_keep_their_tapes(kind, lengths, tmp_path,
                                            monkeypatch):
     _, fields = _benchmark_spec(kind, tmp_path, monkeypatch)
     components = fields["tau_s"].components
-    assert tuple(len(ex._tape(tree)) for tree in components) == lengths
+    assert tuple(len(_distinct_nodes(tree)) for tree in components) \
+        == lengths
+    assert tuple(len(ex.program([tree]).steps)
+                 for tree in components) == lengths
