@@ -65,10 +65,13 @@ nodes.  The tape holds each structurally distinct node once across all
 roots, keyed as the parser interns nodes (children by slot, floats by
 repr, so 0.0 and -0.0 stay apart), so a subexpression that several
 roots share, also across separate parses, is evaluated once.  A single
-expression is the program of one, compiled on first use and cached on
-its root.  ``eval_jet`` and ``eval_value`` take a program and give the
-(k,) jet array or the values (k, ...) of its k roots from one loop over
-the tape, doing the same float or jet operations, in the same order, as
+expression is the program of one.  A program is a plain value that its
+caller holds: ``program`` compiles on every call, an expression holds
+no program, and an owner that evaluates the same expressions
+repeatedly (a map, a field, a chart's metric) keeps its own.
+``eval_jet`` and ``eval_value`` take a program and give the (k,) jet
+array or the values (k, ...) of its k roots from one loop over the
+tape, doing the same float or jet operations, in the same order, as
 a recursive walk of each tree, so results are bit-identical to
 evaluating the roots one by one.  The loop finishes each root, with its
 finiteness check, before it runs the next root's new nodes, so a
@@ -122,8 +125,7 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -168,10 +170,6 @@ class Expr:
     """Base of the expression nodes.  Equality is structural, hashing
     agrees with it, and both run over the tape, so at any depth; repr
     is iterative too."""
-
-    # the program of this node alone, set on first use; not a dataclass
-    # field, so equality, hashing and repr ignore it
-    _program = None
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -612,11 +610,9 @@ def free_variables(node: Expr) -> set[str]:
 # nodes, then each later root's new ones.  Step k leaves its value in
 # slot k.  i and j are the slots of the operands, except: _CONST keeps
 # the value in i, _VAR the name in i, _POW the exponent in j, and _CALL
-# the scalar function in j.  The program of one expression is cached on
-# it, so its root's own step holds None for its node and the program
-# keeps no strong reference to the root: one would make a reference
-# cycle, and a dropped expression would wait for the cycle collector
-# instead of being freed at once.
+# the scalar function in j.  node is the step's own node, which an
+# error names; a node holds no program, so a program keeps its roots
+# alive exactly as long as it lives itself.
 _CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 _SCALAR = {"sin": s_sin, "cos": s_cos, "exp": s_exp, "log": s_log,
@@ -628,44 +624,19 @@ class Program:
     steps, the roots' slots in order, and its level schedule, built on
     the first pointwise jet evaluation."""
 
-    __slots__ = ("steps", "roots", "_root", "_schedule")
+    __slots__ = ("steps", "roots", "_schedule")
 
-    def __init__(self, steps, roots, root=None):
+    def __init__(self, steps, roots):
         self.steps = steps
         self.roots = roots
-        # for a program of one: a weak reference to its root, and a copy
-        # of the root that an error names once the root itself is gone
-        self._root = None if root is None else (weakref.ref(root),
-                                                replace(root))
         self._schedule = None    # None until built, False for none
-
-    def node(self, at):
-        """The node a step names: its own, or the one root for None."""
-        if at is not None:
-            return at
-        ref, copy = self._root
-        root = ref()
-        return copy if root is None else root
 
 
 def program(roots) -> Program:
-    """The program of a list of expressions.  Each structurally distinct
-    node is one step across all roots, keyed as the parser interns
-    nodes: children by slot and floats by repr, so 0.0 and -0.0 stay
-    apart.  A list of one gives that expression's program, compiled on
-    first use and cached on it."""
-    if len(roots) != 1:
-        return _compile(roots)
-    root = roots[0]
-    prog = root._program
-    if prog is None:
-        prog = _compile(roots)
-        object.__setattr__(root, "_program", prog)
-    return prog
-
-
-def _compile(roots) -> Program:
-    single = roots[0] if len(roots) == 1 else None
+    """The program of a list of expressions, compiled anew on each call.
+    Each structurally distinct node is one step across all roots, keyed
+    as the parser interns nodes: children by slot and floats by repr, so
+    0.0 and -0.0 stay apart."""
     seen, slot, interned, steps = set(), {}, {}, []
     for root in roots:
         for node in _post_order(root, seen):
@@ -692,9 +663,8 @@ def _compile(roots) -> Program:
                 raise TypeError(f"not an expression node: {node!r}")
             k = slot[id(node)] = interned.setdefault(key, len(steps))
             if k == len(steps):
-                steps.append((code, None if node is single else node, i, j))
-    return Program(tuple(steps), tuple(slot[id(root)] for root in roots),
-                   single)
+                steps.append((code, node, i, j))
+    return Program(tuple(steps), tuple(slot[id(root)] for root in roots))
 
 
 def _fold(root, combine):
@@ -714,17 +684,17 @@ def _fold(root, combine):
     return out[-1]
 
 
-def _run(steps, env, prog, vals):
-    """Append the value of each of steps, steps of prog, to vals, the
-    values of the steps before them; a failure names the step's node."""
+def _run(steps, env, vals):
+    """Append the value of each of steps to vals, the values of the
+    steps before them; a failure names the step's node."""
     push = vals.append
-    for code, at, i, j in steps:
+    for code, node, i, j in steps:
         if code == _VAR:
             try:
                 push(env[i])
             except KeyError:
                 raise EvalDomainError(f"unbound variable '{i}'",
-                                      prog.node(at)) from None
+                                      node) from None
             continue
         try:
             if code == _MUL:
@@ -744,7 +714,7 @@ def _run(steps, env, prog, vals):
             else:
                 push(divide(vals[i], vals[j]))
         except JetDomainError as err:
-            raise EvalDomainError(str(err), prog.node(at)) from None
+            raise EvalDomainError(str(err), node) from None
     return vals
 
 
@@ -752,8 +722,7 @@ def _evaluate(root, env):
     """The value of root in env (names bound to floats, arrays over
     batch axes or jets) by the tape loop, with no check that it is
     finite: how the parser folds a constant exponent."""
-    prog = program([root])
-    return _run(prog.steps, env, prog, [])[-1]
+    return _run(program([root]).steps, env, [])[-1]
 
 
 def _tape_loop(prog, env, finish):
@@ -764,8 +733,8 @@ def _tape_loop(prog, env, finish):
     vals = []
     out = []
     for r in prog.roots:
-        _run(prog.steps[len(vals):r + 1], env, prog, vals)
-        out.append(finish(vals[r], prog.node(prog.steps[r][1])))
+        _run(prog.steps[len(vals):r + 1], env, vals)
+        out.append(finish(vals[r], prog.steps[r][1]))
     return out
 
 
@@ -805,7 +774,7 @@ def eval_jet(prog: Program, coords, base, order: int) -> Jet:
             coeffs = np.stack(_tape_loop(prog, env, finish), axis=1)
         elif not np.isfinite(coeffs).all():
             for k, r in enumerate(prog.roots):
-                _require_finite(coeffs[:, k], prog.node(prog.steps[r][1]))
+                _require_finite(coeffs[:, k], prog.steps[r][1])
     return Jet(_space(nvars, order), coeffs)
 
 
@@ -933,7 +902,7 @@ def _build_schedule(prog):
         elif code != _CONST:
             sub[m] = (code, at, renumber[i], renumber[j])
     try:
-        values = _run(sub, {}, prog, [])
+        values = _run(sub, {}, [])
     except EvalDomainError:
         return False
     # A node's level is one more than its operands' highest (variables
@@ -1116,7 +1085,3 @@ def _run_schedule(schedule, env):
     out = c[:, roots]
     out[1:, constant] = 0.0  # a constant root's jet, as Jet.constant's
     return out
-
-
-def is_constant(node: Expr) -> bool:
-    return not free_variables(node)

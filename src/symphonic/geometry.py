@@ -146,14 +146,15 @@ class ManifoldModel:
         rng = np.random.default_rng(0)
         x = np.array([[rng.uniform(*self._sample_bounds(k)) for k in range(m)]
                       for _ in range(100)]).T
-        bad = []
-        for i, j in pairs:
-            a, b = (ex.eval_value(ex.program([e]), self.coords, x)[0]
-                    for e in (self.metric[i][j], self.metric[j][i]))
-            bad.append(abs(a - b) > 1e-12 * (1.0 + abs(a)))
-        point = first_failure(np.any(bad, axis=0))
+        # the entries (i, j) and (j, i) of every pair, as one program
+        prog = ex.program([e for i, j in pairs
+                           for e in (self.metric[i][j], self.metric[j][i])])
+        values = ex.eval_value(prog, self.coords, x)
+        a, b = values[0::2], values[1::2]
+        bad = abs(a - b) > 1e-12 * (1.0 + abs(a))
+        point = first_failure(bad.any(0))
         if point is not None:
-            i, j = pairs[first_failure([mask[point] for mask in bad])]
+            i, j = pairs[first_failure(bad[:, point])]
             raise GeometryError(
                 f"metric of chart '{self.name}' is not symmetric "
                 f"at entry ({i},{j})")
@@ -315,7 +316,7 @@ def constant_metric(model: ManifoldModel):
     NonSPDError on the first call, which ManifoldModel makes."""
     if "_constant_metric" not in vars(model):
         met = None
-        if all(ex.is_constant(e) for row in model.metric for e in row):
+        if not any(ex.free_variables(e) for row in model.metric for e in row):
             values = metric_values(model, [0.0] * model.dim)
             lowest = np.linalg.eigvalsh(values).min()
             if not lowest > SPD_EIGENVALUE_FLOOR:

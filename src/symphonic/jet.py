@@ -16,18 +16,17 @@ code.  Accessors return floats for a pointwise jet and arrays over the
 batch axes otherwise.
 
 A jet array is a jet of a tensor: its coefficients are
-(size, *tensor_axes, *batch), the tensor axes before the batch axes
-(stack builds one from a list of jets).  The jets of a map or a field
-are one (n,) jet array, and compose substitutes such an array for the
-n variables of an outer jet (array).  No other class is needed: +,
--, value, gradient, hessian and partials act entrywise, * by a float
-or by a plain array (broadcast against the trailing axes) scales every
-coefficient, and einsum(subscripts, *operands) is np.einsum over
-jet arrays and plain arrays alike: a product of two jet arrays
-contracts their tensor axes with np.einsum coefficient by coefficient,
-through the space's product table (Taylor-mode arithmetic on whole
-tensors).  A kernel written once with einsum thus runs on floats, where
-einsum is np.einsum, and on jets.
+(size, *tensor_axes, *batch), the tensor axes before the batch axes.
+The jets of a map or a field are one (n,) jet array, and compose
+substitutes such an array for the n variables of an outer jet (array).
+No other class is needed: +, -, value, gradient, hessian and partials
+act entrywise, * by a float or by a plain array (broadcast against the
+trailing axes) scales every coefficient, and einsum(subscripts,
+*operands) is np.einsum over jet arrays and plain arrays alike: a
+product of two jet arrays contracts their tensor axes with np.einsum
+coefficient by coefficient, through the space's product table
+(Taylor-mode arithmetic on whole tensors).  A kernel written once with
+einsum thus runs on floats, where einsum is np.einsum, and on jets.
 
 The elementary functions (s_sin, s_cos, s_exp, s_log, s_sqrt, s_pow
 and divide) are written once for floats, arrays of floats over batch
@@ -654,12 +653,6 @@ def compose(outer: Jet, inner: Jet) -> Jet:
         else:
             out += c * term[lift]
     return Jet(sp_out, out)
-
-
-def stack(jets: list[Jet]) -> Jet:
-    """The jet array (len(jets), ...) of a list of jets of one space and
-    batch."""
-    return Jet(jets[0].space, np.stack([j.coeffs for j in jets], axis=1))
 
 
 # contraction of jet arrays --------------------------------------------------

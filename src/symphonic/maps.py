@@ -332,8 +332,9 @@ def differential(spec: MapSpec, x) -> np.ndarray:
 
 def pullback_metric(spec: MapSpec, x) -> np.ndarray:
     """(phi^* h)_{ij} = h_{ab} d_i phi^a d_j phi^b."""
-    t = map_tables(spec, x)
-    return np.einsum("ia...,ab...,jb...->ij...", t.d1, t.h, t.d1)
+    ctx = along_map(spec, x, 1)  # no Christoffel symbols are read
+    d1 = ctx.jets.gradient()
+    return np.einsum("ia...,ab...,jb...->ij...", d1, ctx.target.values, d1)
 
 
 def symphonic_energy_density(spec: MapSpec, x, frame=None):
@@ -365,10 +366,12 @@ def tension_field(spec: MapSpec, x, frame=None) -> np.ndarray:
 
 def symphonic_stress(spec: MapSpec, x, X) -> np.ndarray:
     """sigma_phi(X) = sum_j h(dphi X, dphi e_j) dphi e_j."""
-    t = map_tables(spec, x)
-    df = np.einsum("ip...,pa...->ia...", t.frame, t.d1)
-    dX = np.einsum("p...,pa...->a...", np.asarray(X, dtype=float), t.d1)
-    return np.einsum("a...,ab...,jb...,jc...->c...", dX, t.h, df, df)
+    ctx = along_map(spec, x, 1)  # no Christoffel symbols are read
+    d1 = ctx.jets.gradient()
+    df = np.einsum("ip...,pa...->ia...", ctx.source.frame, d1)
+    dX = np.einsum("p...,pa...->a...", np.asarray(X, dtype=float), d1)
+    return np.einsum("a...,ab...,jb...,jc...->c...", dX, ctx.target.values,
+                     df, df)
 
 
 def tau_s_from_tables(t: MapTables) -> np.ndarray:

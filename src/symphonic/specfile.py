@@ -12,8 +12,10 @@ files:
     builtin:linear-torus                     plain linear torus map
                                              with the same fields
 
-File specs are validated against docs/spec.schema.json; validation
-failures report JSON-pointer paths.
+File specs are validated against the packaged schema
+symphonic/schemas/spec.schema.json; validation failures report
+JSON-pointer paths.  jsonschema is imported only then, so builtin specs
+and the commands that read no spec file never load it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 import re
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from . import charts
 from . import expr as ex
@@ -92,6 +92,8 @@ def _chart_from_dict(doc: dict, label: str) -> geo.ManifoldModel:
 
 def parse_spec_document(doc: dict):
     """Validated (MapSpec, fields) from a spec dictionary."""
+    import jsonschema  # here only: no other path needs it
+
     validator = jsonschema.Draft7Validator(_schema())
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:

@@ -1,7 +1,11 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -570,13 +574,34 @@ def test_cli_closes_the_files_it_opens(tmp_path, capsys):
     assert trace.read_text().startswith("step,epsilon,E_sym,")
 
 
-def test_docs_schemas_match_shipped_schemas():
-    from pathlib import Path
-    docs = Path(__file__).resolve().parent.parent / "docs"
+def test_the_package_ships_both_schemas():
+    # the packaged files are the one copy of each schema
     for name in ("spec.schema.json", "report.schema.json"):
-        shipped = load_schema(name)
-        published = json.loads((docs / name).read_text())
-        assert shipped == published
+        schema = load_schema(name)
+        jsonschema.Draft7Validator.check_schema(schema)
+        assert schema["type"] == "object"
+
+
+def test_only_a_spec_file_loads_jsonschema(tmp_path):
+    """Importing the command line and loading a builtin spec leave
+    jsonschema unimported; validating a spec file imports it."""
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_one_dim_spec("t^2")))
+    script = (
+        "import sys\n"
+        "import symphonic.cli\n"
+        "from symphonic.specfile import load_spec\n"
+        "load_spec('builtin:torus-test')\n"
+        "assert 'jsonschema' not in sys.modules, 'builtin'\n"
+        "load_spec(sys.argv[1])\n"
+        "assert 'jsonschema' in sys.modules, 'file'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _one_dim_spec(component):

@@ -133,7 +133,7 @@ def test_domain_error_names_subexpression():
 
 def test_evaluated_expression_is_freed_without_the_cycle_collector():
     tree = ex.parse("sin(x) * x + 1", ["x"])
-    _value_of(tree, ["x"], [0.5])  # compiles and caches the tape
+    _value_of(tree, ["x"], [0.5])  # compiles and runs a program of one
     ref = weakref.ref(tree)
     gc.disable()
     try:

@@ -151,6 +151,33 @@ def test_stress_linearity(sphere_inc, rng):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+def test_pullback_and_stress_are_the_tables_formulas(curved_target, rng):
+    """pullback_metric and symphonic_stress read an order-1 context and
+    give, bit for bit, their formulas on map_tables (an order-2 context,
+    which also builds Christoffel symbols), at one point and over a
+    batch."""
+    tor = charts.torus_chart(2)
+    specs = [charts.sphere_inclusion(m) for m in (2, 3, 4)] + [
+        charts.power_curve(4.0 / 3.0), charts.torus_test_map(),
+        mp.MapSpec(tor, curved_target, [
+            ex.parse("x1 + 0.3*sin(x2)", tor.coords),
+            ex.parse("x2 - 0.2*cos(x1)", tor.coords)])]
+    for spec in specs:
+        pts = np.array(spec.source.sample_points(5, rng)).T
+        vectors = rng.normal(size=pts.shape)
+        for x, X in ((pts, vectors), (pts[:, 0], vectors[:, 0])):
+            t = mp.map_tables(spec, x)
+            pullback = np.einsum("ia...,ab...,jb...->ij...", t.d1, t.h, t.d1)
+            df = np.einsum("ip...,pa...->ia...", t.frame, t.d1)
+            dX = np.einsum("p...,pa...->a...", X, t.d1)
+            stress = np.einsum("a...,ab...,jb...,jc...->c...", dX, t.h,
+                               df, df)
+            assert (mp.pullback_metric(spec, x).tobytes()
+                    == pullback.tobytes())
+            assert (mp.symphonic_stress(spec, x, X).tobytes()
+                    == stress.tobytes())
+
+
 def test_tau_linear_map_zero():
     spec = euclid_map(2, ["2*x1 + x2", "x1 - x2"])
     assert np.allclose(mp.symphonic_tension(spec, [1.0, 2.0]), 0.0,

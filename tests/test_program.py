@@ -140,9 +140,14 @@ def test_the_tape_holds_each_distinct_node_once_in_root_order():
         ex._VAR, ex._CALL, ex._CONST, ex._MUL, ex._CONST, ex._MUL,
         ex._CONST]
     assert prog.roots == (3, 5, 3, 6)
-    # a list of one is the root's own program, cached on it
-    assert ex.program(roots[:1]) is ex.program(roots[:1])
-    assert ex.program(roots[:2]) is not ex.program(roots[:2])
+    # each step holds its own node: a root's step holds the root, and
+    # root 2's is root 0's
+    named = [prog.steps[r][1] for r in prog.roots]
+    assert all(a is b for a, b in zip(named, [roots[0], roots[1], roots[0],
+                                              roots[3]]))
+    # each call compiles anew: the caller holds the program
+    assert ex.program(roots[:1]) is not ex.program(roots[:1])
+    assert ex.program(roots[:1]).steps[-1][1] is roots[0]
 
 
 @pytest.mark.parametrize("texts,point,message", [
@@ -177,6 +182,31 @@ def test_a_program_of_one_names_its_root_after_the_root_is_gone():
             run()
         assert str(err.value) == ("log of non-positive value -1.0 in "
                                   "subexpression 'log(x - 2.0)'")
+
+
+def test_evaluating_and_comparing_leave_each_node_as_parsed(monkeypatch):
+    """Expressions hold no program: evaluating (a batch, a pointwise jet
+    by the schedule, a failing point), hashing, comparing and
+    free_variables leave every node's attributes as the parser built
+    them."""
+    monkeypatch.setattr(ex, "_MIN_OPS_PER_GROUP", 0)  # always schedule
+    text = "sin(x) * y + 1 / (x + 2) + log(y - 0.1) * x^3"
+    root = ex.parse(text, ["x", "y"])
+    nodes = ex._post_order(root)
+    before = [dict(vars(node)) for node in nodes]
+    prog = ex.program([root])
+    ex.eval_value(prog, ["x", "y"], [0.5, 0.25])
+    ex.eval_value(prog, ["x", "y"], np.ones((2, 3)))
+    ex.eval_jet(prog, ["x", "y"], [0.5, 0.25], 3)
+    ex.eval_jet(prog, ["x", "y"], np.ones((2, 3)), 2)
+    with pytest.raises(ex.EvalDomainError):
+        ex.eval_jet(prog, ["x", "y"], [0.5, 0.05], 2)
+    hash(root)
+    assert root == ex.parse(text, ["x", "y"])
+    assert ex.free_variables(root) == {"x", "y"}
+    assert prog._schedule  # the pointwise jets ran the schedule
+    assert [vars(node) for node in nodes] == before
+    assert "_program" not in vars(ex.Expr)
 
 
 def test_the_first_failing_point_of_a_batch_raises():

@@ -226,31 +226,36 @@ def test_a_shared_denominator_has_one_reciprocal(always_schedule):
 
 def test_the_schedule_is_cached_and_keeps_no_node(always_schedule):
     tree = ex.parse("sin(x) * y + 1 / (x + 2)", ["x", "y"])
-    _jet_of(tree, ["x", "y"], np.ones((2, 3)), 2)  # a batch: no schedule
-    assert ex.program([tree])._schedule is None
-    _jet_of(tree, ["x", "y"], [0.5, 0.25], 2)
-    schedule = ex.program([tree])._schedule
+    prog = ex.program([tree])
+    ex.eval_jet(prog, ["x", "y"], np.ones((2, 3)), 2)  # a batch: no schedule
+    assert prog._schedule is None
+    ex.eval_jet(prog, ["x", "y"], [0.5, 0.25], 2)
+    schedule = prog._schedule
     assert schedule
-    _jet_of(tree, ["x", "y"], [0.1, 0.2], 3)
-    assert ex.program([tree])._schedule is schedule
-    # no reference cycle through the schedule: freed at once
+    ex.eval_jet(prog, ["x", "y"], [0.1, 0.2], 3)
+    assert prog._schedule is schedule
+    # no reference cycle through the program or its schedule: the root
+    # lives as long as its program, and is freed at once with it
     ref = weakref.ref(tree)
     gc.disable()
     try:
         del tree, schedule
+        assert ref() is not None
+        del prog
         assert ref() is None
     finally:
         gc.enable()
 
 
 def test_few_operations_per_group_keep_the_tape_loop():
-    small = ex.parse("0.3*sin(x) + 0.2*cos(y) + 0.4*x", ["x", "y"])
-    _jet_of(small, ["x", "y"], [0.5, 0.25], 4)
-    assert ex.program([small])._schedule is False
-    big = ex.parse(" + ".join(f"{k}*sin(x)*cos(y)*x" for k in range(1, 30)),
-                   ["x", "y"])
-    _jet_of(big, ["x", "y"], [0.5, 0.25], 4)
-    schedule = ex.program([big])._schedule
+    small = ex.program([ex.parse("0.3*sin(x) + 0.2*cos(y) + 0.4*x",
+                                 ["x", "y"])])
+    ex.eval_jet(small, ["x", "y"], [0.5, 0.25], 4)
+    assert small._schedule is False
+    big = ex.program([ex.parse(
+        " + ".join(f"{k}*sin(x)*cos(y)*x" for k in range(1, 30)), ["x", "y"])])
+    ex.eval_jet(big, ["x", "y"], [0.5, 0.25], 4)
+    schedule = big._schedule
     assert schedule.ops >= ex._MIN_OPS_PER_GROUP * len(schedule.groups)
 
 

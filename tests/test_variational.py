@@ -410,14 +410,23 @@ def test_batched_operators_match_pointwise(rng):
      {"metric": 1, "christoffel_jets": 0, "compose": 0}),
     ("S^2", "symphonic_energy_density",
      {"metric": 1, "christoffel_jets": 0, "compose": 0}),
+    ("torus-curved", "pullback_metric",
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
+    ("S^2", "pullback_metric",
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
+    ("torus-curved", "symphonic_stress",
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
+    ("S^2", "symphonic_stress",
+     {"metric": 1, "christoffel_jets": 0, "compose": 0}),
 ])
 def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
                                                 which, op, expected):
     """One operator call, at one point or over a 6x6 mesh, evaluates the
     source metric once at x and the target metric once at phi(x), and
     composes each target jet array with the map at most once; a pairing
-    reads h from its operator's evaluation, and the symphonic energy and
-    its pointwise density compute no Christoffel symbols.  The flat
+    reads h from its operator's evaluation, and the symphonic energy,
+    its pointwise density, the pullback metric and the symphonic stress
+    compute no Christoffel symbols.  The flat
     torus source is never evaluated (neither metric_jets nor
     metric_values runs for it): metric_at gives the chart's shared
     constant metric, so the scalar residual on the torus evaluates no
@@ -466,6 +475,10 @@ def test_each_metric_is_evaluated_once_per_call(monkeypatch, curved_target,
         va.bi_energy(spec, mesh)
     elif op == "symphonic_energy_density":
         mp.symphonic_energy_density(spec, x)
+    elif op == "pullback_metric":
+        mp.pullback_metric(spec, x)
+    elif op == "symphonic_stress":
+        mp.symphonic_stress(spec, x, [0.3, -0.5])
     else:
         mp.scalar_symphonic_residual(
             spec.source, ex.parse(f"sin({coords[0]})*{coords[1]}", coords), x)
